@@ -9,7 +9,6 @@ use crate::problem::Problem;
 use crate::schedule::adaptive::AcceptanceController;
 use crate::stats::RunResult;
 use crate::strategy::{Figure1, Figure2, Rejectionless, ReplicaExchange, DEFAULT_EQUILIBRIUM};
-use crate::telemetry::RunTelemetry;
 use crate::trace::{ChainObserver, NoopObserver};
 
 /// Which of the paper's two control strategies to run.
@@ -163,15 +162,6 @@ impl<'a, P: Problem> Annealer<'a, P> {
         obs: &mut O,
     ) -> RunResult<P::State> {
         self.dispatch(g, obs)
-    }
-
-    /// Runs the configured strategy and also returns the run's
-    /// [`RunTelemetry`] (wall time, throughput, per-temperature breakdown).
-    pub fn run_instrumented(&self, g: &mut GFunction) -> (RunResult<P::State>, RunTelemetry) {
-        let started = std::time::Instant::now();
-        let result = self.dispatch(g, &mut NoopObserver);
-        let telemetry = RunTelemetry::capture(&result, started.elapsed());
-        (result, telemetry)
     }
 
     fn dispatch<O: ChainObserver>(&self, g: &mut GFunction, obs: &mut O) -> RunResult<P::State> {

@@ -120,6 +120,7 @@
 pub mod accept;
 mod annealer;
 mod budget;
+pub mod json;
 pub mod local;
 pub mod metrics;
 mod problem;
@@ -146,7 +147,7 @@ pub use strategy::{
     Figure1, Figure2, Rejectionless, ReplicaExchange, DEFAULT_EQUILIBRIUM,
     DEFAULT_EXCHANGE_INTERVAL,
 };
-pub use telemetry::{RunTelemetry, TelemetrySink};
+pub use telemetry::RunTelemetry;
 pub use trace::{
     ChainObserver, ChainTrace, NoopObserver, StageTrace, StopTrace, TraceCollector,
     DEFAULT_TRACE_SAMPLES,

@@ -30,6 +30,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
+use crate::json;
+
 /// Monotonic counter.
 #[derive(Debug, Default)]
 pub struct Counter {
@@ -285,7 +287,7 @@ impl Drop for Span {
 
 /// Times a phase against the [`global`] registry: the returned guard
 /// records into `span_wall_us{phase="<name>"}` when dropped. Intended for
-/// coarse harness phases (probe/stage/cell/merge) — one histogram record
+/// coarse harness phases (probe/stage/cell) — one histogram record
 /// per phase, never per proposal, so chain hot paths are untouched.
 pub fn span(name: &str) -> Span {
     global().span(name)
@@ -412,7 +414,7 @@ impl Registry {
             let body: Vec<String> = id
                 .labels
                 .iter()
-                .map(|(k, v)| format!("\"{}\":\"{}\"", escape(k), escape(v)))
+                .map(|(k, v)| format!("\"{}\":\"{}\"", json::escape(k), json::escape(v)))
                 .collect();
             format!("\"labels\":{{{}}},", body.join(","))
         };
@@ -425,7 +427,7 @@ impl Registry {
                 }
                 out.push_str(&format!(
                     "{{\"name\":\"{}\",{}\"value\":{}}}",
-                    escape(&id.name),
+                    json::escape(&id.name),
                     labels_json(id),
                     c.get()
                 ));
@@ -438,18 +440,11 @@ impl Registry {
                 if i > 0 {
                     out.push(',');
                 }
-                let v = g.get();
-                let value = if v.is_finite() {
-                    format!("{v}")
-                } else {
-                    // JSON has no NaN/Infinity; null mirrors the WAL
-                    // serializer's convention.
-                    "null".to_string()
-                };
                 out.push_str(&format!(
-                    "{{\"name\":\"{}\",{}\"value\":{value}}}",
-                    escape(&id.name),
+                    "{{\"name\":\"{}\",{}\"value\":{}}}",
+                    json::escape(&id.name),
                     labels_json(id),
+                    json::float(g.get()),
                 ));
             }
         }
@@ -463,7 +458,7 @@ impl Registry {
                 out.push_str(&format!(
                     "{{\"name\":\"{}\",{}\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\
                      \"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[",
-                    escape(&id.name),
+                    json::escape(&id.name),
                     labels_json(id),
                     h.count(),
                     h.sum(),
@@ -638,19 +633,6 @@ fn prom_f64(v: f64) -> String {
     } else {
         format!("{v}")
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -204,21 +204,6 @@ impl Figure1 {
 
         run.finish(stop, initial_cost, cost, obs)
     }
-
-    /// Like [`run`](Self::run), additionally feeding a timed
-    /// [`RunTelemetry`](crate::telemetry::RunTelemetry) record to `sink`.
-    /// With `sink = None` this is exactly `run` — the clock is never read.
-    pub fn run_with_telemetry<P: Problem>(
-        &self,
-        problem: &P,
-        g: &mut GFunction,
-        start: P::State,
-        budget: Budget,
-        rng: &mut dyn Rng,
-        sink: Option<&mut dyn crate::telemetry::TelemetrySink>,
-    ) -> RunResult<P::State> {
-        crate::telemetry::timed(sink, || self.run(problem, g, start, budget, rng))
-    }
 }
 
 #[cfg(test)]

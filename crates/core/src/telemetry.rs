@@ -3,10 +3,7 @@
 //!
 //! The strategies always collect the underlying counters (they are cheap:
 //! one snapshot per temperature boundary); [`RunTelemetry::capture`] distils
-//! them into a flat record, and the optional [`TelemetrySink`] lets callers
-//! stream records without holding every [`RunResult`] alive. When no sink is
-//! attached nothing extra is computed — `run` paths without telemetry do not
-//! even read the clock.
+//! them, with the wall time the caller measured, into a flat record.
 
 use std::time::Duration;
 
@@ -59,42 +56,6 @@ impl RunTelemetry {
     }
 }
 
-/// A consumer of per-run telemetry records.
-///
-/// Runs feed sinks via `&mut dyn TelemetrySink`, so sinks can be anything
-/// from a `Vec` (provided below) to a JSON-lines writer in a harness crate.
-pub trait TelemetrySink {
-    /// Called once per completed run.
-    fn record(&mut self, telemetry: &RunTelemetry);
-}
-
-/// The simplest sink: collect every record.
-impl TelemetrySink for Vec<RunTelemetry> {
-    fn record(&mut self, telemetry: &RunTelemetry) {
-        self.push(telemetry.clone());
-    }
-}
-
-/// Runs `run`, feeding its telemetry to `sink` if one is attached.
-///
-/// This is the shared implementation behind every strategy's
-/// `run_with_telemetry`: with `sink = None` it is a plain call — no clock
-/// read, no capture.
-pub fn timed<S>(
-    sink: Option<&mut dyn TelemetrySink>,
-    run: impl FnOnce() -> RunResult<S>,
-) -> RunResult<S> {
-    match sink {
-        None => run(),
-        Some(sink) => {
-            let started = std::time::Instant::now();
-            let result = run();
-            sink.record(&RunTelemetry::capture(&result, started.elapsed()));
-            result
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,18 +93,5 @@ mod tests {
     fn zero_duration_does_not_divide_by_zero() {
         let t = RunTelemetry::capture(&result(), Duration::ZERO);
         assert_eq!(t.evals_per_sec, 0.0);
-    }
-
-    #[test]
-    fn vec_sink_collects() {
-        let mut sink: Vec<RunTelemetry> = Vec::new();
-        let t = RunTelemetry::capture(&result(), Duration::from_millis(1));
-        {
-            let dyn_sink: &mut dyn TelemetrySink = &mut sink;
-            dyn_sink.record(&t);
-            dyn_sink.record(&t);
-        }
-        assert_eq!(sink.len(), 2);
-        assert_eq!(sink[0], t);
     }
 }

@@ -14,7 +14,9 @@
 //! in `BENCHMARKS.md` at the repository root.
 
 use anneal_core::schedule::adaptive::{self, AdaptiveMode, DEFAULT_PROBE_SAMPLES};
-use anneal_core::{estimate_delta_stats, Annealer, Budget, GFunction, Problem, Rng, Strategy};
+use anneal_core::{
+    estimate_delta_stats, json, Annealer, Budget, GFunction, Problem, Rng, Strategy,
+};
 use anneal_linarr::{LinearArrangementProblem, Neighborhood};
 use anneal_netlist::generator::{random_multi_pin, random_two_pin};
 use anneal_partition::PartitionProblem;
@@ -364,15 +366,6 @@ pub fn git_rev() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// JSON has no NaN/Infinity; map them to null.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Renders the `BENCH_core.json` document (schema in `BENCHMARKS.md`).
 pub fn render_report(results: &[KernelResult], git_rev: &str, cfg: &MeasureConfig) -> String {
     let mut s = String::new();
@@ -393,13 +386,13 @@ pub fn render_report(results: &[KernelResult], git_rev: &str, cfg: &MeasureConfi
              \"iters_per_sample\": {}, \"samples\": {}, \"evals_per_iter\": {}, \
              \"evals_per_sec\": {}}}{}\n",
             r.name,
-            json_f64(m.median_ns),
-            json_f64(m.lo_ns),
-            json_f64(m.hi_ns),
+            json::float(m.median_ns),
+            json::float(m.lo_ns),
+            json::float(m.hi_ns),
             m.iters_per_sample,
             m.samples,
-            json_f64(r.evals_per_iter),
-            json_f64(r.evals_per_sec()),
+            json::float(r.evals_per_iter),
+            json::float(r.evals_per_sec()),
             if i + 1 < results.len() { "," } else { "" }
         ));
     }

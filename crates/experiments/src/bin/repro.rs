@@ -237,24 +237,16 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let log = match parsed.isolation {
         cli::Isolation::Thread => log,
         cli::Isolation::Process => {
-            // Shards sit next to the WAL; without one they go to a
-            // per-process temp prefix (the records still flow into the
-            // in-memory log, which process isolation always needs).
-            let shard_base = parsed.telemetry.clone().unwrap_or_else(|| {
-                std::env::temp_dir()
-                    .join(format!("anneal-worker-{}.jsonl", std::process::id()))
-                    .to_string_lossy()
-                    .into_owned()
-            });
             let sup = Supervisor::new(
                 &config,
                 faults.as_ref(),
                 parsed.trace.as_deref(),
                 parsed.heartbeat,
                 parsed.breaker_threshold,
-                shard_base,
             )?
             .with_ops(board.clone());
+            // The supervisor records every worker's cell into the log, so
+            // process isolation needs a live one even without a WAL.
             let log = if log.is_enabled() {
                 log
             } else {
@@ -385,11 +377,11 @@ fn run_job(path: &str) -> Result<ExitCode, String> {
 }
 
 /// The hidden `--worker-cell` mode: this process is a supervisor child.
-/// It runs exactly one table cell (the log's filter skips the others),
-/// appends the record to its WAL shard with the sequence number the
-/// parent dictated, and reports liveness as `{"hb":k}` lines on stdout.
-/// Exit code [`exit_codes::OK`] means "the cell's record is in the
-/// shard"; anything else is a retryable process failure.
+/// It runs exactly one table cell (the log's filter skips the others) and
+/// talks to the parent over stdout: `{"hb":k}` heartbeat lines while it
+/// runs, then the cell's record as one JSON line. Exit code
+/// [`exit_codes::OK`] means "the record is on stdout"; anything else is a
+/// retryable process failure.
 fn run_worker(parsed: &cli::Cli, faults: Option<FaultPlan>) -> Result<ExitCode, String> {
     let worker = parsed.worker.as_ref().expect("worker mode");
     let config = &parsed.config;
@@ -399,16 +391,9 @@ fn run_worker(parsed: &cli::Cli, faults: Option<FaultPlan>) -> Result<ExitCode, 
 
     let heartbeat = parsed.heartbeat;
     std::thread::spawn(move || {
-        use std::io::Write;
         let mut beats = 0u64;
-        loop {
-            let mut out = std::io::stdout();
-            if writeln!(out, "{{\"hb\":{beats}}}")
-                .and_then(|()| out.flush())
-                .is_err()
-            {
-                return; // parent gone; its deadline owns us now
-            }
+        // A failed beat means the parent is gone; its deadline owns us now.
+        while emit_line(&format!("{{\"hb\":{beats}}}"), None).is_ok() {
             beats += 1;
             std::thread::sleep(heartbeat);
         }
@@ -417,33 +402,42 @@ fn run_worker(parsed: &cli::Cli, faults: Option<FaultPlan>) -> Result<ExitCode, 
     // Respawned workers roll fresh fault decisions: the supervisor folds
     // this process attempt into every instance's attempt number.
     let faults = faults.map(|plan| plan.with_attempt_base(worker.attempt));
-    let meta = checkpoint::WalMeta::new(config.seed, config.scale.divisor);
-    let writer = checkpoint::open_shard(&worker.shard, &meta)?;
-    let writer: Box<dyn std::io::Write + Send> = match &faults {
-        Some(plan) if plan.io_p > 0.0 => Box::new(ChaosWriter::new(writer, *plan)),
-        _ => writer,
-    };
     let trace = match &parsed.trace {
         Some(dir) => Some(TraceSink::new(dir, faults)?),
         None => None,
     };
-    let log = TelemetryLog::with_writer(writer)
+    let log = TelemetryLog::in_memory()
         .with_faults(faults)
         .with_trace(trace)
-        .with_filter(Some(worker.cell.clone()))
-        .with_seq_start(worker.seq);
+        .with_filter(Some(worker.cell.clone()));
 
     for exp in &parsed.experiments {
         // The tables themselves are the parent's to print.
         let _ = dispatch(exp, config, &log)?;
     }
 
-    let recorded = log.records().iter().any(|r| r.key == worker.cell);
-    if recorded && log.write_errors() == 0 {
-        Ok(ExitCode::SUCCESS)
-    } else {
-        Ok(ExitCode::from(exit_codes::WORKER_NO_RECORD))
+    let Some(record) = log.records().into_iter().find(|r| r.key == worker.cell) else {
+        return Ok(ExitCode::from(exit_codes::WORKER_NO_RECORD));
+    };
+    if let Err(e) = emit_line(&record.to_json(), faults.as_ref()) {
+        eprintln!("worker: record of {} lost: {e}", worker.cell);
+        return Ok(ExitCode::from(exit_codes::WORKER_NO_RECORD));
     }
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Writes `line` and a newline to stdout under one lock, then flushes.
+/// Heartbeats and the record share this pipe, so a line is never split
+/// by another. With `--faults io=…` the write can fail like a WAL append.
+fn emit_line(line: &str, faults: Option<&FaultPlan>) -> std::io::Result<()> {
+    use std::io::Write;
+    let bytes = format!("{line}\n").into_bytes();
+    let mut out = std::io::stdout().lock();
+    match faults {
+        Some(plan) if plan.io_p > 0.0 => ChaosWriter::new(&mut out, *plan).write_all(&bytes)?,
+        _ => out.write_all(&bytes)?,
+    }
+    out.flush()
 }
 
 fn dispatch(exp: &str, config: &SuiteConfig, log: &TelemetryLog) -> Result<Vec<Table>, String> {

@@ -42,10 +42,10 @@ pub const WAL_SCHEMA: &str = "anneal-repro-wal";
 ///   `temperature` and `target_acceptance` sums (both default to NaN when
 ///   loading v1/v2, rendering as "no data" rather than a wrong mean).
 /// * 4 — process supervisor: record lines are prefixed with a `"seq"`
-///   field (the write-order sequence number, used to merge per-worker
-///   shards deterministically), and the stream may carry supervisor event
-///   lines (`{"sup":...}`) which older loaders never see and this loader
-///   collects separately. Records without `seq` still load.
+///   field, and the stream may carry supervisor event lines
+///   (`{"sup":...}`) which older loaders never see and this loader
+///   collects separately. Records without `seq` still load. `seq` is the
+///   write order of the record lines; nothing reads it back.
 pub const WAL_VERSION: u64 = 4;
 
 /// Suite parameters recorded in the WAL header, used by `--resume` to warn
@@ -288,109 +288,6 @@ pub fn event_from_json(v: &Json) -> Result<SupervisorEvent, String> {
         cell,
         detail: field_str(v, "detail")?.to_string(),
     })
-}
-
-/// Opens (creating if absent) a per-worker WAL shard at `path` in append
-/// mode and returns the writer. A new or empty shard gets the versioned
-/// header first, so every shard follows the same torn-line-tolerant
-/// discipline as the main WAL; an existing shard is appended to, which is
-/// how a retried worker continues the same file.
-pub fn open_shard(path: &str, meta: &WalMeta) -> Result<Box<dyn Write + Send>, String> {
-    let file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .map_err(|e| format!("cannot open WAL shard `{path}`: {e}"))?;
-    let fresh = file
-        .metadata()
-        .map(|m| m.len() == 0)
-        .map_err(|e| format!("cannot stat WAL shard `{path}`: {e}"))?;
-    let mut writer = std::io::BufWriter::new(file);
-    if fresh {
-        writeln!(writer, "{}", meta.header_line())
-            .and_then(|()| writer.flush())
-            .map_err(|e| format!("cannot write WAL shard header to `{path}`: {e}"))?;
-    }
-    Ok(Box::new(writer))
-}
-
-/// Deterministically merges WAL shard texts into one single-writer WAL.
-///
-/// Every input must carry a header and the headers must agree. Record
-/// lines are keyed by their WAL v4 `seq` number: the merge orders them by
-/// sequence, with a later input winning a sequence collision (a retried
-/// cell supersedes the attempt it replaced). A torn final line in any
-/// input is dropped, exactly as [`load`] would. Supervisor event lines are
-/// not merged — they have no sequence numbers and remain advisory to the
-/// stream that recorded them.
-///
-/// The output is byte-for-byte the WAL a single writer would have
-/// produced for the same records: header line, then each surviving record
-/// line verbatim in sequence order.
-pub fn merge_shards(texts: &[&str]) -> Result<String, String> {
-    let _merge_span = anneal_core::metrics::span("merge");
-    let mut meta: Option<WalMeta> = None;
-    let mut by_seq: std::collections::BTreeMap<u64, String> = std::collections::BTreeMap::new();
-    for (shard_idx, text) in texts.iter().enumerate() {
-        let lines: Vec<&str> = text.lines().collect();
-        let n = lines.len();
-        for (i, line) in lines.iter().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let last = i + 1 == n;
-            // A parseable header that *disagrees* is a real conflict, not
-            // a torn tail — check it before the torn-line tolerance below
-            // (a shard may hold nothing but its header line).
-            if i == 0 {
-                if let Ok(value) = Json::parse(line) {
-                    if value.get("wal").is_some() {
-                        let this = meta_from_json(&value)?;
-                        match meta {
-                            None => meta = Some(this),
-                            Some(first) if first == this => {}
-                            Some(first) => {
-                                return Err(format!(
-                                    "shard {shard_idx}: header disagrees with shard 0: \
-                                     {this:?} vs {first:?}"
-                                ));
-                            }
-                        }
-                        continue;
-                    }
-                }
-            }
-            let parsed: Result<(), String> = (|| {
-                let value = Json::parse(line)?;
-                if value.get("sup").is_some() {
-                    event_from_json(&value)?;
-                } else {
-                    // Validate the whole record, not just the seq field — a
-                    // half-written line must count as torn, not merge.
-                    record_from_json(&value)?;
-                    let seq = field_u64(&value, "seq")
-                        .map_err(|e| format!("record without a mergeable seq: {e}"))?;
-                    by_seq.insert(seq, line.to_string());
-                }
-                Ok(())
-            })();
-            match parsed {
-                Ok(()) => {}
-                Err(_) if last => {}
-                Err(e) => {
-                    return Err(format!("shard {shard_idx}: corrupt line {}: {e}", i + 1));
-                }
-            }
-        }
-    }
-    let meta = meta.ok_or("no shard carried a WAL header")?;
-    let mut out = meta.header_line();
-    out.push('\n');
-    for line in by_seq.values() {
-        out.push_str(line);
-        out.push('\n');
-    }
-    Ok(out)
 }
 
 /// Maps a parsed stop string back onto the `&'static str` labels
@@ -1031,136 +928,47 @@ mod tests {
         assert_eq!(cp.cells.len(), 1);
     }
 
-    fn numbered_line(i: u64) -> String {
-        let mut r = sample_record(i as f64 + 0.125);
-        r.key.table = format!("t{i}");
-        wal_line(&r.to_json(), i)
-    }
-
-    fn with_header(meta: &WalMeta, lines: &[String]) -> String {
-        let mut out = meta.header_line();
-        out.push('\n');
-        for line in lines {
-            out.push_str(line);
-            out.push('\n');
-        }
-        out
-    }
-
     #[test]
-    fn merge_reorders_by_seq_and_drops_torn_tails() {
-        let meta = WalMeta::new(1985, 40);
-        let lines: Vec<String> = (0..5).map(numbered_line).collect();
-        // Interleaved, out-of-order shards + a torn tail on the second.
-        let shard_a = with_header(&meta, &[lines[4].clone(), lines[0].clone()]);
-        let mut shard_b = with_header(&meta, &[lines[2].clone(), lines[1].clone()]);
-        shard_b.push_str(&lines[3][..lines[3].len() / 2]);
-        let shard_c = with_header(&meta, &[lines[3].clone()]);
-        let merged = merge_shards(&[&shard_a, &shard_b, &shard_c]).unwrap();
-        assert_eq!(merged, with_header(&meta, &lines), "byte-for-byte");
+    fn every_control_character_round_trips_through_the_escaper() {
+        let original: String = (0u32..0x20)
+            .filter_map(char::from_u32)
+            .chain(['"', '\\', '/', 'é', '\u{2028}', '🦀'])
+            .collect();
+        let quoted = format!("\"{}\"", anneal_core::json::escape(&original));
+        assert_eq!(Json::parse(&quoted), Ok(Json::Str(original)));
     }
 
-    #[test]
-    fn merge_collision_is_last_wins() {
-        let meta = WalMeta::new(1, 1);
-        let old = wal_line(&sample_record(1.0).to_json(), 0);
-        let new = wal_line(&sample_record(2.0).to_json(), 0);
-        let merged = merge_shards(&[
-            &with_header(&meta, std::slice::from_ref(&old)),
-            &with_header(&meta, std::slice::from_ref(&new)),
-        ])
-        .unwrap();
-        assert_eq!(merged, with_header(&meta, &[new]));
-    }
-
-    #[test]
-    fn merge_rejects_disagreeing_headers_and_missing_seq() {
-        let a = with_header(&WalMeta::new(1, 1), &[]);
-        let b = with_header(&WalMeta::new(2, 1), &[]);
-        let err = merge_shards(&[&a, &b]).unwrap_err();
-        assert!(err.contains("disagrees"), "{err}");
-
-        // A seq-less record anywhere but a torn tail cannot be merged.
-        let noseq = format!(
-            "{}{}\n{}\n",
-            with_header(&WalMeta::new(1, 1), &[]),
-            sample_record(1.0).to_json(),
-            numbered_line(0)
-        );
-        let err = merge_shards(&[&noseq]).unwrap_err();
-        assert!(err.contains("seq"), "{err}");
-
-        assert!(merge_shards(&["\n"]).is_err(), "headerless input");
-    }
-
-    mod merge_properties {
+    mod escape_properties {
         use super::*;
         use proptest::prelude::*;
 
-        proptest! {
-            /// Merging arbitrarily interleaved (and possibly torn)
-            /// per-worker shards reproduces the single-writer WAL
-            /// byte-for-byte.
-            #[test]
-            fn merged_shards_match_the_single_writer_wal(
-                assign in proptest::collection::vec(0..3usize, 1..12),
-                torn_choice in 0..4usize,
-            ) {
-                // 3 = no torn shard; 0..3 = which shard gets a torn tail.
-                let torn_shard = (torn_choice < 3).then_some(torn_choice);
-                let meta = WalMeta::new(1985, 40);
-                let lines: Vec<String> =
-                    (0..assign.len() as u64).map(numbered_line).collect();
-                let single_writer = with_header(&meta, &lines);
+        /// One character the escaper must handle: a quote, a backslash, a
+        /// control character, printable ASCII or a non-ASCII code point.
+        fn any_char() -> impl Strategy<Value = char> {
+            prop_oneof![
+                Just('"'),
+                Just('\\'),
+                (0u32..0x20).prop_map(|c| char::from_u32(c).expect("control character")),
+                (0x20u32..0x7f).prop_map(|c| char::from_u32(c).expect("printable ASCII")),
+                // Surrogates are not chars; they map to U+FFFD.
+                (0x7fu32..0x11_0000).prop_map(|c| char::from_u32(c).unwrap_or('\u{fffd}')),
+            ]
+        }
 
-                let mut shards: [Vec<String>; 3] = Default::default();
-                // Deterministic interleave: reverse order, so shards are
-                // genuinely out of sequence relative to the single writer.
-                for (i, &s) in assign.iter().enumerate().rev() {
-                    shards[s].push(lines[i].clone());
-                }
-                let mut texts: Vec<String> =
-                    shards.iter().map(|s| with_header(&meta, s)).collect();
-                if let Some(t) = torn_shard {
-                    // A torn final line (always strictly partial) is
-                    // dropped; the record it duplicates still arrives
-                    // intact from its own shard.
-                    texts[t].push_str(&lines[0][..lines[0].len() / 2]);
-                }
-                let shard_refs: Vec<&str> =
-                    texts.iter().map(String::as_str).collect();
-                prop_assert_eq!(merge_shards(&shard_refs).unwrap(), single_writer);
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// The shared escaper and this parser agree: any string,
+            /// escaped and quoted, parses back to itself.
+            #[test]
+            fn escaped_strings_parse_back_to_the_original(
+                chars in proptest::collection::vec(any_char(), 0..48),
+            ) {
+                let original: String = chars.into_iter().collect();
+                let quoted = format!("\"{}\"", anneal_core::json::escape(&original));
+                prop_assert_eq!(Json::parse(&quoted), Ok(Json::Str(original)));
             }
         }
-    }
-
-    #[test]
-    fn open_shard_writes_one_header_across_reopens() {
-        let path =
-            std::env::temp_dir().join(format!("anneal-shard-test-{}.jsonl", std::process::id()));
-        let path_str = path.to_str().unwrap();
-        let _ = std::fs::remove_file(&path);
-        let meta = WalMeta::new(7, 2);
-        {
-            let mut w = open_shard(path_str, &meta).unwrap();
-            writeln!(w, "{}", numbered_line(0)).unwrap();
-            w.flush().unwrap();
-        }
-        {
-            let mut w = open_shard(path_str, &meta).unwrap();
-            writeln!(w, "{}", numbered_line(1)).unwrap();
-            w.flush().unwrap();
-        }
-        let text = std::fs::read_to_string(&path).unwrap();
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(
-            text.lines().filter(|l| l.contains("\"wal\"")).count(),
-            1,
-            "header written once: {text}"
-        );
-        let cp = load_str(&text).unwrap();
-        assert_eq!(cp.meta, Some(meta));
-        assert_eq!(cp.cells.len(), 2, "append across reopens kept both");
     }
 
     #[test]

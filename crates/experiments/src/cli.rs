@@ -96,11 +96,6 @@ pub enum Isolation {
 pub struct WorkerSpec {
     /// The one cell this worker runs (everything else is skipped).
     pub cell: CellKey,
-    /// WAL shard this worker appends its record to (`--worker-shard`).
-    pub shard: String,
-    /// Starting WAL sequence number (`--worker-seq`), aligning the shard
-    /// line bytes with the parent's main WAL.
-    pub seq: u64,
     /// Fault-injection attempt base (`--worker-attempt`), so respawned
     /// workers roll fresh fault decisions.
     pub attempt: u32,
@@ -260,10 +255,7 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
     let mut breaker_threshold = supervisor::DEFAULT_BREAKER_THRESHOLD;
     let mut breaker_set = false;
     let mut worker_cell: Option<CellKey> = None;
-    let mut worker_shard: Option<String> = None;
-    let mut worker_seq: Option<u64> = None;
-    let mut worker_attempt: u32 = 0;
-    let mut worker_attempt_set = false;
+    let mut worker_attempt: Option<u32> = None;
     let mut retries: u32 = 1;
     let mut backoff = Duration::from_millis(100);
     let mut strategy_name: Option<String> = None;
@@ -423,20 +415,12 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
                 };
                 worker_cell = Some(CellKey::new(*table, *method, *column));
             }
-            "--worker-shard" => worker_shard = Some(value_of("--worker-shard")?.clone()),
-            "--worker-seq" => {
-                let v = value_of("--worker-seq")?;
-                worker_seq = Some(
-                    v.parse()
-                        .map_err(|_| format!("bad --worker-seq value `{v}`"))?,
-                );
-            }
             "--worker-attempt" => {
                 let v = value_of("--worker-attempt")?;
-                worker_attempt = v
-                    .parse()
-                    .map_err(|_| format!("bad --worker-attempt value `{v}`"))?;
-                worker_attempt_set = true;
+                worker_attempt = Some(
+                    v.parse()
+                        .map_err(|_| format!("bad --worker-attempt value `{v}`"))?,
+                );
             }
             "--csv" => csv = true,
             "--progress" => progress = true,
@@ -480,11 +464,8 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
 
     let worker = match worker_cell {
         None => {
-            if worker_shard.is_some() || worker_seq.is_some() || worker_attempt_set {
-                return Err(
-                    "--worker-shard, --worker-seq and --worker-attempt require --worker-cell"
-                        .into(),
-                );
+            if worker_attempt.is_some() {
+                return Err("--worker-attempt requires --worker-cell".into());
             }
             None
         }
@@ -499,14 +480,9 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
                      (only the supervising parent serves the ops endpoints)"
                     .into());
             }
-            let Some(shard) = worker_shard else {
-                return Err("--worker-cell requires --worker-shard".into());
-            };
             Some(WorkerSpec {
                 cell,
-                shard,
-                seq: worker_seq.unwrap_or(0),
-                attempt: worker_attempt,
+                attempt: worker_attempt.unwrap_or(0),
             })
         }
     };
@@ -739,10 +715,6 @@ mod tests {
         let argv: Vec<String> = [
             "--worker-cell".into(),
             format!("table4.1{sep}g = 1{sep}6 sec"),
-            "--worker-shard".into(),
-            "wal.jsonl.shard.0".into(),
-            "--worker-seq".into(),
-            "12".into(),
             "--worker-attempt".into(),
             "3".into(),
             "--heartbeat-ms".into(),
@@ -753,30 +725,20 @@ mod tests {
         let cli = parse(&argv).unwrap();
         let worker = cli.worker.unwrap();
         assert_eq!(worker.cell, CellKey::new("table4.1", "g = 1", "6 sec"));
-        assert_eq!(worker.shard, "wal.jsonl.shard.0");
-        assert_eq!(worker.seq, 12);
         assert_eq!(worker.attempt, 3);
         assert_eq!(cli.heartbeat, Duration::from_millis(50));
     }
 
     #[test]
     fn worker_flag_misuse_is_rejected() {
-        let err = parse(&args("--worker-shard s.0 table4.1")).unwrap_err();
-        assert!(err.contains("require --worker-cell"), "{err}");
-        let err = parse(&args("--worker-seq 3 table4.1")).unwrap_err();
-        assert!(err.contains("require --worker-cell"), "{err}");
+        let err = parse(&args("--worker-attempt 3 table4.1")).unwrap_err();
+        assert!(err.contains("requires --worker-cell"), "{err}");
         let err = parse(&args("--worker-cell bad-cell table4.1")).unwrap_err();
         assert!(err.contains("bad --worker-cell value"), "{err}");
         let sep = supervisor::CELL_FIELD_SEP;
-        let cell = format!("t{sep}m{sep}c");
-        let argv: Vec<String> = ["--worker-cell".into(), cell.clone(), "table4.1".into()].to_vec();
-        let err = parse(&argv).unwrap_err();
-        assert!(err.contains("requires --worker-shard"), "{err}");
         let argv: Vec<String> = [
             "--worker-cell".into(),
-            cell,
-            "--worker-shard".into(),
-            "s.0".into(),
+            format!("t{sep}m{sep}c"),
             "--isolation".into(),
             "process".into(),
             "table4.1".into(),
@@ -807,8 +769,6 @@ mod tests {
         let argv: Vec<String> = [
             "--worker-cell".into(),
             format!("t{sep}m{sep}c"),
-            "--worker-shard".into(),
-            "s.0".into(),
             "--serve".into(),
             "127.0.0.1:0".into(),
             "table4.1".into(),

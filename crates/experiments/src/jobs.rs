@@ -41,7 +41,7 @@ use std::time::Duration;
 
 use anneal_core::schedule::adaptive::AdaptiveMode;
 use anneal_core::{
-    derive_seed, metrics, watchdog, Budget, GFunction, NoopObserver, Problem, Strategy,
+    derive_seed, json, metrics, watchdog, Budget, GFunction, NoopObserver, Problem, Strategy,
     DEFAULT_EQUILIBRIUM, DEFAULT_EXCHANGE_INTERVAL,
 };
 use anneal_linarr::LinearArrangementProblem;
@@ -56,7 +56,6 @@ use crate::checkpoint::{scan_wal_lines, wal_line, Json};
 use crate::instances::{DEFAULT_SEED, NOLA_PIN_RANGE};
 use crate::runner::{adapt_schedule_for, run_strategy, PROBE_SALT, RUN_SALT};
 use crate::scheduler::{PushError, TaskQueue};
-use crate::telemetry::{escape_json, json_f64};
 
 /// Schema tag of a job result record.
 pub const JOB_SCHEMA: &str = "anneal-job-record";
@@ -513,7 +512,7 @@ impl JobSpec {
         }
         s.push_str(&format!(",\"method\":\"{}\"", self.method.as_str()));
         if let Some(t) = self.temperature {
-            s.push_str(&format!(",\"temperature\":{}", json_f64(t)));
+            s.push_str(&format!(",\"temperature\":{}", json::float(t)));
         }
         s.push_str(&format!(
             ",\"strategy\":\"{}\"",
@@ -530,7 +529,7 @@ impl JobSpec {
         }
         s.push_str(&format!(
             ",\"seconds\":{},\"scale\":{},\"seed\":{}",
-            json_f64(self.seconds),
+            json::float(self.seconds),
             self.scale,
             self.seed
         ));
@@ -711,7 +710,7 @@ impl JobSpec {
              \"budget\":\"{}\",\"reduction\":{},\"evals\":{evals},\"per_instance\":[",
             self.to_json(),
             self.budget(),
-            json_f64(reduction),
+            json::float(reduction),
         ));
         for (i, o) in outs.iter().enumerate() {
             if i > 0 {
@@ -722,10 +721,10 @@ impl JobSpec {
                  \"reduction\":{},\"evals\":{},\"stop\":\"{}\",\"accepted_downhill\":{},\
                  \"accepted_uphill\":{},\"rejected_uphill\":{}}}",
                 o.seed,
-                json_f64(o.initial),
-                json_f64(o.best),
-                json_f64(o.final_cost),
-                json_f64(o.reduction),
+                json::float(o.initial),
+                json::float(o.best),
+                json::float(o.final_cost),
+                json::float(o.reduction),
                 o.evals,
                 o.stop,
                 o.accepted_downhill,
@@ -918,7 +917,7 @@ impl JobEntry {
             s.push_str(",\"cancel_requested\":true");
         }
         if let Some(e) = &self.error {
-            s.push_str(&format!(",\"error\":\"{}\"", escape_json(e)));
+            s.push_str(&format!(",\"error\":\"{}\"", json::escape(e)));
         }
         if let Some(r) = &self.record {
             s.push_str(&format!(",\"record\":{r}"));
@@ -987,7 +986,7 @@ impl Inner {
 }
 
 fn error_body(message: &str) -> String {
-    format!("{{\"error\":\"{}\"}}", escape_json(message))
+    format!("{{\"error\":\"{}\"}}", json::escape(message))
 }
 
 /// The queued job server: a bounded submission queue, a worker pool
@@ -1270,7 +1269,7 @@ fn worker_loop(inner: &Inner) {
                     JobState::Done,
                     format!(
                         "{{\"job\":{id},\"event\":\"done\",\"record\":\"{}\"}}",
-                        escape_json(&record)
+                        json::escape(&record)
                     ),
                 )
             }
@@ -1280,7 +1279,7 @@ fn worker_loop(inner: &Inner) {
                     JobState::Failed,
                     format!(
                         "{{\"job\":{id},\"event\":\"failed\",\"error\":\"{}\"}}",
-                        escape_json(&error)
+                        json::escape(&error)
                     ),
                 )
             }
@@ -1301,8 +1300,8 @@ fn journal_header() -> String {
 }
 
 /// Opens (creating if absent) the journal in append mode, writing the
-/// versioned header only when the file is fresh — `open_shard`'s
-/// discipline with the jobs schema.
+/// versioned header only when the file is fresh, so a restarted server
+/// appends to the journal its predecessor left.
 fn open_journal(path: &str) -> Result<Journal, String> {
     let file = std::fs::OpenOptions::new()
         .create(true)

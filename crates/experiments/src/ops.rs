@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use anneal_core::metrics;
+use anneal_core::{json, metrics};
 
 use crate::jobs::JobServer;
 use crate::supervisor::signals;
@@ -318,7 +318,7 @@ impl OpsBoard {
             }
             out.push_str(&format!(
                 "\"{}\":{{\"done\":{},\"failed\":{},\"retried\":{}}}",
-                escape_json(table),
+                json::escape(table),
                 t.done,
                 t.failed,
                 t.retried
@@ -345,7 +345,7 @@ impl OpsBoard {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{}\"", escape_json(table)));
+            out.push_str(&format!("\"{}\"", json::escape(table)));
         }
         out.push_str("]}");
         out
@@ -391,19 +391,6 @@ fn count_live(state: &BoardState) -> usize {
         .values()
         .filter(|w| w.state != WorkerState::Idle)
         .count()
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The `--serve` HTTP server: a background accept loop over a

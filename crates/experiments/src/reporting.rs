@@ -16,6 +16,8 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
+use anneal_core::json;
+
 use crate::checkpoint::{Checkpoint, Json};
 use crate::telemetry::{CellRecord, TempAggregate};
 use crate::trace::{CellTrace, TraceEvent};
@@ -665,20 +667,6 @@ pub fn render_compare(cmp: &BenchComparison) -> String {
     out
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-fn esc_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Converts loaded chain traces into Chrome Trace Event JSON (the
 /// `{"traceEvents": [...]}` object format), loadable in `chrome://tracing`
 /// and Perfetto — the `report --chrome-trace OUT.json` exporter.
@@ -702,7 +690,7 @@ pub fn chrome_trace_json(traces: &[CellTrace]) -> String {
         events.push(format!(
             "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"name\":\"process_name\",\
              \"args\":{{\"name\":\"{}\"}}}}",
-            esc_json(table)
+            json::escape(table)
         ));
         let mut cells: Vec<&CellTrace> = traces
             .iter()
@@ -727,8 +715,8 @@ pub fn chrome_trace_json(traces: &[CellTrace]) -> String {
                 events.push(format!(
                     "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\
                      \"args\":{{\"name\":\"{} / {} #{instance}\"}}}}",
-                    esc_json(&key.method),
-                    esc_json(&key.column)
+                    json::escape(&key.method),
+                    json::escape(&key.column)
                 ));
                 let mut ts_us = 0f64;
                 for stage in stages {

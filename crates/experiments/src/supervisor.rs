@@ -14,9 +14,9 @@
 //! process:
 //!
 //! * the child runs exactly one cell (the [`TelemetryLog`] filter skips
-//!   every other one), appends its record to a per-worker **WAL shard**
-//!   (same versioned, torn-line-tolerant discipline as the main WAL), and
-//!   emits `{"hb":k}` heartbeat lines on stdout;
+//!   every other one) and talks to the parent over its stdout pipe:
+//!   `{"hb":k}` heartbeat lines while it runs, then the cell's
+//!   [`CellRecord`] as one JSON line;
 //! * the parent enforces a **wall-clock deadline** (derived from
 //!   `--watchdog-ms`) and a **heartbeat staleness** bound with SIGKILL —
 //!   catching the hangs the in-process watchdog cannot;
@@ -31,21 +31,21 @@
 //!   subsequent cells are skipped, and the WAL is left clean and
 //!   resumable.
 //!
-//! The parent stays the single writer of the main WAL: it parses the
-//! child's shard record and re-records it, with [`TelemetryLog`] sequence
-//! numbers aligned (the child starts its counter at the parent's next
-//! sequence) so the main WAL line and the shard line are byte-identical —
-//! which is what keeps `--resume` f64-bit-identical and lets
-//! [`checkpoint::merge_shards`](crate::checkpoint::merge_shards) rebuild
-//! the single-writer stream from shards.
+//! The parent stays the single writer of the main WAL: it accepts the
+//! record of a worker that exited 0, checks it is the cell it asked for,
+//! and records it like the in-process runner would. The record's `f64`s
+//! survive the JSON round trip exactly, which is what keeps process
+//! isolation and `--resume` bit-identical to a thread-isolated run.
 
 use std::collections::{HashMap, HashSet};
-use std::io::BufRead;
+use std::io::{BufRead, BufReader};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use anneal_core::{Budget, Strategy};
 
+use crate::checkpoint::{record_from_json, Json};
 use crate::config::SuiteConfig;
 use crate::exit_codes;
 use crate::faults::FaultPlan;
@@ -132,6 +132,14 @@ pub const DEFAULT_BREAKER_THRESHOLD: u32 = 3;
 /// punctuation, but never control characters).
 pub const CELL_FIELD_SEP: char = '\x1f';
 
+/// How long the wait loop waits for a worker line before it re-checks the
+/// deadline and the heartbeat age.
+const WAIT_TICK: Duration = Duration::from_millis(50);
+
+/// The worker's slot on the ops board. Cells run one at a time, so the
+/// supervisor has a single slot.
+const WORKER_SLOT: usize = 0;
+
 /// What killed a worker, when the supervisor had to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum KillReason {
@@ -146,8 +154,6 @@ struct State {
     consecutive: HashMap<String, u32>,
     /// Tables whose circuit breaker has tripped.
     open: HashSet<String>,
-    /// Rotating worker-slot counter (selects the WAL shard).
-    spawned: usize,
 }
 
 /// The process supervisor: spawns one worker per table cell, enforces
@@ -160,10 +166,6 @@ pub struct Supervisor {
     exe: std::path::PathBuf,
     /// Flags every worker invocation shares (suite configuration).
     base_args: Vec<String>,
-    /// Shard path prefix; worker slot `s` writes `{base}.shard.{s}`.
-    shard_base: String,
-    /// Number of worker slots the shards rotate over.
-    shards: usize,
     /// Worker heartbeat interval.
     heartbeat: Duration,
     /// Circuit-breaker threshold (consecutive hard failures per table).
@@ -183,8 +185,6 @@ pub struct Supervisor {
 impl std::fmt::Debug for Supervisor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Supervisor")
-            .field("shard_base", &self.shard_base)
-            .field("shards", &self.shards)
             .field("heartbeat", &self.heartbeat)
             .field("breaker_threshold", &self.breaker_threshold)
             .finish()
@@ -193,16 +193,13 @@ impl std::fmt::Debug for Supervisor {
 
 impl Supervisor {
     /// A supervisor re-execing the current binary, forwarding `config`
-    /// (and the chaos/trace flags) to every worker. `shard_base` is the
-    /// path prefix for per-worker WAL shards — conventionally the main
-    /// WAL path, so shards sit next to it.
+    /// (and the chaos/trace flags) to every worker.
     pub fn new(
         config: &SuiteConfig,
         faults: Option<&FaultPlan>,
         trace: Option<&str>,
         heartbeat: Duration,
         breaker_threshold: u32,
-        shard_base: String,
     ) -> Result<Self, String> {
         let exe = std::env::current_exe()
             .map_err(|e| format!("cannot locate the current executable: {e}"))?;
@@ -263,8 +260,6 @@ impl Supervisor {
         Ok(Supervisor {
             exe,
             base_args,
-            shard_base,
-            shards: config.threads,
             heartbeat,
             breaker_threshold: breaker_threshold.max(1),
             seed: config.seed,
@@ -283,11 +278,6 @@ impl Supervisor {
 
     fn lock(&self) -> MutexGuard<'_, State> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The shard path for worker slot `slot`.
-    pub fn shard_path(&self, slot: usize) -> String {
-        format!("{}.shard.{}", self.shard_base, slot)
     }
 
     /// Wall-clock deadline for one worker running `n_instances` instances
@@ -355,15 +345,7 @@ impl Supervisor {
                     std::thread::sleep(backoff);
                 }
             }
-            match self.spawn_and_wait(
-                key,
-                strategy_name,
-                budget,
-                policy,
-                n_instances,
-                attempt,
-                log,
-            ) {
+            match self.spawn_and_wait(key, strategy_name, budget, policy, n_instances, attempt) {
                 Ok(record) => {
                     self.lock().consecutive.remove(&key.table);
                     let total = record.reduction;
@@ -415,11 +397,8 @@ impl Supervisor {
     }
 
     /// Spawns one worker for `key`, supervises it to completion, and
-    /// parses its recorded cell out of the shard. Any abnormal outcome
-    /// truncates the shard back to its pre-spawn length (so shards only
-    /// ever hold successful records, keeping the merge deterministic) and
-    /// returns the failure as an error for the retry loop.
-    #[allow(clippy::too_many_arguments)]
+    /// returns the record it printed. Any abnormal outcome is returned as
+    /// an error for the retry loop.
     fn spawn_and_wait(
         &self,
         key: &CellKey,
@@ -428,17 +407,7 @@ impl Supervisor {
         policy: &CellPolicy,
         n_instances: usize,
         attempt: u32,
-        log: &TelemetryLog,
     ) -> Result<CellRecord, String> {
-        let slot = {
-            let mut state = self.lock();
-            let slot = state.spawned % self.shards.max(1);
-            state.spawned += 1;
-            slot
-        };
-        let shard = self.shard_path(slot);
-        let pre_len = std::fs::metadata(&shard).map(|m| m.len()).unwrap_or(0);
-        let seq = log.peek_seq();
         // Fault decisions in the child start where this process attempt's
         // in-child retries live: process attempt k covers attempt numbers
         // [k*retries, (k+1)*retries), so respawns roll independently.
@@ -455,10 +424,6 @@ impl Supervisor {
             .args(&self.base_args)
             .arg("--worker-cell")
             .arg(&cell_arg)
-            .arg("--worker-shard")
-            .arg(&shard)
-            .arg("--worker-seq")
-            .arg(seq.to_string())
             .arg("--worker-attempt")
             .arg(attempt_base.to_string())
             .arg(&key.table)
@@ -468,46 +433,49 @@ impl Supervisor {
             .spawn()
             .map_err(|e| format!("cannot spawn worker: {e}"))?;
         if let Some(board) = &self.ops {
-            board.worker_spawned(slot, attempt > 0);
+            board.worker_spawned(WORKER_SLOT, attempt > 0);
         }
 
-        // Heartbeat listener: any stdout line from the child counts as a
-        // beat. The thread exits when the pipe closes (child exit or
+        // Stdout reader: forwards every line (heartbeat or record) to the
+        // wait loop, and hangs up when the pipe closes (child exit or
         // SIGKILL).
-        let last_beat = std::sync::Arc::new(Mutex::new(Instant::now()));
-        let reader = child.stdout.take().map(|stdout| {
-            let last_beat = std::sync::Arc::clone(&last_beat);
-            std::thread::spawn(move || {
-                for line in std::io::BufReader::new(stdout).lines() {
-                    if line.is_err() {
-                        break;
-                    }
-                    *last_beat.lock().unwrap_or_else(PoisonError::into_inner) = Instant::now();
+        let stdout = child.stdout.take().expect("worker stdout is piped");
+        let (lines_tx, lines_rx) = mpsc::channel();
+        let reader = std::thread::spawn(move || {
+            for line in BufReader::new(stdout).lines().map_while(Result::ok) {
+                if lines_tx.send(line).is_err() {
+                    return;
                 }
-            })
+            }
         });
 
         let started = Instant::now();
         let deadline = self.worker_deadline(n_instances, policy);
         let staleness = self.staleness_limit();
+        let mut last_beat = started;
+        let mut lines = Vec::new();
         let mut killed: Option<KillReason> = None;
         let status = loop {
-            match child.try_wait() {
-                Ok(Some(status)) => break status,
-                Ok(None) => {}
-                Err(e) => {
-                    child.kill().ok();
-                    let _ = child.wait();
-                    return self.fail(&shard, pre_len, format!("cannot wait for worker: {e}"));
+            match lines_rx.recv_timeout(WAIT_TICK) {
+                // Any stdout line counts as a beat; only the non-heartbeat
+                // ones can hold the record.
+                Ok(line) => {
+                    last_beat = Instant::now();
+                    if !line.starts_with("{\"hb\":") {
+                        lines.push(line);
+                    }
+                }
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => {
+                    break child
+                        .wait()
+                        .map_err(|e| format!("cannot wait for worker: {e}"));
                 }
             }
             if killed.is_none() {
-                let beat_age = last_beat
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .elapsed();
+                let beat_age = last_beat.elapsed();
                 if let Some(board) = &self.ops {
-                    board.worker_beat(slot, beat_age);
+                    board.worker_beat(WORKER_SLOT, beat_age);
                 }
                 if deadline.is_some_and(|d| started.elapsed() > d) {
                     killed = Some(KillReason::Deadline);
@@ -518,78 +486,59 @@ impl Supervisor {
                     child.kill().ok();
                 }
             }
-            std::thread::sleep(Duration::from_millis(5));
         };
-        if let Some(handle) = reader {
-            handle.join().ok();
-        }
+        // The loop ends only once the reader has hung up.
+        reader.join().expect("the stdout reader does not panic");
         if let Some(board) = &self.ops {
-            board.worker_exited(slot);
+            board.worker_exited(WORKER_SLOT);
         }
+        let status = status?;
 
         match killed {
             Some(KillReason::Deadline) => {
-                return self.fail(
-                    &shard,
-                    pre_len,
-                    format!(
-                        "worker killed: exceeded its {:.0} ms wall-clock deadline",
-                        deadline
-                            .expect("deadline kill implies deadline")
-                            .as_secs_f64()
-                            * 1e3
-                    ),
-                );
+                return Err(format!(
+                    "worker killed: exceeded its {:.0} ms wall-clock deadline",
+                    deadline
+                        .expect("deadline kill implies deadline")
+                        .as_secs_f64()
+                        * 1e3
+                ));
             }
             Some(KillReason::Heartbeat) => {
-                return self.fail(
-                    &shard,
-                    pre_len,
-                    format!(
-                        "worker killed: no heartbeat for {:.0} ms",
-                        staleness.as_secs_f64() * 1e3
-                    ),
-                );
+                return Err(format!(
+                    "worker killed: no heartbeat for {:.0} ms",
+                    staleness.as_secs_f64() * 1e3
+                ));
             }
             None => {}
         }
         if !status.success() {
-            return self.fail(&shard, pre_len, describe_exit(&status));
+            return Err(describe_exit(&status));
         }
-
-        // Exit 0: the worker claims its cell is in the shard. Find it.
-        let checkpoint = match crate::checkpoint::load(&shard) {
-            Ok(cp) => cp,
-            Err(e) => return self.fail(&shard, pre_len, format!("unreadable shard: {e}")),
-        };
-        let budget_label = budget.to_string();
-        let record = checkpoint.cells.into_iter().rev().find(|r| {
-            r.key == *key
-                && r.strategy == strategy_name
-                && r.budget == budget_label
-                && r.base_seed == self.seed
-        });
-        match record {
-            Some(record) => Ok(record),
-            None => self.fail(
-                &shard,
-                pre_len,
-                "worker exited 0 without recording its cell".to_string(),
-            ),
-        }
+        pick_record(&lines, key, strategy_name, &budget.to_string(), self.seed)
+            .ok_or_else(|| "worker exited 0 without recording its cell".to_string())
     }
+}
 
-    /// Rolls the shard back to its pre-spawn length (a failed attempt
-    /// must not leave stale or torn records for the merge) and returns
-    /// the error.
-    fn fail(&self, shard: &str, pre_len: u64, message: String) -> Result<CellRecord, String> {
-        if std::fs::metadata(shard).map(|m| m.len()).unwrap_or(0) > pre_len {
-            if let Ok(file) = std::fs::OpenOptions::new().write(true).open(shard) {
-                file.set_len(pre_len).ok();
-            }
-        }
-        Err(message)
-    }
+/// The record for `key` among a worker's stdout `lines`, if the worker
+/// printed one for the cell the parent asked for: same key, strategy,
+/// budget and base seed. Heartbeats, torn lines and records of any other
+/// cell are skipped.
+fn pick_record(
+    lines: &[String],
+    key: &CellKey,
+    strategy: &str,
+    budget: &str,
+    base_seed: u64,
+) -> Option<CellRecord> {
+    lines.iter().rev().find_map(|line| {
+        let record = record_from_json(&Json::parse(line).ok()?).ok()?;
+        (record.key == *key
+            && record.strategy == strategy
+            && record.budget == budget
+            && record.base_seed == base_seed)
+            .then_some(record)
+    })
 }
 
 /// A human-readable description of an abnormal worker exit.
@@ -628,7 +577,6 @@ mod tests {
             None,
             DEFAULT_HEARTBEAT,
             DEFAULT_BREAKER_THRESHOLD,
-            "/tmp/anneal-test-wal.jsonl".into(),
         )
         .unwrap()
     }
@@ -667,10 +615,6 @@ mod tests {
             [
                 "--worker-cell",
                 "table4.1\u{1f}g = 1\u{1f}6 sec",
-                "--worker-shard",
-                "wal.shard.0",
-                "--worker-seq",
-                "5",
                 "--worker-attempt",
                 "2",
                 "table4.1",
@@ -680,7 +624,6 @@ mod tests {
         let parsed = crate::cli::parse(&full).expect("worker args parse");
         let worker = parsed.worker.expect("worker mode");
         assert_eq!(worker.cell, CellKey::new("table4.1", "g = 1", "6 sec"));
-        assert_eq!(worker.seq, 5);
         assert_eq!(worker.attempt, 2);
         assert_eq!(parsed.config.seed, 7);
         assert_eq!(parsed.config.scale.divisor, 40);
@@ -748,11 +691,53 @@ mod tests {
         assert!(!sup.lock().open.contains("table4.2a"));
     }
 
+    fn worker_record(key: CellKey) -> CellRecord {
+        let mut record = CellRecord::empty(key, "Figure1".into(), Budget::evaluations(100), 1985);
+        record.instances = 4;
+        record.reduction = 12.375;
+        record.evals = 400;
+        record
+    }
+
+    /// Picks from `lines` the record of the cell every test below asks
+    /// for.
+    fn pick(lines: &[String]) -> Option<CellRecord> {
+        let key = CellKey::new("table4.1", "g = 1", "6 sec");
+        pick_record(lines, &key, "Figure1", "100 evals", 1985)
+    }
+
     #[test]
-    fn shard_paths_rotate_over_worker_slots() {
-        let sup = supervisor(&SuiteConfig::paper().with_threads(3));
-        assert_eq!(sup.shard_path(0), "/tmp/anneal-test-wal.jsonl.shard.0");
-        assert_eq!(sup.shard_path(2), "/tmp/anneal-test-wal.jsonl.shard.2");
+    fn pick_record_skips_heartbeats_around_the_record() {
+        let record = worker_record(CellKey::new("table4.1", "g = 1", "6 sec"));
+        let lines = [
+            "{\"hb\":0}".to_string(),
+            "{\"hb\":1}".to_string(),
+            record.to_json(),
+            "{\"hb\":2}".to_string(),
+        ];
+        assert_eq!(pick(&lines), Some(record));
+    }
+
+    #[test]
+    fn pick_record_rejects_torn_missing_and_foreign_records() {
+        let record = worker_record(CellKey::new("table4.1", "g = 1", "6 sec"));
+        let json = record.to_json();
+        let torn = json[..json.len() / 2].to_string();
+        assert_eq!(pick(&["{\"hb\":0}".to_string(), torn]), None);
+        assert_eq!(pick(&["{\"hb\":0}".to_string()]), None);
+        assert_eq!(pick(&[]), None);
+
+        let other_cell = worker_record(CellKey::new("table4.1", "g = 2", "6 sec"));
+        assert_eq!(pick(&[other_cell.to_json()]), None);
+        let mut other_seed = record.clone();
+        other_seed.base_seed = 7;
+        assert_eq!(pick(&[other_seed.to_json()]), None);
+        let mut other_budget = record.clone();
+        other_budget.budget = "200 evals".into();
+        assert_eq!(pick(&[other_budget.to_json()]), None);
+        let mut other_strategy = record;
+        other_strategy.strategy = "Figure2".into();
+        assert_eq!(pick(&[other_strategy.to_json()]), None);
     }
 
     #[test]

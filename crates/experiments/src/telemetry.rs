@@ -18,7 +18,7 @@ use std::fmt;
 use std::io::Write;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use anneal_core::{AdvanceReason, Budget, RunTelemetry};
+use anneal_core::{json, AdvanceReason, Budget, RunTelemetry};
 
 use crate::faults::FaultPlan;
 use crate::progress::Progress;
@@ -287,9 +287,9 @@ impl CellRecord {
         push_str_field(&mut s, "budget", &self.budget);
         push_raw_field(&mut s, "base_seed", &self.base_seed.to_string());
         push_raw_field(&mut s, "instances", &self.instances.to_string());
-        push_raw_field(&mut s, "reduction", &json_f64(self.reduction));
+        push_raw_field(&mut s, "reduction", &json::float(self.reduction));
         push_raw_field(&mut s, "evals", &self.evals.to_string());
-        push_raw_field(&mut s, "wall_ms", &json_f64(self.wall_ms));
+        push_raw_field(&mut s, "wall_ms", &json::float(self.wall_ms));
         push_raw_field(
             &mut s,
             "accepted_downhill",
@@ -327,8 +327,8 @@ impl CellRecord {
                 t.ended_exchange,
                 t.swap_attempts,
                 t.swap_accepts,
-                json_f64(t.temperature),
-                json_f64(t.target_acceptance)
+                json::float(t.temperature),
+                json::float(t.target_acceptance)
             ));
         }
         s.push_str("],");
@@ -344,9 +344,9 @@ impl CellRecord {
                  \"rejected_uphill\":{}}}",
                 r.index,
                 r.seed,
-                json_f64(r.reduction),
+                json::float(r.reduction),
                 r.evals,
-                json_f64(r.wall_ms),
+                json::float(r.wall_ms),
                 r.stop,
                 r.accepted_downhill,
                 r.accepted_uphill,
@@ -364,7 +364,7 @@ impl CellRecord {
                 "{{\"instance\":{},\"seed\":{},\"message\":\"{}\"}}",
                 fail.instance,
                 fail.seed,
-                escape_json(&fail.message)
+                json::escape(&fail.message)
             ));
         }
         s.push_str("]}");
@@ -407,7 +407,7 @@ impl SupervisorEvent {
             push_str_field(&mut s, "method", &cell.method);
             push_str_field(&mut s, "column", &cell.column);
         }
-        s.push_str(&format!("\"detail\":\"{}\"}}", escape_json(&self.detail)));
+        s.push_str(&format!("\"detail\":\"{}\"}}", json::escape(&self.detail)));
         s
     }
 }
@@ -422,36 +422,11 @@ impl fmt::Display for SupervisorEvent {
 }
 
 pub(crate) fn push_str_field(s: &mut String, key: &str, value: &str) {
-    s.push_str(&format!("\"{}\":\"{}\",", key, escape_json(value)));
+    s.push_str(&format!("\"{}\":\"{}\",", key, json::escape(value)));
 }
 
 pub(crate) fn push_raw_field(s: &mut String, key: &str, value: &str) {
     s.push_str(&format!("\"{key}\":{value},"));
-}
-
-/// JSON has no NaN/Infinity; map them to null.
-pub(crate) fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-pub(crate) fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// A sink for [`CellRecord`]s: in-memory collection plus an optional
@@ -602,14 +577,6 @@ impl TelemetryLog {
         self
     }
 
-    /// Starts the WAL sequence counter at `seq` (builder style), so a
-    /// worker's shard lines carry the same sequence numbers the parent's
-    /// main WAL will assign when it absorbs them.
-    pub fn with_seq_start(self, seq: u64) -> Self {
-        self.lock().next_seq = seq;
-        self
-    }
-
     /// The attached process supervisor, if any.
     pub(crate) fn supervisor(&self) -> Option<Arc<crate::supervisor::Supervisor>> {
         self.supervisor.clone()
@@ -618,11 +585,6 @@ impl TelemetryLog {
     /// Whether the single-cell filter excludes `key`.
     pub(crate) fn skips(&self, key: &CellKey) -> bool {
         self.filter.as_ref().is_some_and(|f| f != key)
-    }
-
-    /// The sequence number the next recorded cell will be assigned.
-    pub(crate) fn peek_seq(&self) -> u64 {
-        self.lock().next_seq
     }
 
     /// The chain-trace sink, if tracing is on.
@@ -707,8 +669,7 @@ impl TelemetryLog {
         }
         let mut inner = self.lock();
         // Every record consumes one sequence number, whether or not a
-        // writer is attached — the supervisor peeks this counter to align
-        // a worker shard's numbering with the parent WAL.
+        // writer is attached.
         let seq = inner.next_seq;
         inner.next_seq += 1;
         if let Some(w) = inner.writer.as_mut() {
@@ -731,9 +692,9 @@ impl TelemetryLog {
     }
 
     /// Records one supervisor lifecycle event. Event lines share the WAL
-    /// but do not consume sequence numbers (only cell records do), so the
-    /// parent/worker sequence alignment is untouched. A write error is
-    /// reported but not counted against the suite — events are advisory.
+    /// but do not consume sequence numbers (only cell records do). A write
+    /// error is reported but not counted against the suite — events are
+    /// advisory.
     pub fn log_event(&self, event: SupervisorEvent) {
         if !self.enabled {
             return;
@@ -866,9 +827,9 @@ impl SuiteSummary {
             s.push_str(&format!(
                 "{{\"table\":\"{}\",\"method\":\"{}\",\"column\":\"{}\",\"attempts\":{},\
                  \"failures\":[",
-                escape_json(&cell.key.table),
-                escape_json(&cell.key.method),
-                escape_json(&cell.key.column),
+                json::escape(&cell.key.table),
+                json::escape(&cell.key.method),
+                json::escape(&cell.key.column),
                 cell.attempts
             ));
             for (j, fail) in cell.failures.iter().enumerate() {
@@ -879,7 +840,7 @@ impl SuiteSummary {
                     "{{\"instance\":{},\"seed\":{},\"message\":\"{}\"}}",
                     fail.instance,
                     fail.seed,
-                    escape_json(&fail.message)
+                    json::escape(&fail.message)
                 ));
             }
             s.push_str("]}");
@@ -891,9 +852,9 @@ impl SuiteSummary {
             }
             s.push_str(&format!(
                 "{{\"table\":\"{}\",\"method\":\"{}\",\"column\":\"{}\"}}",
-                escape_json(&key.table),
-                escape_json(&key.method),
-                escape_json(&key.column)
+                json::escape(&key.table),
+                json::escape(&key.method),
+                json::escape(&key.column)
             ));
         }
         s.push_str("]}");
@@ -991,13 +952,6 @@ mod tests {
         let open = json.matches('{').count();
         let close = json.matches('}').count();
         assert_eq!(open, close);
-    }
-
-    #[test]
-    fn nonfinite_values_become_null() {
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
-        assert_eq!(json_f64(2.5), "2.5");
     }
 
     #[test]

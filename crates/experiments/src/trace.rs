@@ -28,7 +28,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use anneal_core::{AdvanceReason, ChainTrace, StopReason};
+use anneal_core::{json, AdvanceReason, ChainTrace, StopReason};
 
 use crate::checkpoint::Json;
 use crate::faults::{ChaosWriter, FaultPlan};
@@ -126,38 +126,13 @@ fn header_line(key: &CellKey, strategy: &str, budget: &str, base_seed: u64) -> S
         "{{\"trace\":\"{TRACE_SCHEMA}\",\"version\":{TRACE_VERSION},\
          \"table\":\"{}\",\"method\":\"{}\",\"column\":\"{}\",\
          \"strategy\":\"{}\",\"budget\":\"{}\",\"base_seed\":{}}}",
-        escape(&key.table),
-        escape(&key.method),
-        escape(&key.column),
-        escape(strategy),
-        escape(budget),
+        json::escape(&key.table),
+        json::escape(&key.method),
+        json::escape(&key.column),
+        json::escape(strategy),
+        json::escape(budget),
         base_seed
     )
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// JSON has no NaN/Infinity; map them to null (mirrors the WAL serializer).
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
 }
 
 /// One cell's trace file, shared across the runner's instance threads.
@@ -198,7 +173,7 @@ pub fn instance_lines(instance: usize, seed: u64, attempt: u32, trace: &ChainTra
     s.push_str(&format!(
         "{{\"event\":\"run_start\",\"instance\":{instance},\"seed\":{seed},\
          \"attempt\":{attempt},\"initial_cost\":{},\"temperatures\":{}}}\n",
-        num(trace.initial_cost),
+        json::float(trace.initial_cost),
         trace.temperatures
     ));
     for stage in &trace.stages {
@@ -217,22 +192,22 @@ pub fn instance_lines(instance: usize, seed: u64, attempt: u32, trace: &ChainTra
             t.rejected_uphill,
             t.swap_attempts,
             t.swap_accepts,
-            num(t.temperature),
-            num(t.target_acceptance),
+            json::float(t.temperature),
+            json::float(t.target_acceptance),
             t.ended_by.as_str(),
-            num(stage.wall.as_secs_f64() * 1e3)
+            json::float(stage.wall.as_secs_f64() * 1e3)
         ));
     }
     for &(evals, cost) in &trace.samples {
         s.push_str(&format!(
             "{{\"event\":\"sample\",\"instance\":{instance},\"evals\":{evals},\"cost\":{}}}\n",
-            num(cost)
+            json::float(cost)
         ));
     }
     for &(evals, cost) in &trace.bests {
         s.push_str(&format!(
             "{{\"event\":\"best\",\"instance\":{instance},\"evals\":{evals},\"cost\":{}}}\n",
-            num(cost)
+            json::float(cost)
         ));
     }
     if let Some(stop) = &trace.stop {
@@ -241,8 +216,8 @@ pub fn instance_lines(instance: usize, seed: u64, attempt: u32, trace: &ChainTra
              \"final_cost\":{},\"best_cost\":{},\"energy_callbacks\":{}}}\n",
             stop.reason.as_str(),
             stop.evals,
-            num(stop.final_cost),
-            num(stop.best_cost),
+            json::float(stop.final_cost),
+            json::float(stop.best_cost),
             trace.energy_events
         ));
     }

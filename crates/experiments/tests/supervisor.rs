@@ -5,11 +5,11 @@
 //! skipping the rest of its table. Every degraded or interrupted run must
 //! `--resume` to output byte-identical to an uninterrupted one.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use std::time::{Duration, Instant};
 
-use anneal_experiments::{checkpoint, exit_codes};
+use anneal_experiments::{checkpoint, exit_codes, CellRecord};
 
 fn repro() -> Command {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -34,32 +34,79 @@ fn clean_run() -> Output {
     out
 }
 
+/// The WAL's cell records with their wall-clock fields zeroed: the only
+/// fields two runs of the same cells may disagree on.
+fn records_without_wall(wal: &Path) -> Vec<CellRecord> {
+    let mut cells = checkpoint::load(wal.to_str().unwrap())
+        .expect("WAL loads")
+        .cells;
+    for cell in &mut cells {
+        cell.wall_ms = 0.0;
+        for row in &mut cell.per_instance {
+            row.wall_ms = 0.0;
+        }
+    }
+    cells
+}
+
 #[test]
 fn process_isolation_matches_thread_isolation_bitwise() {
     let wal = temp("bitwise.jsonl");
     let clean = clean_run();
-    let out = repro()
+    let thread_wal = temp("bitwise-thread.jsonl");
+    let threaded = repro()
         .args(WORKLOAD)
-        .args(["--isolation", "process", "--telemetry"])
-        .arg(&wal)
+        .arg("--telemetry")
+        .arg(&thread_wal)
         .output()
         .expect("spawn repro");
-    assert!(out.status.success(), "process-isolated run failed: {out:?}");
-    assert_eq!(
-        stdout_of(&clean),
-        stdout_of(&out),
-        "process isolation changed the tables"
+    assert!(
+        threaded.status.success(),
+        "thread-isolated run failed: {threaded:?}"
     );
+    let reference = records_without_wall(&thread_wal);
+    assert_eq!(reference.len(), 26);
+    let child_tmp = temp("bitwise-tmpdir");
+    std::fs::create_dir_all(&child_tmp).unwrap();
+    let wal_name = wal.file_name().unwrap().to_string_lossy().into_owned();
 
-    // One worker slot (default --threads 1): merging its shard must
-    // reproduce the parent's single-writer WAL byte-for-byte.
-    let main_wal = std::fs::read_to_string(&wal).unwrap();
-    let shard = std::fs::read_to_string(format!("{}.shard.0", wal.display())).unwrap();
-    assert_eq!(
-        checkpoint::merge_shards(&[&shard]).unwrap(),
-        main_wal,
-        "shard merge != single-writer WAL"
-    );
+    // Twice on the same WAL path: a rerun must not inherit the first
+    // run's files.
+    for run in 1..=2 {
+        let out = repro()
+            .args(WORKLOAD)
+            .args(["--isolation", "process", "--telemetry"])
+            .arg(&wal)
+            .env("TMPDIR", &child_tmp)
+            .output()
+            .expect("spawn repro");
+        assert!(
+            out.status.success(),
+            "process-isolated run {run} failed: {out:?}"
+        );
+        assert_eq!(
+            stdout_of(&clean),
+            stdout_of(&out),
+            "process isolation changed the tables (run {run})"
+        );
+        // Every record the parent took from a worker's stdout is the
+        // thread-isolated record, wall-clock fields aside.
+        assert_eq!(
+            records_without_wall(&wal),
+            reference,
+            "process-isolated WAL != thread-isolated WAL (run {run})"
+        );
+        // Workers hand their records back on a pipe: no shard files next
+        // to the WAL, nothing at all in the children's TMPDIR.
+        let shards: Vec<String> = std::fs::read_dir(wal.parent().unwrap())
+            .unwrap()
+            .filter_map(|entry| entry.ok()?.file_name().into_string().ok())
+            .filter(|name| name.starts_with(&wal_name) && name.contains(".shard."))
+            .collect();
+        assert!(shards.is_empty(), "shards next to the WAL: {shards:?}");
+        let leftovers: Vec<_> = std::fs::read_dir(&child_tmp).unwrap().collect();
+        assert!(leftovers.is_empty(), "files left in TMPDIR: {leftovers:?}");
+    }
 
     // And the WAL resumes to identical output without re-running anything.
     let resumed = repro()

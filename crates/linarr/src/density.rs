@@ -15,8 +15,8 @@
 //!   a secondary objective at negligible cost).
 //!
 //! Updating after a perturbation costs O(pins of affected nets × span
-//! lengths); a full rebuild is O(total pins + n). The microbenchmarks in
-//! `anneal-bench` quantify the speedup.
+//! lengths); a full rebuild is O(total pins + n). The `linarr/*_cycle`
+//! kernels of the `bench` binary in `anneal-experiments` time the update.
 
 use anneal_netlist::Netlist;
 
