@@ -107,10 +107,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use anneal_experiments::{
-    ablation, checkpoint, cli, diagnostics, exit_codes, ext_partition, ext_tsp, full_roster,
-    progress, supervisor, tables, trajectory, tuning, ChaosWriter, FaultPlan, JobOutcome,
-    JobServer, JobSpec, OpsBoard, OpsServer, Progress, SuiteConfig, Supervisor, SupervisorEvent,
-    Table, TelemetryLog, TraceSink, TunedY,
+    ablation, checkpoint, cli, diagnostics, exit_codes, ext_partition, ext_tsp, progress,
+    supervisor, tables, trajectory, tuning, ChaosWriter, FaultPlan, JobOutcome, JobServer, JobSpec,
+    OpsBoard, OpsServer, Progress, SuiteConfig, Supervisor, SupervisorEvent, Table, TelemetryLog,
+    TraceSink,
 };
 
 fn main() -> ExitCode {
@@ -152,10 +152,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     // Live ops plane: the board is shared run state behind /healthz,
     // /progress and the --progress worker fragment; the server binds only
     // under --serve. With neither flag nothing is created or bound.
-    let expected_cells = {
-        let roster_len = full_roster(TunedY::default()).len();
-        progress::expected_cells(&parsed.experiments, roster_len)
-    };
+    let expected_cells = progress::expected_cells(&parsed.experiments, &config);
     let board = (parsed.serve.is_some()
         || (parsed.progress && parsed.isolation == cli::Isolation::Process))
         .then(|| OpsBoard::new(expected_cells));
@@ -377,11 +374,10 @@ fn run_job(path: &str) -> Result<ExitCode, String> {
 }
 
 /// The hidden `--worker-cell` mode: this process is a supervisor child.
-/// It runs exactly one table cell (the log's filter skips the others) and
-/// talks to the parent over stdout: `{"hb":k}` heartbeat lines while it
-/// runs, then the cell's record as one JSON line. Exit code
-/// [`exit_codes::OK`] means "the record is on stdout"; anything else is a
-/// retryable process failure.
+/// It builds its table's instance set, runs its one cell, and talks to the
+/// parent over stdout: `{"hb":k}` heartbeat lines while it runs, then the
+/// cell's record as one JSON line. Exit code [`exit_codes::OK`] means "the
+/// record is on stdout"; anything else is a retryable process failure.
 fn run_worker(parsed: &cli::Cli, faults: Option<FaultPlan>) -> Result<ExitCode, String> {
     let worker = parsed.worker.as_ref().expect("worker mode");
     let config = &parsed.config;
@@ -393,7 +389,7 @@ fn run_worker(parsed: &cli::Cli, faults: Option<FaultPlan>) -> Result<ExitCode, 
     std::thread::spawn(move || {
         let mut beats = 0u64;
         // A failed beat means the parent is gone; its deadline owns us now.
-        while emit_line(&format!("{{\"hb\":{beats}}}"), None).is_ok() {
+        while emit_line(&format!("{{\"hb\":{beats}}}"), false).is_ok() {
             beats += 1;
             std::thread::sleep(heartbeat);
         }
@@ -408,35 +404,32 @@ fn run_worker(parsed: &cli::Cli, faults: Option<FaultPlan>) -> Result<ExitCode, 
     };
     let log = TelemetryLog::in_memory()
         .with_faults(faults)
-        .with_trace(trace)
-        .with_filter(Some(worker.cell.clone()));
+        .with_trace(trace);
 
-    for exp in &parsed.experiments {
-        // The tables themselves are the parent's to print.
-        let _ = dispatch(exp, config, &log)?;
-    }
-
-    let Some(record) = log.records().into_iter().find(|r| r.key == worker.cell) else {
+    // A key its table does not list runs nothing and records nothing.
+    let record = tables::run_cell(&worker.cell, config, &log).and_then(|_| log.records().pop());
+    let Some(record) = record else {
         return Ok(ExitCode::from(exit_codes::WORKER_NO_RECORD));
     };
-    if let Err(e) = emit_line(&record.to_json(), faults.as_ref()) {
+    // With `--faults io=…` the record write can fail like a WAL append.
+    let fail = faults.is_some_and(|plan| plan.record_write_fails(&worker.cell));
+    if let Err(e) = emit_line(&record.to_json(), fail) {
         eprintln!("worker: record of {} lost: {e}", worker.cell);
         return Ok(ExitCode::from(exit_codes::WORKER_NO_RECORD));
     }
     Ok(ExitCode::SUCCESS)
 }
 
-/// Writes `line` and a newline to stdout under one lock, then flushes.
-/// Heartbeats and the record share this pipe, so a line is never split
-/// by another. With `--faults io=…` the write can fail like a WAL append.
-fn emit_line(line: &str, faults: Option<&FaultPlan>) -> std::io::Result<()> {
+/// Writes `line` and a newline to stdout under one lock, then flushes, or
+/// fails without writing when `fail` injects a fault. Heartbeats and the
+/// record share this pipe, so a line is never split by another.
+fn emit_line(line: &str, fail: bool) -> std::io::Result<()> {
     use std::io::Write;
-    let bytes = format!("{line}\n").into_bytes();
-    let mut out = std::io::stdout().lock();
-    match faults {
-        Some(plan) if plan.io_p > 0.0 => ChaosWriter::new(&mut out, *plan).write_all(&bytes)?,
-        _ => out.write_all(&bytes)?,
+    if fail {
+        return Err(std::io::Error::other("fault injection: write failed"));
     }
+    let mut out = std::io::stdout().lock();
+    out.write_all(format!("{line}\n").as_bytes())?;
     out.flush()
 }
 

@@ -94,7 +94,7 @@ pub enum Isolation {
 /// running exactly one table cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerSpec {
-    /// The one cell this worker runs (everything else is skipped).
+    /// The one cell this worker runs, looked up in its table's cell list.
     pub cell: CellKey,
     /// Fault-injection attempt base (`--worker-attempt`), so respawned
     /// workers roll fresh fault decisions.

@@ -17,7 +17,7 @@
 //! |---|---|---|
 //! | `seed` | decision seed | 0 |
 //! | `panic` | probability an instance run panics at the start of its strategy step | 0 |
-//! | `io` | probability a telemetry sink write fails | 0 |
+//! | `io` | probability a telemetry sink write, or a worker's record write, fails | 0 |
 //! | `delay` | probability an instance run is slowed before it starts | 0 |
 //! | `delay_ms` | slowdown length in milliseconds | 100 |
 //! | `abort` | probability an instance run calls `std::process::abort()` | 0 |
@@ -50,7 +50,7 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Probability an instance run panics.
     pub panic_p: f64,
-    /// Probability a telemetry sink write fails.
+    /// Probability a telemetry sink write or a worker's record write fails.
     pub io_p: f64,
     /// Probability an instance run is delayed.
     pub delay_p: f64,
@@ -220,15 +220,7 @@ impl FaultPlan {
     /// attempts roll independently — which is what lets retry-with-backoff
     /// recover from sub-certain fault probabilities.
     pub fn instance_fault(&self, key: &CellKey, instance: usize, attempt: u32) -> InstanceFault {
-        let attempt = attempt.wrapping_add(self.attempt_base);
-        let site = |label: &str| {
-            let mut h = mix(self.seed, hash_str(label));
-            h = mix(h, hash_str(&key.table));
-            h = mix(h, hash_str(&key.method));
-            h = mix(h, hash_str(&key.column));
-            h = mix(h, instance as u64);
-            mix(h, attempt as u64)
-        };
+        let site = |label: &str| self.site(label, key, instance, attempt);
         InstanceFault {
             panic: decide(site("panic"), self.panic_p),
             delay: decide(site("delay"), self.delay_p).then_some(self.delay),
@@ -241,6 +233,24 @@ impl FaultPlan {
     /// Whether the `index`-th write to the telemetry sink should fail.
     pub fn write_fails(&self, index: u64) -> bool {
         decide(mix(mix(self.seed, hash_str("io")), index), self.io_p)
+    }
+
+    /// Whether a worker process's write of `key`'s record to its parent
+    /// should fail (the `io` probability). Rolled per cell and per process
+    /// attempt ([`attempt_base`](Self::attempt_base)), so a respawned
+    /// worker rolls a fresh decision.
+    pub fn record_write_fails(&self, key: &CellKey) -> bool {
+        decide(self.site("record", key, 0, 0), self.io_p)
+    }
+
+    /// The decision hash of fault kind `label` at one instance attempt.
+    fn site(&self, label: &str, key: &CellKey, instance: usize, attempt: u32) -> u64 {
+        let mut h = mix(self.seed, hash_str(label));
+        h = mix(h, hash_str(&key.table));
+        h = mix(h, hash_str(&key.method));
+        h = mix(h, hash_str(&key.column));
+        h = mix(h, instance as u64);
+        mix(h, attempt.wrapping_add(self.attempt_base) as u64)
     }
 }
 
@@ -463,6 +473,22 @@ mod tests {
             offset[..],
             "the base actually shifts the stream"
         );
+    }
+
+    #[test]
+    fn worker_record_writes_roll_per_cell_and_per_process_attempt() {
+        let plan = FaultPlan::parse("seed=2,io=0.5").unwrap();
+        let config = crate::SuiteConfig::scaled(2000).with_seed(7);
+        let keys = crate::tables::spec("table4.2b", &config)
+            .unwrap()
+            .keys("table4.2b");
+        assert_eq!(keys.len(), 26);
+        let first: Vec<bool> = keys.iter().map(|k| plan.record_write_fails(k)).collect();
+        assert!(first.iter().any(|&f| f) && first.iter().any(|&f| !f));
+        // A cell whose first record write fails gets it through on a
+        // later process attempt.
+        let failing = &keys[first.iter().position(|&f| f).unwrap()];
+        assert!((1..16).any(|base| !plan.with_attempt_base(base).record_write_fails(failing)));
     }
 
     #[test]

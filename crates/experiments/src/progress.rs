@@ -11,7 +11,9 @@ use std::io::Write;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use crate::config::SuiteConfig;
 use crate::ops::OpsBoard;
+use crate::tables;
 
 /// A thread-safe cell-completion ticker writing to stderr.
 #[derive(Debug)]
@@ -129,27 +131,15 @@ fn fmt_secs(secs: f64) -> String {
     }
 }
 
-/// The number of table cells the given experiment selection will record,
-/// when it is statically known. Experiments whose cell count depends on
-/// runtime tuning contribute `None`, which makes the whole total unknown
-/// (the ticker then shows a bare counter).
-pub fn expected_cells(experiments: &[String], roster_len: usize) -> Option<usize> {
-    let mut total = 0usize;
-    for exp in experiments {
-        total += match exp.as_str() {
-            // 20 g functions + the [COHO83a] baseline, 3 budget columns.
-            "table4.1" => 21 * 3,
-            "table4.2a" | "table4.2c" | "table4.2d" => roster_len * 3,
-            "table4.2b" => roster_len * 2,
-            // 3 schedule rows, 3 budget columns (the tuning-evals column is
-            // computed, not run).
-            "adaptive" => 3 * 3,
-            // Tuning sweeps, extensions and diagnostics record no cells
-            // (or a data-dependent number of them).
-            _ => return None,
-        };
-    }
-    Some(total)
+/// The number of cells the given experiment selection will record: the
+/// length of each table's cell list. Any experiment that records no cells
+/// (tuning sweeps, extensions, diagnostics) makes the total unknown, and
+/// the ticker then shows a bare counter.
+pub fn expected_cells(experiments: &[String], config: &SuiteConfig) -> Option<usize> {
+    experiments
+        .iter()
+        .map(|exp| Some(tables::spec(exp, config)?.cell_count()))
+        .sum()
 }
 
 #[cfg(test)]
@@ -188,20 +178,6 @@ mod tests {
     fn zero_total_behaves_like_unknown() {
         let p = Progress::new(Some(0));
         assert!(p.total.is_none());
-    }
-
-    #[test]
-    fn expected_cells_counts_the_tables() {
-        let exps = |names: &[&str]| names.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(expected_cells(&exps(&["table4.1"]), 13), Some(63));
-        assert_eq!(expected_cells(&exps(&["table4.2b"]), 13), Some(26));
-        assert_eq!(expected_cells(&exps(&["adaptive"]), 13), Some(9));
-        assert_eq!(
-            expected_cells(&exps(&["table4.1", "table4.2a"]), 13),
-            Some(63 + 39)
-        );
-        assert_eq!(expected_cells(&exps(&["tuning"]), 13), None);
-        assert_eq!(expected_cells(&exps(&["table4.1", "tuning"]), 13), None);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! The method roster: the paper's 20 g-function classes (plus \[COHO83a\])
 //! with their tuned temperatures, in the paper's table order.
 
+use std::sync::Arc;
+
 use anneal_core::GFunction;
 
 /// Per-instance context a method may need when instantiating its g function
@@ -11,10 +13,11 @@ pub struct MethodCtx {
     pub n_nets: usize,
 }
 
-/// A named acceptance-function factory.
+/// A named acceptance-function factory. Cloning shares the factory.
+#[derive(Clone)]
 pub struct MethodSpec {
     name: &'static str,
-    make: Box<dyn Fn(&MethodCtx) -> GFunction + Send + Sync>,
+    make: Arc<dyn Fn(&MethodCtx) -> GFunction + Send + Sync>,
 }
 
 impl MethodSpec {
@@ -22,7 +25,7 @@ impl MethodSpec {
     pub fn new(name: &'static str, g: impl Fn() -> GFunction + Send + Sync + 'static) -> Self {
         MethodSpec {
             name,
-            make: Box::new(move |_| g()),
+            make: Arc::new(move |_| g()),
         }
     }
 
@@ -33,7 +36,7 @@ impl MethodSpec {
     ) -> Self {
         MethodSpec {
             name,
-            make: Box::new(g),
+            make: Arc::new(g),
         }
     }
 

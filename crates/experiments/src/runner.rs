@@ -345,30 +345,6 @@ impl ArrangementSet {
         )
     }
 
-    /// [`run_method`](Self::run_method) with instances fanned out over
-    /// `threads` OS threads. Results are bitwise identical to the sequential
-    /// version (each instance's chain is independently seeded).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`, and re-raises any instance panic.
-    pub fn run_method_parallel(
-        &self,
-        spec: &MethodSpec,
-        strategy: Strategy,
-        budget: Budget,
-        threads: usize,
-    ) -> f64 {
-        self.run_cell(
-            CellKey::new("adhoc", spec.name(), budget.to_string()),
-            spec,
-            strategy,
-            budget,
-            &CellPolicy::with_threads(threads),
-            &TelemetryLog::disabled(),
-        )
-    }
-
     /// Runs one table cell — `spec` × `strategy` × `budget` over the whole
     /// set — under `policy`, with per-instance fault isolation, recording a
     /// [`CellRecord`] into `log`, and returns the total reduction over
@@ -401,11 +377,9 @@ impl ArrangementSet {
         log: &TelemetryLog,
     ) -> f64 {
         assert!(policy.threads > 0, "need at least one thread");
-        // A worker process runs exactly one cell: its log filter skips
-        // every other one. A draining parent stops starting cells: the
-        // skipped cells are simply absent from the WAL and re-run on
-        // `--resume`.
-        if log.skips(&key) || crate::supervisor::signals::draining() {
+        // A draining parent stops starting cells: the skipped cells are
+        // simply absent from the WAL and re-run on `--resume`.
+        if crate::supervisor::signals::draining() {
             return 0.0;
         }
         let strategy_name = format!("{strategy:?}");
@@ -415,9 +389,10 @@ impl ArrangementSet {
             log.record_replayed(cached);
             return total;
         }
-        // Under `--isolation process` the cell runs in a child process;
-        // the supervisor records the outcome (or the process failure)
-        // into `log` exactly as the code below would.
+        // Under `--isolation process` the cell runs in a child process
+        // that runs only this cell (see `tables::run_cell`); the
+        // supervisor records the outcome (or the process failure) into
+        // `log` exactly as the code below would.
         if let Some(sup) = log.supervisor() {
             return sup.run_cell(
                 &key,
@@ -654,31 +629,6 @@ impl ArrangementSet {
         }
     }
 
-    /// Applies the `--schedule` override to one instance: probes the
-    /// instance's delta statistics on a salted RNG stream (independent of
-    /// the chain's, so the chain randomness is untouched), replaces `g`'s
-    /// grid-swept schedule with a derived adaptive one of the same length,
-    /// and charges the probe against an evaluation budget — adaptive cells
-    /// stay equal-cost with tuned cells *including* tuning. Returns the
-    /// (possibly reduced) budget and the feedback controller to attach
-    /// (acceptance mode on Figure-1/Figure-2 only; the other strategies run
-    /// the derived schedule open-loop).
-    fn adapt_schedule(
-        &self,
-        idx: usize,
-        problem: &LinearArrangementProblem,
-        g: &mut GFunction,
-        budget: Budget,
-    ) -> (Budget, Option<AcceptanceController>) {
-        adapt_schedule_for(
-            self.schedule,
-            derive_seed(self.seed ^ PROBE_SALT, idx as u64),
-            problem,
-            g,
-            budget,
-        )
-    }
-
     fn run_instance<O: ChainObserver>(
         &self,
         idx: usize,
@@ -693,7 +643,11 @@ impl ArrangementSet {
             n_nets: problem.netlist().n_nets(),
         };
         let mut g = spec.g(&ctx);
-        let (budget, controller) = self.adapt_schedule(idx, problem, &mut g, budget);
+        // The `--schedule` probe draws from its own salted stream, so the
+        // chain's RNG stream is untouched.
+        let probe_seed = derive_seed(self.seed ^ PROBE_SALT, idx as u64);
+        let (budget, controller) =
+            adapt_schedule_for(self.schedule, probe_seed, problem, &mut g, budget);
         let mut rng = StdRng::seed_from_u64(derive_seed(self.seed ^ RUN_SALT, idx as u64));
         run_strategy(
             problem,
@@ -719,6 +673,25 @@ mod tests {
     fn tiny_set() -> ArrangementSet {
         let problems = gola_paper_set(3).into_iter().take(4).collect();
         ArrangementSet::with_random_starts(problems, 3)
+    }
+
+    /// A fail-fast cell over `threads` OS threads.
+    fn run_threaded(
+        set: &ArrangementSet,
+        spec: &MethodSpec,
+        strategy: Strategy,
+        budget: Budget,
+        threads: usize,
+    ) -> f64 {
+        let (key, log) = (CellKey::new("adhoc", "", ""), TelemetryLog::disabled());
+        set.run_cell(
+            key,
+            spec,
+            strategy,
+            budget,
+            &CellPolicy::with_threads(threads),
+            &log,
+        )
     }
 
     #[test]
@@ -763,7 +736,7 @@ mod tests {
         for spec in roster.iter().take(4) {
             let seq = set.run_method(spec, Strategy::Figure1, budget);
             for threads in [1, 2, 3, 8] {
-                let par = set.run_method_parallel(spec, Strategy::Figure1, budget, threads);
+                let par = run_threaded(&set, spec, Strategy::Figure1, budget, threads);
                 assert_eq!(seq, par, "{} with {threads} threads", spec.name());
             }
         }
@@ -781,7 +754,7 @@ mod tests {
         let seq = set.run_method(spec, strategy, budget);
         assert!(seq >= 0.0);
         for threads in [1, 2, 8] {
-            let par = set.run_method_parallel(spec, strategy, budget, threads);
+            let par = run_threaded(&set, spec, strategy, budget, threads);
             assert_eq!(seq.to_bits(), par.to_bits(), "{threads} threads");
         }
     }
@@ -822,7 +795,7 @@ mod tests {
         let b = set.run_method(spec, Strategy::Figure1, budget);
         assert_eq!(a.to_bits(), b.to_bits(), "probe + controller are pure");
         for threads in [2, 8] {
-            let par = set.run_method_parallel(spec, Strategy::Figure1, budget, threads);
+            let par = run_threaded(&set, spec, Strategy::Figure1, budget, threads);
             assert_eq!(a.to_bits(), par.to_bits(), "{threads} threads");
         }
     }
@@ -875,7 +848,8 @@ mod tests {
     fn zero_threads_panics() {
         let set = tiny_set();
         let roster = full_roster(TunedY::default());
-        let _ = set.run_method_parallel(&roster[0], Strategy::Figure1, Budget::evaluations(10), 0);
+        let budget = Budget::evaluations(10);
+        let _ = run_threaded(&set, &roster[0], Strategy::Figure1, budget, 0);
     }
 
     /// Instances with distinct net counts, so a method spec can single one

@@ -13,10 +13,11 @@
 //! hidden `--worker-cell` mode and running each table cell in a child
 //! process:
 //!
-//! * the child runs exactly one cell (the [`TelemetryLog`] filter skips
-//!   every other one) and talks to the parent over its stdout pipe:
-//!   `{"hb":k}` heartbeat lines while it runs, then the cell's
-//!   [`CellRecord`] as one JSON line;
+//! * the child looks its cell up in its table's cell list, builds that
+//!   table's instance set and runs only that cell
+//!   ([`tables::run_cell`](crate::tables::run_cell)). It talks to the
+//!   parent over its stdout pipe: `{"hb":k}` heartbeat lines while it
+//!   runs, then the cell's [`CellRecord`] as one JSON line;
 //! * the parent enforces a **wall-clock deadline** (derived from
 //!   `--watchdog-ms`) and a **heartbeat staleness** bound with SIGKILL —
 //!   catching the hangs the in-process watchdog cannot;

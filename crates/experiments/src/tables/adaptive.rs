@@ -9,17 +9,16 @@
 //! the run budget (see [`ArrangementSet::schedule`]) — so their run cells
 //! are equal-total-cost with the grid-swept row *including* tuning, and the
 //! final "tuning evals" column shows how lopsided the off-line bills are.
+//!
+//! [`ArrangementSet::schedule`]: crate::ArrangementSet::schedule
 
 use anneal_core::schedule::adaptive::DEFAULT_PROBE_SAMPLES;
 use anneal_core::{AdaptiveMode, Budget};
+use anneal_netlist::generator::PAPER_INSTANCES;
 
-use crate::budgetmap::PAPER_SECONDS;
 use crate::config::SuiteConfig;
-use crate::instances::gola_paper_set;
-use crate::roster::full_roster;
-use crate::runner::ArrangementSet;
 use crate::table::Table;
-use crate::telemetry::{CellKey, TelemetryLog};
+use crate::telemetry::TelemetryLog;
 use crate::tuning::{GRID, TUNING_SECONDS};
 
 /// The comparison rows: schedule source per row.
@@ -37,47 +36,11 @@ pub fn run(config: &SuiteConfig) -> Table {
 /// [`run`] with per-cell telemetry and fault isolation (see
 /// [`table4_1::run_logged`](crate::tables::table4_1::run_logged)).
 pub fn run_logged(config: &SuiteConfig, log: &TelemetryLog) -> Table {
-    let spec = full_roster(config.tuned)
-        .into_iter()
-        .find(|s| s.name() == "Six Temperature Annealing")
-        .expect("the roster always carries class 2");
-
-    let mut columns: Vec<String> = PAPER_SECONDS
-        .iter()
-        .map(|s| format!("{s:.0} sec"))
-        .collect();
-    columns.push("tuning evals".into());
-
-    let problems = gola_paper_set(config.seed);
-    let mut set = ArrangementSet::with_random_starts(problems, config.seed);
-    let instances = set.problems().len() as u64;
-    let mut table = Table::new(
-        format!(
-            "Adaptive schedules — GOLA, six-temperature annealing: grid-swept vs \
-             feedback-derived at equal run budget (start density sum {})",
-            set.start_density_sum()
-        ),
-        "schedule",
-        columns,
-    );
-
-    for (label, mode) in ROWS {
-        set.schedule = mode;
-        let mut values: Vec<f64> = PAPER_SECONDS
-            .iter()
-            .map(|&s| {
-                set.run_cell(
-                    CellKey::new("adaptive", label, format!("{s:.0} sec")),
-                    &spec,
-                    config.table_strategy(),
-                    config.scale.vax_seconds(s),
-                    &config.cell_policy(),
-                    log,
-                )
-            })
-            .collect();
-        values.push(tuning_evals(mode, instances, config));
-        table.push_row(label, values);
+    let mut table = super::run_table("adaptive", config, log);
+    // The tuning bill is computed, not run: a column but no cells.
+    table.columns.push("tuning evals".into());
+    for ((_, values), (_, mode)) in table.rows.iter_mut().zip(ROWS) {
+        values.push(tuning_evals(mode, PAPER_INSTANCES as u64, config));
     }
     table
 }
@@ -104,6 +67,7 @@ pub fn tuning_evals(mode: Option<AdaptiveMode>, instances: u64, config: &SuiteCo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budgetmap::PAPER_SECONDS;
 
     #[test]
     fn full_scale_probe_bill_is_within_ten_percent_of_the_sweep() {

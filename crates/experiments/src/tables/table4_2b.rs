@@ -2,15 +2,9 @@
 //! versus the Figure-2 (local-opt) strategy for the 13-method roster
 //! (§4.2.4 "Figure 1 vs Figure 2").
 
-use anneal_core::Strategy;
-
-use crate::budgetmap::PAPER_SECONDS_42B;
 use crate::config::SuiteConfig;
-use crate::instances::gola_paper_set;
-use crate::roster::reduced_roster;
-use crate::runner::ArrangementSet;
 use crate::table::Table;
-use crate::telemetry::{CellKey, TelemetryLog};
+use crate::telemetry::TelemetryLog;
 
 /// Regenerates Table 4.2(b).
 pub fn run(config: &SuiteConfig) -> Table {
@@ -20,40 +14,7 @@ pub fn run(config: &SuiteConfig) -> Table {
 /// [`run`] with per-cell telemetry and fault isolation (see
 /// [`table4_1::run_logged`](crate::tables::table4_1::run_logged)).
 pub fn run_logged(config: &SuiteConfig, log: &TelemetryLog) -> Table {
-    let problems = gola_paper_set(config.seed);
-    let mut set = ArrangementSet::with_random_starts(problems, config.seed);
-    set.schedule = config.schedule;
-    let budget = config.scale.vax_seconds(PAPER_SECONDS_42B);
-
-    let mut table = Table::new(
-        format!(
-            "Table 4.2(b) — GOLA, 180 sec/instance: Figure 1 vs Figure 2 \
-             (start density sum {})",
-            set.start_density_sum()
-        ),
-        "g function",
-        vec!["Figure 1".into(), "Figure 2".into()],
-    );
-
-    for spec in reduced_roster(config.tuned) {
-        let [fig1, fig2] = [Strategy::Figure1, Strategy::Figure2].map(|strategy| {
-            let column = if strategy == Strategy::Figure1 {
-                "Figure 1"
-            } else {
-                "Figure 2"
-            };
-            set.run_cell(
-                CellKey::new("table4.2b", spec.name(), column),
-                &spec,
-                strategy,
-                budget,
-                &config.cell_policy(),
-                log,
-            )
-        });
-        table.push_row(spec.name(), vec![fig1, fig2]);
-    }
-    table
+    super::run_table("table4.2b", config, log)
 }
 
 #[cfg(test)]

@@ -2,13 +2,9 @@
 //! improvement for the 13-method roster (§4.3.1: "none of the 13 Monte Carlo
 //! methods is able to obtain a significant improvement").
 
-use crate::budgetmap::{NOLA_EVAL_COST, PAPER_SECONDS};
 use crate::config::SuiteConfig;
-use crate::instances::nola_paper_set;
-use crate::roster::reduced_roster;
-use crate::runner::ArrangementSet;
 use crate::table::Table;
-use crate::telemetry::{CellKey, TelemetryLog};
+use crate::telemetry::TelemetryLog;
 
 /// Regenerates Table 4.2(d).
 pub fn run(config: &SuiteConfig) -> Table {
@@ -18,43 +14,7 @@ pub fn run(config: &SuiteConfig) -> Table {
 /// [`run`] with per-cell telemetry and fault isolation (see
 /// [`table4_1::run_logged`](crate::tables::table4_1::run_logged)).
 pub fn run_logged(config: &SuiteConfig, log: &TelemetryLog) -> Table {
-    let problems = nola_paper_set(config.seed);
-    let mut set = ArrangementSet::with_goto_starts(problems, config.seed);
-    set.replicas = config.replicas;
-    set.schedule = config.schedule;
-
-    let columns: Vec<String> = PAPER_SECONDS
-        .iter()
-        .map(|s| format!("{s:.0} sec"))
-        .collect();
-    let mut table = Table::new(
-        format!(
-            "Table 4.2(d) — NOLA from Goto arrangements: total improvement \
-             (start density sum {})",
-            set.start_density_sum()
-        ),
-        "g function",
-        columns.clone(),
-    );
-
-    for spec in reduced_roster(config.tuned) {
-        let values = PAPER_SECONDS
-            .iter()
-            .zip(&columns)
-            .map(|(&s, column)| {
-                set.run_cell(
-                    CellKey::new("table4.2d", spec.name(), column.clone()),
-                    &spec,
-                    config.table_strategy(),
-                    config.scale.vax_seconds(s).scale_div(NOLA_EVAL_COST),
-                    &config.cell_policy(),
-                    log,
-                )
-            })
-            .collect();
-        table.push_row(spec.name(), values);
-    }
-    table
+    super::run_table("table4.2d", config, log)
 }
 
 #[cfg(test)]

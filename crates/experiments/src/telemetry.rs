@@ -447,9 +447,6 @@ pub struct TelemetryLog {
     resume: HashMap<CellKey, CellRecord>,
     trace: Option<TraceSink>,
     progress: Option<Progress>,
-    /// Hidden `--worker-cell` filter: when set, the runner executes only
-    /// this cell and skips every other one without running or recording it.
-    filter: Option<CellKey>,
     /// Process supervisor (`--isolation process`): when attached, the
     /// runner delegates each cell to a worker process instead of running
     /// it in-process.
@@ -496,7 +493,6 @@ impl TelemetryLog {
             resume: HashMap::new(),
             trace: None,
             progress: None,
-            filter: None,
             supervisor: None,
             ops: None,
         }
@@ -551,14 +547,6 @@ impl TelemetryLog {
         self
     }
 
-    /// Restricts the runner to a single cell (builder style): every other
-    /// cell is skipped without running or recording. Used by the hidden
-    /// `--worker-cell` mode. `None` clears the filter.
-    pub fn with_filter(mut self, cell: Option<CellKey>) -> Self {
-        self.filter = cell;
-        self
-    }
-
     /// Attaches a process supervisor (builder style): the runner delegates
     /// each cell to a re-exec'd worker process. `None` clears it.
     pub fn with_supervisor(
@@ -580,11 +568,6 @@ impl TelemetryLog {
     /// The attached process supervisor, if any.
     pub(crate) fn supervisor(&self) -> Option<Arc<crate::supervisor::Supervisor>> {
         self.supervisor.clone()
-    }
-
-    /// Whether the single-cell filter excludes `key`.
-    pub(crate) fn skips(&self, key: &CellKey) -> bool {
-        self.filter.as_ref().is_some_and(|f| f != key)
     }
 
     /// The chain-trace sink, if tracing is on.
@@ -708,11 +691,6 @@ impl TelemetryLog {
             }
         }
         inner.events.push(event);
-    }
-
-    /// Snapshot of every supervisor event so far.
-    pub fn events(&self) -> Vec<SupervisorEvent> {
-        self.lock().events.clone()
     }
 
     /// [`record`](Self::record) for a cell replayed from the resume cache,

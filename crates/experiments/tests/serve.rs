@@ -12,8 +12,8 @@ use std::process::Child;
 
 use common::http::{finish, http_get, poll_until, spawn_serving_args};
 
-/// The canonical tiny workload (42 roster cells); delay faults stretch it
-/// out so the suite is reliably still running while we scrape.
+/// The canonical tiny workload (26 cells); delay faults stretch it out so
+/// the suite is reliably still running while we scrape.
 const WORKLOAD: [&str; 5] = ["--scale", "2000", "--seed", "7", "table4.2b"];
 
 /// Spawns `repro <workload> --serve 127.0.0.1:0 <extra>` and returns the
@@ -59,10 +59,10 @@ fn serve_exposes_metrics_health_and_progress_mid_run() {
     assert_eq!(status, 200, "{health}");
     assert!(health.ends_with("ok\n"), "{health}");
 
-    // /progress reports the roster size and live counts as JSON.
+    // /progress reports the table's cell count and live counts as JSON.
     let (status, progress) = http_get(&addr, "/progress");
     assert_eq!(status, 200, "{progress}");
-    assert!(progress.contains("\"expected\":42"), "{progress}");
+    assert!(progress.contains("\"expected\":26"), "{progress}");
     assert!(progress.contains("\"done\":"), "{progress}");
     assert!(progress.contains("\"degraded\":false"), "{progress}");
 

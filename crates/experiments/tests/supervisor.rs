@@ -28,6 +28,11 @@ fn stdout_of(out: &Output) -> &str {
 /// well under a second), same as CI's chaos smoke.
 const WORKLOAD: [&str; 5] = ["--scale", "2000", "--seed", "7", "table4.2b"];
 
+/// Every table that records cells, at scale 2000: 215 cells, whose workers
+/// look them up in six different cell lists.
+const ALL_CELL_TABLES: &str =
+    "--scale 2000 --seed 7 table4.1 table4.2a table4.2b table4.2c table4.2d adaptive";
+
 fn clean_run() -> Output {
     let out = repro().args(WORKLOAD).output().expect("spawn repro");
     assert!(out.status.success(), "clean run failed: {out:?}");
@@ -52,10 +57,12 @@ fn records_without_wall(wal: &Path) -> Vec<CellRecord> {
 #[test]
 fn process_isolation_matches_thread_isolation_bitwise() {
     let wal = temp("bitwise.jsonl");
-    let clean = clean_run();
+    let workload: Vec<&str> = ALL_CELL_TABLES.split(' ').collect();
+    let clean = repro().args(&workload).output().expect("spawn repro");
+    assert!(clean.status.success(), "clean run failed: {clean:?}");
     let thread_wal = temp("bitwise-thread.jsonl");
     let threaded = repro()
-        .args(WORKLOAD)
+        .args(&workload)
         .arg("--telemetry")
         .arg(&thread_wal)
         .output()
@@ -65,7 +72,7 @@ fn process_isolation_matches_thread_isolation_bitwise() {
         "thread-isolated run failed: {threaded:?}"
     );
     let reference = records_without_wall(&thread_wal);
-    assert_eq!(reference.len(), 26);
+    assert_eq!(reference.len(), 215);
     let child_tmp = temp("bitwise-tmpdir");
     std::fs::create_dir_all(&child_tmp).unwrap();
     let wal_name = wal.file_name().unwrap().to_string_lossy().into_owned();
@@ -74,7 +81,7 @@ fn process_isolation_matches_thread_isolation_bitwise() {
     // run's files.
     for run in 1..=2 {
         let out = repro()
-            .args(WORKLOAD)
+            .args(&workload)
             .args(["--isolation", "process", "--telemetry"])
             .arg(&wal)
             .env("TMPDIR", &child_tmp)
@@ -110,7 +117,7 @@ fn process_isolation_matches_thread_isolation_bitwise() {
 
     // And the WAL resumes to identical output without re-running anything.
     let resumed = repro()
-        .args(WORKLOAD)
+        .args(&workload)
         .arg("--resume")
         .arg(&wal)
         .output()
