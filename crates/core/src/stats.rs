@@ -99,9 +99,8 @@ pub struct TempStats {
     pub temp: usize,
     /// The temperature value the stage actually ran at. With an adaptive
     /// controller attached this is the *controlled* value, which can differ
-    /// from the schedule as derived; `NaN` when the strategy predates this
-    /// field (records loaded from pre-v3 logs) or has no meaningful single
-    /// temperature for the stage.
+    /// from the schedule as derived; `NaN` when the strategy has no
+    /// meaningful single temperature for the stage.
     pub temperature: f64,
     /// The acceptance rate the adaptive controller targeted for this stage;
     /// `NaN` when no controller was attached.

@@ -25,8 +25,9 @@
 //!                        in --compare mode (default 10)
 //!   --strict             exit 3 when --compare finds a regression
 //!
-//! Exit status: 0 on success, 1 on usage or I/O errors, 3 when --strict
-//! --compare found a regression.
+//! Exit status: 0 on success, 1 on usage or I/O errors (the usage text is
+//! printed only for the former), 3 when --strict --compare found a
+//! regression.
 //! ```
 
 use std::path::Path;
@@ -40,14 +41,18 @@ const USAGE: &str = "usage: report --wal WAL [--trace DIR] [--out PATH]\n\
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(code) => code,
+    let parsed = match parse(&args) {
+        Ok(parsed) => parsed,
         Err(msg) => {
             eprintln!("error: {msg}");
             eprintln!("{USAGE}");
-            ExitCode::FAILURE
+            return ExitCode::FAILURE;
         }
-    }
+    };
+    run(&parsed).unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        ExitCode::FAILURE
+    })
 }
 
 struct Args {
@@ -132,9 +137,7 @@ fn emit(out: &Option<String>, text: &str) -> Result<(), String> {
     }
 }
 
-fn run(args: &[String]) -> Result<ExitCode, String> {
-    let parsed = parse(args)?;
-
+fn run(parsed: &Args) -> Result<ExitCode, String> {
     if let Some(out_path) = &parsed.chrome_trace {
         let dir = parsed
             .trace_dir

@@ -44,7 +44,9 @@
 //!                     cells, and print an end-of-suite summary to stderr
 //!   --resume WAL      replay completed cells from a prior run's WAL; only
 //!                     missing or failed cells are recomputed, and the
-//!                     finished tables are bitwise-identical to a clean run
+//!                     finished tables are bitwise-identical to a clean run.
+//!                     --telemetry must name another file: a new WAL
+//!                     would erase the one being replayed
 //!   --trace DIR       write one chain-trace JSONL file per table cell into
 //!                     DIR (temperature stages, energy samples, best-so-far
 //!                     improvements, stop events); results stay
@@ -80,7 +82,8 @@
 //!                     states, ETA, supervisor worker heartbeat ages).
 //!                     Absent: nothing binds; results are identical
 //!
-//! Exit status: 0 on success, 1 on usage errors, 2 when the suite is
+//! Exit status: 0 on success, 1 on usage or I/O errors (the usage text is
+//! printed only for the former), 2 when the suite is
 //! degraded (failed cells, tripped breakers or lost telemetry records) — a
 //! failure manifest is written next to the WAL in that case. A run ended
 //! by SIGINT/SIGTERM drains its in-flight work, leaves a clean resumable
@@ -107,7 +110,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use anneal_experiments::{
-    ablation, checkpoint, cli, diagnostics, exit_codes, ext_partition, ext_tsp, progress,
+    ablation, checkpoint, cli, diagnostics, exit_codes, ext_partition, ext_tsp, jsonl, progress,
     supervisor, tables, trajectory, tuning, ChaosWriter, FaultPlan, JobOutcome, JobServer, JobSpec,
     OpsBoard, OpsServer, Progress, SuiteConfig, Supervisor, SupervisorEvent, Table, TelemetryLog,
     TraceSink,
@@ -115,19 +118,22 @@ use anneal_experiments::{
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(code) => code,
+    let parsed = match cli::parse(&args) {
+        Ok(parsed) => parsed,
         Err(msg) => {
             eprintln!("error: {msg}");
             eprintln!("{}", cli::USAGE);
             eprintln!("experiments: {} all", cli::EXPERIMENTS.join(" "));
-            ExitCode::FAILURE
+            return ExitCode::FAILURE;
         }
-    }
+    };
+    run(parsed).unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        ExitCode::FAILURE
+    })
 }
 
-fn run(args: &[String]) -> Result<ExitCode, String> {
-    let parsed = cli::parse(args)?;
+fn run(parsed: cli::Cli) -> Result<ExitCode, String> {
     match &parsed.command {
         Some(cli::Command::Serve(opts)) => return run_serve(opts),
         Some(cli::Command::Job(path)) => return run_job(path),
@@ -389,7 +395,7 @@ fn run_worker(parsed: &cli::Cli, faults: Option<FaultPlan>) -> Result<ExitCode, 
     std::thread::spawn(move || {
         let mut beats = 0u64;
         // A failed beat means the parent is gone; its deadline owns us now.
-        while emit_line(&format!("{{\"hb\":{beats}}}"), false).is_ok() {
+        while emit_line(format!("{{\"hb\":{beats}}}"), false).is_ok() {
             beats += 1;
             std::thread::sleep(heartbeat);
         }
@@ -413,7 +419,7 @@ fn run_worker(parsed: &cli::Cli, faults: Option<FaultPlan>) -> Result<ExitCode, 
     };
     // With `--faults io=…` the record write can fail like a WAL append.
     let fail = faults.is_some_and(|plan| plan.record_write_fails(&worker.cell));
-    if let Err(e) = emit_line(&record.to_json(), fail) {
+    if let Err(e) = emit_line(record.to_json(), fail) {
         eprintln!("worker: record of {} lost: {e}", worker.cell);
         return Ok(ExitCode::from(exit_codes::WORKER_NO_RECORD));
     }
@@ -423,14 +429,11 @@ fn run_worker(parsed: &cli::Cli, faults: Option<FaultPlan>) -> Result<ExitCode, 
 /// Writes `line` and a newline to stdout under one lock, then flushes, or
 /// fails without writing when `fail` injects a fault. Heartbeats and the
 /// record share this pipe, so a line is never split by another.
-fn emit_line(line: &str, fail: bool) -> std::io::Result<()> {
-    use std::io::Write;
+fn emit_line(line: String, fail: bool) -> std::io::Result<()> {
     if fail {
         return Err(std::io::Error::other("fault injection: write failed"));
     }
-    let mut out = std::io::stdout().lock();
-    out.write_all(format!("{line}\n").as_bytes())?;
-    out.flush()
+    jsonl::append(&mut std::io::stdout().lock(), line)
 }
 
 fn dispatch(exp: &str, config: &SuiteConfig, log: &TelemetryLog) -> Result<Vec<Table>, String> {

@@ -7,8 +7,9 @@
 //! [`TelemetryLog`](crate::telemetry::TelemetryLog)). A run that dies —
 //! panic, `kill -9`, power loss — leaves a prefix of that stream, possibly
 //! with a **torn final line** (the write that was in flight). [`load`]
-//! tolerates exactly that: a final line that does not parse is dropped and
-//! reported, while corruption anywhere else is an error.
+//! tolerates exactly that: the torn line is dropped and reported, while
+//! corruption anywhere else is an error. The header, append and torn-line
+//! rules are the shared ones of [`jsonl`](crate::jsonl).
 //!
 //! Because every cell is deterministically seeded from `(base_seed, table,
 //! method, column, instance)`, replaying completed cells from the WAL and
@@ -23,38 +24,19 @@
 //! access, so there is no serde).
 
 use std::io::Write;
+use std::path::Path;
 use std::str::FromStr;
 
+use crate::jsonl::WAL;
 use crate::telemetry::{
     CellFailure, CellKey, CellRecord, InstanceRecord, SupervisorEvent, TempAggregate,
 };
-
-/// Schema identifier in the WAL header line.
-pub const WAL_SCHEMA: &str = "anneal-repro-wal";
-
-/// Current WAL format version. Loaders accept this version or older.
-///
-/// Version history:
-/// * 1 — initial WAL format (PR 2), `per_temp.proposals` added in PR 4.
-/// * 2 — replica exchange: `per_temp` entries carry `ended_exchange`,
-///   `swap_attempts` and `swap_accepts` (all default to 0 when loading v1).
-/// * 3 — adaptive temperature control: `per_temp` entries carry
-///   `temperature` and `target_acceptance` sums (both default to NaN when
-///   loading v1/v2, rendering as "no data" rather than a wrong mean).
-/// * 4 — process supervisor: record lines are prefixed with a `"seq"`
-///   field, and the stream may carry supervisor event lines
-///   (`{"sup":...}`) which older loaders never see and this loader
-///   collects separately. Records without `seq` still load. `seq` is the
-///   write order of the record lines; nothing reads it back.
-pub const WAL_VERSION: u64 = 4;
 
 /// Suite parameters recorded in the WAL header, used by `--resume` to warn
 /// when a log is replayed under different settings (per-cell validation in
 /// the runner still guards correctness either way).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalMeta {
-    /// WAL format version.
-    pub version: u64,
     /// Suite base seed.
     pub seed: u64,
     /// Budget scale divisor.
@@ -62,35 +44,30 @@ pub struct WalMeta {
 }
 
 impl WalMeta {
-    /// The header for a fresh WAL at the current version.
+    /// The header of a fresh WAL.
     pub fn new(seed: u64, scale: u64) -> Self {
-        WalMeta {
-            version: WAL_VERSION,
-            seed,
-            scale,
-        }
+        WalMeta { seed, scale }
     }
 
     /// The header as one JSON line (no trailing newline).
     pub fn header_line(&self) -> String {
-        format!(
-            "{{\"wal\":\"{WAL_SCHEMA}\",\"version\":{},\"seed\":{},\"scale\":{}}}",
-            self.version, self.seed, self.scale
-        )
+        WAL.header(&self.fields())
+    }
+
+    fn fields(&self) -> String {
+        format!(",\"seed\":{},\"scale\":{}", self.seed, self.scale)
     }
 }
 
-/// A loaded WAL: header (if present), the parsed cell records, and whether
-/// a torn final line was dropped.
+/// A loaded WAL: header, the parsed cell records, and whether a torn final
+/// line was dropped.
 #[derive(Debug)]
 pub struct Checkpoint {
-    /// Header metadata; `None` for headerless (pre-WAL telemetry) logs,
-    /// which remain loadable.
+    /// Header metadata; `None` for a WAL with no complete line.
     pub meta: Option<WalMeta>,
     /// Every intact cell record, in append order.
     pub cells: Vec<CellRecord>,
-    /// Supervisor lifecycle events interleaved in the stream (WAL v4;
-    /// always empty for older logs).
+    /// Supervisor lifecycle events interleaved in the stream.
     pub events: Vec<SupervisorEvent>,
     /// Whether the final line was torn (incomplete write) and dropped.
     pub torn: bool,
@@ -98,8 +75,7 @@ pub struct Checkpoint {
 
 /// Splices the WAL v4 write-order sequence number into a serialized record
 /// line: `{"a":1}` with seq 7 becomes `{"seq":7,"a":1}`. The loader treats
-/// `seq` as just another (ignorable) field, so pre-v4 readers of individual
-/// records are unaffected.
+/// `seq` as just another (ignorable) field.
 pub fn wal_line(record_json: &str, seq: u64) -> String {
     debug_assert!(record_json.starts_with('{'));
     format!("{{\"seq\":{seq},{}", &record_json[1..])
@@ -112,88 +88,37 @@ pub fn wal_line(record_json: &str, seq: u64) -> String {
 ///
 /// [`TelemetryLog::with_writer`]: crate::telemetry::TelemetryLog::with_writer
 pub fn create_wal(path: &str, meta: &WalMeta) -> Result<Box<dyn Write + Send>, String> {
-    let file =
-        std::fs::File::create(path).map_err(|e| format!("cannot create WAL `{path}`: {e}"))?;
-    let mut writer = std::io::BufWriter::new(file);
-    writeln!(writer, "{}", meta.header_line())
-        .and_then(|()| writer.flush())
-        .map_err(|e| format!("cannot write WAL header to `{path}`: {e}"))?;
-    Ok(Box::new(writer))
+    Ok(Box::new(WAL.create(Path::new(path), &meta.fields())?))
 }
 
-/// Loads a WAL (or a headerless telemetry JSONL) from `path`, tolerating a
-/// torn final line. Corruption anywhere else is an error naming the line.
+/// Loads a WAL from `path`, tolerating a torn final line. Corruption
+/// anywhere else is an error naming the line.
 pub fn load(path: &str) -> Result<Checkpoint, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read WAL `{path}`: {e}"))?;
-    load_str(&text).map_err(|e| format!("WAL `{path}`: {e}"))
+    let bytes = std::fs::read(path).map_err(|e| format!("cannot read WAL `{path}`: {e}"))?;
+    load_str(bytes).map_err(|e| format!("WAL `{path}`: {e}"))
 }
 
 /// [`load`] on in-memory WAL text.
-pub fn load_str(text: &str) -> Result<Checkpoint, String> {
-    let mut checkpoint = Checkpoint {
-        meta: None,
-        cells: Vec::new(),
-        events: Vec::new(),
-        torn: false,
-    };
-    checkpoint.torn = scan_wal_lines(text, |i, value| {
-        if i == 0 && value.get("wal").is_some() {
-            checkpoint.meta = Some(meta_from_json(value)?);
-        } else if value.get("sup").is_some() {
-            checkpoint.events.push(event_from_json(value)?);
+pub fn load_str(text: impl AsRef<[u8]>) -> Result<Checkpoint, String> {
+    let mut cells = Vec::new();
+    let mut events = Vec::new();
+    let scan = WAL.scan(text.as_ref(), |value| {
+        if value.get("sup").is_some() {
+            events.push(event_from_json(value)?);
         } else {
-            checkpoint.cells.push(record_from_json(value)?);
+            cells.push(record_from_json(value)?);
         }
         Ok(())
     })?;
-    Ok(checkpoint)
-}
-
-/// The torn-line-tolerant scan every WAL-disciplined log in the workspace
-/// shares (the telemetry WAL here, the job journal in
-/// [`jobs`](crate::jobs)): parse each non-empty line as JSON and hand it —
-/// with its 0-based line index — to `visit`. A parse or visit failure on
-/// the *final* line is the expected signature of a killed writer: the line
-/// is dropped and the scan reports `Ok(true)` (torn). A failure anywhere
-/// earlier means real corruption and becomes an `Err` naming the 1-based
-/// line.
-pub fn scan_wal_lines<F>(text: &str, mut visit: F) -> Result<bool, String>
-where
-    F: FnMut(usize, &Json) -> Result<(), String>,
-{
-    let lines: Vec<&str> = text.lines().collect();
-    let n = lines.len();
-    let mut torn = false;
-    for (i, line) in lines.iter().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let last = i + 1 == n;
-        match Json::parse(line).and_then(|value| visit(i, &value)) {
-            Ok(()) => {}
-            Err(_) if last => torn = true,
-            Err(e) => return Err(format!("corrupt record at line {}: {e}", i + 1)),
-        }
-    }
-    Ok(torn)
-}
-
-fn meta_from_json(v: &Json) -> Result<WalMeta, String> {
-    let schema = v.get("wal").and_then(Json::as_str).unwrap_or_default();
-    if schema != WAL_SCHEMA {
-        return Err(format!("unknown WAL schema `{schema}`"));
-    }
-    let version = field_u64(v, "version")?;
-    if version > WAL_VERSION {
-        return Err(format!(
-            "WAL version {version} is newer than supported {WAL_VERSION}"
-        ));
-    }
-    Ok(WalMeta {
-        version,
-        seed: field_u64(v, "seed")?,
-        scale: field_u64(v, "scale")?,
+    let meta = match &scan.header {
+        Some(h) => Some(WalMeta::new(field_u64(h, "seed")?, field_u64(h, "scale")?)),
+        None => None,
+    };
+    Ok(Checkpoint {
+        meta,
+        cells,
+        events,
+        torn: scan.torn,
     })
 }
 
@@ -209,23 +134,17 @@ pub fn record_from_json(v: &Json) -> Result<CellRecord, String> {
         per_temp.push(TempAggregate {
             temp: field_u64(t, "temp")? as usize,
             evals: field_u64(t, "evals")?,
-            // Absent in pre-PR-4 records, where proposals were not tracked
-            // per temperature.
-            proposals: t.get("proposals").map_or(Ok(0), Json::as_u64_checked)?,
+            proposals: field_u64(t, "proposals")?,
             accepted_downhill: field_u64(t, "accepted_downhill")?,
             accepted_uphill: field_u64(t, "accepted_uphill")?,
             rejected_uphill: field_u64(t, "rejected_uphill")?,
             ended_budget: field_u64(t, "ended_budget")?,
             ended_equilibrium: field_u64(t, "ended_equilibrium")?,
-            // Absent before WAL v2 (no replica-exchange strategy yet).
-            ended_exchange: t
-                .get("ended_exchange")
-                .map_or(Ok(0), Json::as_u64_checked)?,
-            swap_attempts: t.get("swap_attempts").map_or(Ok(0), Json::as_u64_checked)?,
-            swap_accepts: t.get("swap_accepts").map_or(Ok(0), Json::as_u64_checked)?,
-            // Absent before WAL v3 (adaptive temperature control).
-            temperature: optional_f64(t, "temperature")?,
-            target_acceptance: optional_f64(t, "target_acceptance")?,
+            ended_exchange: field_u64(t, "ended_exchange")?,
+            swap_attempts: field_u64(t, "swap_attempts")?,
+            swap_accepts: field_u64(t, "swap_accepts")?,
+            temperature: field_f64(t, "temperature")?,
+            target_acceptance: field_f64(t, "target_acceptance")?,
         });
     }
     let mut per_instance = Vec::new();
@@ -264,8 +183,7 @@ pub fn record_from_json(v: &Json) -> Result<CellRecord, String> {
         rejected_uphill: field_u64(v, "rejected_uphill")?,
         stops_budget: field_u64(v, "stops_budget")? as usize,
         stops_equilibrium: field_u64(v, "stops_equilibrium")? as usize,
-        // Absent in pre-WAL (v0) telemetry lines: one attempt was made.
-        attempts: v.get("attempts").map_or(Ok(1), Json::as_u64_checked)? as u32,
+        attempts: field_u64(v, "attempts")? as u32,
         per_temp,
         per_instance,
         failures,
@@ -304,33 +222,24 @@ fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
     v.get(key).ok_or_else(|| format!("missing field `{key}`"))
 }
 
-fn field_str<'a>(v: &'a Json, key: &str) -> Result<&'a str, String> {
+/// The string field `key` of a log line.
+pub(crate) fn field_str<'a>(v: &'a Json, key: &str) -> Result<&'a str, String> {
     field(v, key)?
         .as_str()
         .ok_or_else(|| format!("field `{key}` is not a string"))
 }
 
-fn field_u64(v: &Json, key: &str) -> Result<u64, String> {
+/// The unsigned integer field `key` of a log line.
+pub(crate) fn field_u64(v: &Json, key: &str) -> Result<u64, String> {
     field(v, key)?.as_u64_checked()
 }
 
-/// `null` maps back to NaN (the serializer writes non-finite floats as
-/// `null`).
-fn field_f64(v: &Json, key: &str) -> Result<f64, String> {
+/// The float field `key` of a log line; `null` maps back to NaN (the
+/// serializer writes non-finite floats as `null`).
+pub(crate) fn field_f64(v: &Json, key: &str) -> Result<f64, String> {
     match field(v, key)? {
         Json::Null => Ok(f64::NAN),
         other => other
-            .as_f64()
-            .ok_or_else(|| format!("field `{key}` is not a number")),
-    }
-}
-
-/// [`field_f64`] for fields older schema versions did not write: absent
-/// and `null` both map to NaN ("no data").
-fn optional_f64(v: &Json, key: &str) -> Result<f64, String> {
-    match v.get(key) {
-        None | Some(Json::Null) => Ok(f64::NAN),
-        Some(other) => other
             .as_f64()
             .ok_or_else(|| format!("field `{key}` is not a number")),
     }
@@ -741,7 +650,7 @@ mod tests {
     #[test]
     fn wal_header_round_trips() {
         let meta = WalMeta::new(1985, 40);
-        let cp = load_str(&format!(
+        let cp = load_str(format!(
             "{}\n{}\n",
             meta.header_line(),
             sample_record(1.0).to_json()
@@ -757,7 +666,7 @@ mod tests {
         let meta = WalMeta::new(1, 1);
         let full = sample_record(1.0).to_json();
         let torn = &full[..full.len() / 2];
-        let cp = load_str(&format!("{}\n{full}\n{torn}", meta.header_line())).unwrap();
+        let cp = load_str(format!("{}\n{full}\n{torn}", meta.header_line())).unwrap();
         assert!(cp.torn);
         assert_eq!(cp.cells.len(), 1);
     }
@@ -770,69 +679,9 @@ mod tests {
     }
 
     #[test]
-    fn headerless_telemetry_loads_with_no_meta() {
-        let cp = load_str(&format!("{}\n", sample_record(2.0).to_json())).unwrap();
-        assert_eq!(cp.meta, None);
-        assert_eq!(cp.cells.len(), 1);
-    }
-
-    #[test]
-    fn newer_wal_version_is_refused() {
-        let line = format!("{{\"wal\":\"{WAL_SCHEMA}\",\"version\":999,\"seed\":1,\"scale\":1}}");
-        // A lone unparseable-as-meta final line counts as torn, so append a
-        // record to force the header through the strict path.
-        let text = format!("{line}\n{}\n", sample_record(1.0).to_json());
-        let err = load_str(&text).unwrap_err();
-        assert!(err.contains("newer"), "{err}");
-    }
-
-    #[test]
     fn empty_file_is_an_empty_checkpoint() {
         let cp = load_str("").unwrap();
         assert!(cp.meta.is_none() && cp.cells.is_empty() && !cp.torn);
-    }
-
-    #[test]
-    fn attempts_field_defaults_for_old_logs() {
-        let mut json = sample_record(1.0).to_json();
-        // Strip the attempts field to simulate a pre-WAL record.
-        json = json.replace("\"attempts\":3,", "");
-        let parsed = record_from_json(&Json::parse(&json).unwrap()).unwrap();
-        assert_eq!(parsed.attempts, 1);
-    }
-
-    #[test]
-    fn per_temp_proposals_default_for_old_logs() {
-        let mut json = sample_record(1.0).to_json();
-        // Strip the proposals field to simulate a pre-PR-4 record.
-        json = json.replace("\"proposals\":8,", "");
-        let parsed = record_from_json(&Json::parse(&json).unwrap()).unwrap();
-        assert_eq!(parsed.per_temp[0].proposals, 0);
-    }
-
-    #[test]
-    fn swap_fields_default_for_v1_logs() {
-        let mut json = sample_record(1.0).to_json();
-        // Strip the v2 fields to simulate a v1 (pre-replica-exchange) record.
-        json = json.replace(
-            ",\"ended_exchange\":1,\"swap_attempts\":4,\"swap_accepts\":2",
-            "",
-        );
-        let parsed = record_from_json(&Json::parse(&json).unwrap()).unwrap();
-        assert_eq!(parsed.per_temp[0].ended_exchange, 0);
-        assert_eq!(parsed.per_temp[0].swap_attempts, 0);
-        assert_eq!(parsed.per_temp[0].swap_accepts, 0);
-    }
-
-    #[test]
-    fn temperature_fields_default_for_v2_logs() {
-        let mut json = sample_record(1.0).to_json();
-        // Strip the v3 fields to simulate a v2 (pre-adaptive) record.
-        json = json.replace(",\"temperature\":3.25,\"target_acceptance\":0.625", "");
-        assert!(!json.contains("temperature"), "strip actually removed them");
-        let parsed = record_from_json(&Json::parse(&json).unwrap()).unwrap();
-        assert!(parsed.per_temp[0].temperature.is_nan());
-        assert!(parsed.per_temp[0].target_acceptance.is_nan());
     }
 
     #[test]
@@ -853,46 +702,12 @@ mod tests {
     }
 
     #[test]
-    fn older_wal_headers_still_load() {
-        for version in [1u64, 2, 3] {
-            let line = format!(
-                "{{\"wal\":\"{WAL_SCHEMA}\",\"version\":{version},\"seed\":9,\"scale\":4}}"
-            );
-            let cp = load_str(&format!("{line}\n{}\n", sample_record(1.0).to_json())).unwrap();
-            assert_eq!(
-                cp.meta,
-                Some(WalMeta {
-                    version,
-                    seed: 9,
-                    scale: 4
-                })
-            );
-            assert_eq!(cp.cells.len(), 1);
-        }
-    }
-
-    #[test]
-    fn v1_wal_headers_still_load() {
-        let line = format!("{{\"wal\":\"{WAL_SCHEMA}\",\"version\":1,\"seed\":9,\"scale\":4}}");
-        let cp = load_str(&format!("{line}\n{}\n", sample_record(1.0).to_json())).unwrap();
-        assert_eq!(
-            cp.meta,
-            Some(WalMeta {
-                version: 1,
-                seed: 9,
-                scale: 4
-            })
-        );
-        assert_eq!(cp.cells.len(), 1);
-    }
-
-    #[test]
     fn wal_line_splices_a_seq_prefix_the_loader_ignores() {
         let original = sample_record(2.5);
         let line = wal_line(&original.to_json(), 7);
         assert!(line.starts_with("{\"seq\":7,\"table\":"), "{line}");
         let meta = WalMeta::new(1, 1);
-        let cp = load_str(&format!("{}\n{line}\n", meta.header_line())).unwrap();
+        let cp = load_str(format!("{}\n{line}\n", meta.header_line())).unwrap();
         assert_eq!(cp.cells.len(), 1);
         assert_eq!(cp.cells[0], original, "seq is transparent to the loader");
     }
@@ -921,14 +736,6 @@ mod tests {
     }
 
     #[test]
-    fn pre_v4_wals_load_with_no_events() {
-        let line = format!("{{\"wal\":\"{WAL_SCHEMA}\",\"version\":3,\"seed\":9,\"scale\":4}}");
-        let cp = load_str(&format!("{line}\n{}\n", sample_record(1.0).to_json())).unwrap();
-        assert!(cp.events.is_empty());
-        assert_eq!(cp.cells.len(), 1);
-    }
-
-    #[test]
     fn every_control_character_round_trips_through_the_escaper() {
         let original: String = (0u32..0x20)
             .filter_map(char::from_u32)
@@ -940,20 +747,8 @@ mod tests {
 
     mod escape_properties {
         use super::*;
+        use crate::jsonl::testing::any_char;
         use proptest::prelude::*;
-
-        /// One character the escaper must handle: a quote, a backslash, a
-        /// control character, printable ASCII or a non-ASCII code point.
-        fn any_char() -> impl Strategy<Value = char> {
-            prop_oneof![
-                Just('"'),
-                Just('\\'),
-                (0u32..0x20).prop_map(|c| char::from_u32(c).expect("control character")),
-                (0x20u32..0x7f).prop_map(|c| char::from_u32(c).expect("printable ASCII")),
-                // Surrogates are not chars; they map to U+FFFD.
-                (0x7fu32..0x11_0000).prop_map(|c| char::from_u32(c).unwrap_or('\u{fffd}')),
-            ]
-        }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(512))]
@@ -967,6 +762,35 @@ mod tests {
                 let original: String = chars.into_iter().collect();
                 let quoted = format!("\"{}\"", anneal_core::json::escape(&original));
                 prop_assert_eq!(Json::parse(&quoted), Ok(Json::Str(original)));
+            }
+        }
+    }
+
+    mod truncation_property {
+        use super::*;
+        use crate::jsonl::testing::{any_float, any_string, check_cut};
+        use crate::jsonl::WAL;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// A WAL cut at any byte scans to exactly its complete lines.
+            #[test]
+            fn a_cut_wal_scans_to_its_complete_lines(
+                cells in proptest::collection::vec((any_string(), any_string(), any_float()), 0..4),
+                detail in any_string(),
+                cut in any::<u64>(),
+            ) {
+                let mut lines = Vec::new();
+                for (seq, (method, message, reduction)) in cells.into_iter().enumerate() {
+                    let mut record = sample_record(reduction);
+                    record.key.method = method;
+                    record.failures[0].message = message;
+                    lines.push(wal_line(&record.to_json(), seq as u64));
+                }
+                lines.push(SupervisorEvent::new("drain", None, detail).to_json());
+                check_cut(&WAL, &WalMeta::new(7, 2).header_line(), &lines, cut)?;
             }
         }
     }

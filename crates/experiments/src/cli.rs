@@ -490,6 +490,16 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
         return Err("--heartbeat-ms and --breaker-threshold require --isolation process".into());
     }
 
+    if let (Some(resume), Some(telemetry)) = (&resume, &telemetry) {
+        let canonical = std::fs::canonicalize;
+        if canonical(telemetry).is_ok_and(|t| canonical(resume).is_ok_and(|r| r == t)) {
+            return Err(format!(
+                "--resume and --telemetry both name `{telemetry}`: the new WAL would \
+                 erase the one being replayed; give --telemetry another path"
+            ));
+        }
+    }
+
     if experiments.is_empty() {
         return Err("no experiment given".into());
     }
@@ -850,5 +860,21 @@ mod tests {
         assert!(parse(&args("job --csv"))
             .unwrap_err()
             .contains("exactly one"));
+    }
+
+    #[test]
+    fn resume_and_telemetry_must_name_different_files() {
+        let dir = std::env::temp_dir().join(format!("anneal-cli-wal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("w.jsonl"), "").unwrap();
+        // Another spelling of the same file is the same file.
+        let d = dir.display();
+        let line = format!("--resume {d}/w.jsonl --telemetry {d}/./w.jsonl table4.1");
+        let err = parse(&args(&line)).unwrap_err();
+        assert!(
+            err.contains("--resume") && err.contains("--telemetry"),
+            "{err}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

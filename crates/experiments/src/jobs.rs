@@ -23,17 +23,19 @@
 //!
 //! # Crash safety
 //!
-//! Accepted jobs are journaled under the same WAL discipline as the
-//! telemetry log (versioned header, per-record flush, torn-final-line
-//! tolerance; see [`checkpoint`](crate::checkpoint)): a `submitted` event
+//! Accepted jobs are journaled under the same rules as the telemetry WAL
+//! (versioned header, per-record flush, torn-final-line tolerance; see
+//! [`jsonl`]): a `submitted` event
 //! is flushed *before* the HTTP 202 goes out, so killing the server
 //! mid-queue and restarting with the same `--journal` loses no accepted
 //! job — non-terminal jobs are re-enqueued, terminal ones keep their
 //! recorded outcome.
 
 use std::collections::BTreeMap;
-use std::io::Write;
+use std::fs::File;
+use std::io::BufWriter;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -52,8 +54,9 @@ use anneal_tsp::{TspInstance, TspProblem};
 use rand::{rngs::StdRng, SeedableRng};
 
 use crate::budgetmap::Scale;
-use crate::checkpoint::{scan_wal_lines, wal_line, Json};
+use crate::checkpoint::{field_str, field_u64, wal_line, Json};
 use crate::instances::{DEFAULT_SEED, NOLA_PIN_RANGE};
+use crate::jsonl::{self, JOURNAL};
 use crate::runner::{adapt_schedule_for, run_strategy, PROBE_SALT, RUN_SALT};
 use crate::scheduler::{PushError, TaskQueue};
 
@@ -61,10 +64,6 @@ use crate::scheduler::{PushError, TaskQueue};
 pub const JOB_SCHEMA: &str = "anneal-job-record";
 /// Current job record version.
 pub const JOB_VERSION: u64 = 1;
-/// Schema tag of the job journal's WAL header.
-pub const JOURNAL_SCHEMA: &str = "anneal-jobs-wal";
-/// Current job journal version.
-pub const JOURNAL_VERSION: u64 = 1;
 /// Default bounded-queue capacity (`repro serve --queue` overrides).
 pub const DEFAULT_QUEUE_CAPACITY: usize = 64;
 /// Default worker-thread count (`repro serve --job-threads` overrides).
@@ -927,21 +926,34 @@ impl JobEntry {
     }
 }
 
-struct Journal {
-    writer: std::io::BufWriter<std::fs::File>,
-    path: String,
-    seq: u64,
+/// One job-state transition as the journal records it: `Done` carries
+/// the result record and `Failed` the error.
+enum JournalEvent<'a> {
+    Submitted(&'a JobSpec),
+    Running,
+    Done(&'a str),
+    Failed(&'a str),
+    Cancelled,
 }
 
-impl Journal {
-    /// Appends one event line under WAL discipline: `seq` spliced in,
-    /// written and flushed before the caller's HTTP response leaves.
-    fn append(&mut self, event_json: &str) -> Result<(), String> {
-        self.seq += 1;
-        writeln!(self.writer, "{}", wal_line(event_json, self.seq))
-            .and_then(|()| self.writer.flush())
-            .map_err(|e| format!("cannot append to job journal `{}`: {e}", self.path))
+impl JournalEvent<'_> {
+    /// The event line for job `id`, before its `seq` is spliced in.
+    fn to_json(&self, id: u64) -> String {
+        let (event, field) = match self {
+            Self::Submitted(spec) => ("submitted", format!(",\"spec\":{}", spec.to_json())),
+            Self::Running => ("running", String::new()),
+            Self::Done(record) => ("done", format!(",\"record\":\"{}\"", json::escape(record))),
+            Self::Failed(error) => ("failed", format!(",\"error\":\"{}\"", json::escape(error))),
+            Self::Cancelled => ("cancelled", String::new()),
+        };
+        format!("{{\"job\":{id},\"event\":\"{event}\"{field}}}")
     }
+}
+
+struct Journal {
+    writer: BufWriter<File>,
+    path: String,
+    seq: u64,
 }
 
 struct JobsRegistry {
@@ -972,14 +984,17 @@ impl Inner {
         }
     }
 
-    /// Journals a job event; journal write failures degrade to stderr (the
+    /// Journals a job event with the next `seq`, flushed before the
+    /// caller's HTTP response leaves. Write failures degrade to stderr (the
     /// in-memory state machine stays authoritative for this process's
     /// lifetime).
-    fn journal_event(reg: &mut JobsRegistry, event_json: &str) {
+    fn journal_event(reg: &mut JobsRegistry, id: u64, event: JournalEvent) {
         if let Some(journal) = reg.journal.as_mut() {
-            if let Err(e) = journal.append(event_json) {
+            journal.seq += 1;
+            let line = wal_line(&event.to_json(id), journal.seq);
+            if let Err(e) = jsonl::append(&mut journal.writer, line) {
                 metrics::global().counter("jobs.journal_errors").inc();
-                eprintln!("jobs: {e}");
+                eprintln!("jobs: cannot append to job journal `{}`: {e}", journal.path);
             }
         }
     }
@@ -1022,7 +1037,14 @@ impl JobServer {
         let (jobs, next_id, journal) = match journal_path {
             Some(path) => {
                 let (jobs, next_id) = replay_journal(path)?;
-                let journal = open_journal(path)?;
+                let writer = JOURNAL
+                    .open_append(Path::new(path))
+                    .map_err(|e| format!("job journal: {e}"))?;
+                let journal = Journal {
+                    writer,
+                    path: path.to_string(),
+                    seq: 0,
+                };
                 (jobs, next_id, Some(journal))
             }
             None => (BTreeMap::new(), 1, None),
@@ -1102,13 +1124,7 @@ impl JobServer {
         reg.next_id = id + 1;
         // Flush the journal before the 202 leaves: an acknowledged job
         // must survive a crash.
-        Inner::journal_event(
-            &mut reg,
-            &format!(
-                "{{\"job\":{id},\"event\":\"submitted\",\"spec\":{}}}",
-                spec.to_json()
-            ),
-        );
+        Inner::journal_event(&mut reg, id, JournalEvent::Submitted(&spec));
         Inner::update_gauges(&reg);
         metrics::global().counter("jobs.submitted").inc();
         let body = reg.jobs[&id].to_json(id);
@@ -1180,10 +1196,7 @@ impl JobServer {
                 job.state = JobState::Cancelled;
                 // The queued id stays in the queue; the worker skips
                 // entries that are no longer `queued` when it pops them.
-                Inner::journal_event(
-                    &mut reg,
-                    &format!("{{\"job\":{id},\"event\":\"cancelled\"}}"),
-                );
+                Inner::journal_event(&mut reg, id, JournalEvent::Cancelled);
                 Inner::update_gauges(&reg);
                 let body = reg.jobs[&id].to_json(id);
                 (200, body)
@@ -1253,7 +1266,7 @@ fn worker_loop(inner: &Inner) {
             }
             job.state = JobState::Running;
             let claimed = (job.spec.clone(), Arc::clone(&job.cancel));
-            Inner::journal_event(&mut reg, &format!("{{\"job\":{id},\"event\":\"running\"}}"));
+            Inner::journal_event(&mut reg, id, JournalEvent::Running);
             Inner::update_gauges(&reg);
             claimed
         };
@@ -1262,67 +1275,22 @@ fn worker_loop(inner: &Inner) {
         let Some(job) = reg.jobs.get_mut(&id) else {
             continue;
         };
-        let (to, event) = match outcome {
+        let (to, event) = match &outcome {
             JobOutcome::Done { record } => {
                 job.record = Some(record.clone());
-                (
-                    JobState::Done,
-                    format!(
-                        "{{\"job\":{id},\"event\":\"done\",\"record\":\"{}\"}}",
-                        json::escape(&record)
-                    ),
-                )
+                (JobState::Done, JournalEvent::Done(record))
             }
             JobOutcome::Failed { error } => {
                 job.error = Some(error.clone());
-                (
-                    JobState::Failed,
-                    format!(
-                        "{{\"job\":{id},\"event\":\"failed\",\"error\":\"{}\"}}",
-                        json::escape(&error)
-                    ),
-                )
+                (JobState::Failed, JournalEvent::Failed(error))
             }
-            JobOutcome::Cancelled => (
-                JobState::Cancelled,
-                format!("{{\"job\":{id},\"event\":\"cancelled\"}}"),
-            ),
+            JobOutcome::Cancelled => (JobState::Cancelled, JournalEvent::Cancelled),
         };
         debug_assert!(job.state.can_transition(to));
         job.state = to;
-        Inner::journal_event(&mut reg, &event);
+        Inner::journal_event(&mut reg, id, event);
         Inner::update_gauges(&reg);
     }
-}
-
-fn journal_header() -> String {
-    format!("{{\"wal\":\"{JOURNAL_SCHEMA}\",\"version\":{JOURNAL_VERSION}}}")
-}
-
-/// Opens (creating if absent) the journal in append mode, writing the
-/// versioned header only when the file is fresh, so a restarted server
-/// appends to the journal its predecessor left.
-fn open_journal(path: &str) -> Result<Journal, String> {
-    let file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .map_err(|e| format!("cannot open job journal `{path}`: {e}"))?;
-    let fresh = file
-        .metadata()
-        .map(|m| m.len() == 0)
-        .map_err(|e| format!("cannot stat job journal `{path}`: {e}"))?;
-    let mut writer = std::io::BufWriter::new(file);
-    if fresh {
-        writeln!(writer, "{}", journal_header())
-            .and_then(|()| writer.flush())
-            .map_err(|e| format!("cannot write job journal header to `{path}`: {e}"))?;
-    }
-    Ok(Journal {
-        writer,
-        path: path.to_string(),
-        seq: 0,
-    })
 }
 
 /// Replays a journal into the job map: the last event per job wins, and
@@ -1331,8 +1299,8 @@ fn open_journal(path: &str) -> Result<Journal, String> {
 /// determinism makes the re-run equivalent). Returns the map and the next
 /// fresh id.
 fn replay_journal(path: &str) -> Result<(BTreeMap<u64, JobEntry>, u64), String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
             return Ok((BTreeMap::new(), 1));
         }
@@ -1340,90 +1308,36 @@ fn replay_journal(path: &str) -> Result<(BTreeMap<u64, JobEntry>, u64), String> 
     };
     let mut jobs: BTreeMap<u64, JobEntry> = BTreeMap::new();
     let mut max_id = 0u64;
-    scan_wal_lines(&text, |i, value| {
-        if i == 0 {
-            let schema = value.get("wal").and_then(Json::as_str).unwrap_or_default();
-            if schema != JOURNAL_SCHEMA {
-                return Err(format!("unknown journal schema `{schema}`"));
-            }
-            let version = value
-                .get("version")
-                .ok_or_else(|| "journal header missing `version`".to_string())?
-                .as_u64_checked()?;
-            if version > JOURNAL_VERSION {
-                return Err(format!(
-                    "journal version {version} is newer than supported {JOURNAL_VERSION}"
-                ));
-            }
-            return Ok(());
-        }
-        let id = value
-            .get("job")
-            .ok_or_else(|| "journal record missing `job`".to_string())?
-            .as_u64_checked()?;
-        let event = value
-            .get("event")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "journal record missing `event`".to_string())?;
-        max_id = max_id.max(id);
-        match event {
-            "submitted" => {
-                let spec_value = value
-                    .get("spec")
-                    .ok_or_else(|| "submitted event missing `spec`".to_string())?;
-                let spec = JobSpec::from_value(spec_value)?;
+    JOURNAL
+        .scan(&bytes, |value| {
+            let id = field_u64(value, "job")?;
+            let event = field_str(value, "event")?;
+            max_id = max_id.max(id);
+            if event == "submitted" {
+                let spec = JobSpec::from_value(value.get("spec").ok_or("missing field `spec`")?)?;
                 jobs.insert(id, JobEntry::new(spec, JobState::Queued));
-                Ok(())
+                return Ok(());
             }
-            "running" => match jobs.get_mut(&id) {
+            let job = jobs
+                .get_mut(&id)
+                .ok_or_else(|| format!("{event} event for unknown job {id}"))?;
+            match event {
                 // The process died mid-run; the job goes back to the queue.
-                Some(job) => {
-                    job.state = JobState::Queued;
-                    Ok(())
+                "running" => job.state = JobState::Queued,
+                "done" => {
+                    job.state = JobState::Done;
+                    job.record = Some(field_str(value, "record")?.to_string());
                 }
-                None => Err(format!("running event for unknown job {id}")),
-            },
-            "done" => {
-                let record = value
-                    .get("record")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| "done event missing `record`".to_string())?
-                    .to_string();
-                match jobs.get_mut(&id) {
-                    Some(job) => {
-                        job.state = JobState::Done;
-                        job.record = Some(record);
-                        Ok(())
-                    }
-                    None => Err(format!("done event for unknown job {id}")),
+                "failed" => {
+                    job.state = JobState::Failed;
+                    job.error = Some(field_str(value, "error")?.to_string());
                 }
+                "cancelled" => job.state = JobState::Cancelled,
+                other => return Err(format!("unknown journal event `{other}`")),
             }
-            "failed" => {
-                let error = value
-                    .get("error")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| "failed event missing `error`".to_string())?
-                    .to_string();
-                match jobs.get_mut(&id) {
-                    Some(job) => {
-                        job.state = JobState::Failed;
-                        job.error = Some(error);
-                        Ok(())
-                    }
-                    None => Err(format!("failed event for unknown job {id}")),
-                }
-            }
-            "cancelled" => match jobs.get_mut(&id) {
-                Some(job) => {
-                    job.state = JobState::Cancelled;
-                    Ok(())
-                }
-                None => Err(format!("cancelled event for unknown job {id}")),
-            },
-            other => Err(format!("unknown journal event `{other}`")),
-        }
-    })
-    .map_err(|e| format!("job journal `{path}`: {e}"))?;
+            Ok(())
+        })
+        .map_err(|e| format!("job journal `{path}`: {e}"))?;
     Ok((jobs, max_id + 1))
 }
 
@@ -1751,7 +1665,7 @@ mod tests {
             path,
             format!(
                 "{}\n{}\n{{\"seq\":2,\"job\":2,\"event\":\"submitt",
-                journal_header(),
+                JOURNAL.header(""),
                 wal_line(
                     &format!(
                         "{{\"job\":1,\"event\":\"submitted\",\"spec\":{}}}",
@@ -1765,17 +1679,49 @@ mod tests {
         let (jobs, next_id) = replay_journal(path).unwrap();
         assert_eq!(jobs.len(), 1, "torn line dropped");
         assert_eq!(next_id, 2);
+        // An empty journal loads empty.
+        std::fs::write(path, "").unwrap();
+        let (jobs, next_id) = replay_journal(path).unwrap();
+        assert!(jobs.is_empty() && next_id == 1);
         // Corruption before the final line is an error, not a shrug.
         std::fs::write(
             path,
             format!(
                 "{}\nnot json at all\n{{\"seq\":1,\"job\":1,\"event\":\"cancelled\"}}",
-                journal_header()
+                JOURNAL.header("")
             ),
         )
         .unwrap();
         let err = replay_journal(path).unwrap_err();
         assert!(err.contains("corrupt record at line 2"), "{err}");
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn a_restart_cuts_a_torn_journal_tail_before_appending() {
+        let dir = std::env::temp_dir().join(format!("jobs-journal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("torn-restart.journal");
+        let path = path.to_str().unwrap();
+        let spec = JobSpec::parse(&gola_spec(",\"instances\":1")).unwrap();
+        let submitted = wal_line(&JournalEvent::Submitted(&spec).to_json(1), 1);
+        let torn = "{\"seq\":2,\"job\":1,\"event\":\"runn";
+        let header = JOURNAL.header("");
+        std::fs::write(path, format!("{header}\n{submitted}\n{torn}")).unwrap();
+        {
+            let server = JobServer::start(1, 8, Some(path)).unwrap();
+            assert_eq!(server.submit(&gola_spec(",\"instances\":1")).0, 202);
+            let deadline = std::time::Instant::now() + Duration::from_secs(120);
+            while server.list("").1.matches("\"state\":\"done\"").count() < 2 {
+                assert!(std::time::Instant::now() < deadline, "jobs never finished");
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        }
+        // The torn line is gone, so the next start reads a clean journal.
+        let server = JobServer::start(1, 8, Some(path)).unwrap();
+        let (_, listing) = server.list("");
+        assert!(listing.contains("\"total\":2"), "{listing}");
+        drop(server);
         let _ = std::fs::remove_file(path);
     }
 
@@ -1921,6 +1867,39 @@ mod tests {
             #[test]
             fn no_self_loops(state in any_state()) {
                 prop_assert!(!state.can_transition(state));
+            }
+        }
+    }
+
+    mod truncation_property {
+        use super::*;
+        use crate::jsonl::testing::{any_string, check_cut};
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// A journal cut at any byte scans to exactly its complete lines.
+            #[test]
+            fn a_cut_journal_scans_to_its_complete_lines(
+                record in any_string(),
+                error in any_string(),
+                cut in any::<u64>(),
+            ) {
+                let spec = JobSpec::parse("{\"problem\":\"gola\"}").expect("spec");
+                let events = [
+                    JournalEvent::Submitted(&spec),
+                    JournalEvent::Running,
+                    JournalEvent::Done(&record),
+                    JournalEvent::Failed(&error),
+                    JournalEvent::Cancelled,
+                ];
+                let lines: Vec<String> = events
+                    .iter()
+                    .zip(1..)
+                    .map(|(event, seq)| wal_line(&event.to_json(1), seq))
+                    .collect();
+                check_cut(&JOURNAL, &JOURNAL.header(""), &lines, cut)?;
             }
         }
     }

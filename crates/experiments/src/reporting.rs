@@ -19,6 +19,7 @@ use std::fmt::Write as _;
 use anneal_core::json;
 
 use crate::checkpoint::{Checkpoint, Json};
+use crate::jsonl::WAL;
 use crate::telemetry::{CellRecord, TempAggregate};
 use crate::trace::{CellTrace, TraceEvent};
 
@@ -50,17 +51,11 @@ pub fn sparkline(values: &[f64]) -> String {
 }
 
 /// Acceptance rate (percent) of one per-temperature aggregate: accepted
-/// moves over proposals. Falls back to the acceptance-event total as the
-/// denominator for pre-v1.1 WAL records that lack proposal counts; `None`
-/// when nothing happened at the temperature.
+/// moves over proposals; `None` when nothing was proposed at the
+/// temperature.
 pub fn acceptance_rate(agg: &TempAggregate) -> Option<f64> {
     let accepted = agg.accepted_downhill + agg.accepted_uphill;
-    let denom = if agg.proposals > 0 {
-        agg.proposals
-    } else {
-        accepted + agg.rejected_uphill
-    };
-    (denom > 0).then(|| 100.0 * accepted as f64 / denom as f64)
+    (agg.proposals > 0).then(|| 100.0 * accepted as f64 / agg.proposals as f64)
 }
 
 /// Sums per-temperature aggregates element-wise (the longer schedule
@@ -94,8 +89,8 @@ fn closed_stages(agg: &TempAggregate) -> u64 {
 }
 
 /// Mean controlled stage temperature of one aggregate: the temperature sum
-/// over the closed-stage count. `None` when the sum is non-finite (a
-/// pre-v3 WAL loads it as NaN) or no stage closed.
+/// over the closed-stage count. `None` when the sum is non-finite (NaN for
+/// a stage with no single temperature) or no stage closed.
 pub fn mean_temperature(agg: &TempAggregate) -> Option<f64> {
     let stages = closed_stages(agg);
     (stages > 0 && agg.temperature.is_finite()).then(|| agg.temperature / stages as f64)
@@ -161,15 +156,9 @@ pub fn render_report(cp: &Checkpoint, traces: &[CellTrace]) -> String {
 }
 
 /// Process-supervision history: worker restarts, circuit-breaker trips and
-/// signal drains. Pre-v4 WALs predate supervisor events, so the section
-/// honestly reports `n/a` instead of implying a clean supervised run.
+/// signal drains.
 fn supervisor_section(out: &mut String, cp: &Checkpoint) {
     out.push_str("## Supervisor events\n\n");
-    let pre_v4 = cp.meta.as_ref().is_some_and(|m| m.version < 4);
-    if pre_v4 {
-        out.push_str("n/a — this WAL predates supervisor events (v4).\n\n");
-        return;
-    }
     if cp.events.is_empty() {
         out.push_str("None: no worker restarts, breaker trips or signal drains.\n\n");
         return;
@@ -200,7 +189,7 @@ fn overview(out: &mut String, cp: &Checkpoint) {
         let _ = writeln!(
             out,
             "Suite: seed {}, scale {} (WAL v{}).",
-            meta.seed, meta.scale, meta.version
+            meta.seed, meta.scale, WAL.version
         );
     }
     let evals: u64 = cp.cells.iter().map(|c| c.evals).sum();
@@ -261,7 +250,7 @@ fn acceptance_section(out: &mut String, cells: &[&CellRecord]) {
 
 /// Controlled stage temperature vs stage index, with the adaptive
 /// controller's acceptance targets next to the observed rates. Omitted when
-/// no cell carries stage temperatures (pre-v3 WALs load them as NaN).
+/// no cell carries stage temperatures (all NaN).
 fn temperature_section(out: &mut String, cells: &[&CellRecord]) {
     if !cells
         .iter()
@@ -316,7 +305,7 @@ fn temperature_section(out: &mut String, cells: &[&CellRecord]) {
 /// Replica-exchange swap acceptance vs temperature: swaps accepted over
 /// swaps attempted at each rung (the lower member of each adjacent pair),
 /// aggregated over a method's budget columns. Omitted when no cell in the
-/// table attempted a swap — non-tempering strategies and pre-v2 WALs.
+/// table attempted a swap, as under every non-tempering strategy.
 fn swap_section(out: &mut String, cells: &[&CellRecord]) {
     if !cells
         .iter()
@@ -817,7 +806,7 @@ mod tests {
 
     #[test]
     fn acceptance_rate_prefers_proposals() {
-        let mut agg = TempAggregate {
+        let agg = TempAggregate {
             proposals: 200,
             accepted_downhill: 30,
             accepted_uphill: 20,
@@ -825,9 +814,6 @@ mod tests {
             ..TempAggregate::default()
         };
         assert_eq!(acceptance_rate(&agg), Some(25.0));
-        // A pre-PR-4 record: no proposals tracked.
-        agg.proposals = 0;
-        assert_eq!(acceptance_rate(&agg), Some(100.0 * 50.0 / 60.0));
         assert_eq!(acceptance_rate(&TempAggregate::default()), None);
     }
 
@@ -879,12 +865,13 @@ mod tests {
 
     #[test]
     fn report_renders_trace_sections() {
-        let text = "{\"trace\":\"anneal-chain-trace\",\"version\":1,\"table\":\"table4.1\",\
+        let text = "{\"trace\":\"anneal-chain-trace\",\"version\":3,\"table\":\"table4.1\",\
                     \"method\":\"g = 1\",\"column\":\"6 sec\",\"strategy\":\"Figure1\",\
                     \"budget\":\"1500 evals\",\"base_seed\":1985}\n\
                     {\"event\":\"temp\",\"instance\":0,\"temp\":0,\"evals\":10,\"proposals\":10,\
                     \"accepted_downhill\":1,\"accepted_uphill\":1,\"rejected_uphill\":8,\
-                    \"ended_by\":\"budget\",\"wall_ms\":3.5}\n\
+                    \"swap_attempts\":0,\"swap_accepts\":0,\"temperature\":null,\
+                    \"target_acceptance\":null,\"ended_by\":\"budget\",\"wall_ms\":3.5}\n\
                     {\"event\":\"sample\",\"instance\":0,\"evals\":1,\"cost\":100}\n\
                     {\"event\":\"sample\",\"instance\":0,\"evals\":5,\"cost\":60}\n";
         let traces = vec![trace::parse_str(text).unwrap()];
@@ -903,18 +890,21 @@ mod tests {
 
     #[test]
     fn chrome_trace_exporter_matches_the_golden_output() {
-        let text = "{\"trace\":\"anneal-chain-trace\",\"version\":1,\"table\":\"table4.1\",\
+        let text = "{\"trace\":\"anneal-chain-trace\",\"version\":3,\"table\":\"table4.1\",\
                     \"method\":\"g = 1\",\"column\":\"6 sec\",\"strategy\":\"Figure1\",\
                     \"budget\":\"1500 evals\",\"base_seed\":1985}\n\
                     {\"event\":\"temp\",\"instance\":0,\"temp\":0,\"evals\":10,\"proposals\":10,\
                     \"accepted_downhill\":1,\"accepted_uphill\":1,\"rejected_uphill\":8,\
-                    \"ended_by\":\"budget\",\"wall_ms\":3.5}\n\
+                    \"swap_attempts\":0,\"swap_accepts\":0,\"temperature\":null,\
+                    \"target_acceptance\":null,\"ended_by\":\"budget\",\"wall_ms\":3.5}\n\
                     {\"event\":\"temp\",\"instance\":0,\"temp\":1,\"evals\":20,\"proposals\":25,\
                     \"accepted_downhill\":2,\"accepted_uphill\":0,\"rejected_uphill\":23,\
-                    \"temperature\":0.9,\"ended_by\":\"equilibrium\",\"wall_ms\":1.25}\n\
+                    \"swap_attempts\":0,\"swap_accepts\":0,\"temperature\":0.9,\
+                    \"target_acceptance\":null,\"ended_by\":\"equilibrium\",\"wall_ms\":1.25}\n\
                     {\"event\":\"temp\",\"instance\":1,\"temp\":0,\"evals\":5,\"proposals\":5,\
                     \"accepted_downhill\":1,\"accepted_uphill\":0,\"rejected_uphill\":4,\
-                    \"ended_by\":\"budget\",\"wall_ms\":2}\n";
+                    \"swap_attempts\":0,\"swap_accepts\":0,\"temperature\":null,\
+                    \"target_acceptance\":null,\"ended_by\":\"budget\",\"wall_ms\":2}\n";
         let traces = vec![trace::parse_str(text).unwrap()];
         let json = chrome_trace_json(&traces);
         let expected = concat!(
@@ -965,18 +955,9 @@ mod tests {
     }
 
     #[test]
-    fn supervisor_section_is_na_for_pre_v4_wals_and_none_when_quiet() {
+    fn supervisor_section_says_none_when_quiet() {
         use crate::checkpoint::WalMeta;
         let mut cp = checkpoint(vec![cell("table4.1", "g = 1", "6 sec", 2000.0)]);
-        let mut meta = WalMeta::new(1985, 1);
-        meta.version = 3;
-        cp.meta = Some(meta);
-        let report = render_report(&cp, &[]);
-        assert!(
-            report.contains("n/a — this WAL predates supervisor events"),
-            "{report}"
-        );
-
         cp.meta = Some(WalMeta::new(1985, 1));
         let report = render_report(&cp, &[]);
         assert!(
@@ -987,8 +968,9 @@ mod tests {
 
     #[test]
     fn report_reads_a_real_wal_line() {
+        let header = crate::checkpoint::WalMeta::new(1985, 1).header_line();
         let line = cell("table4.1", "g = 1", "6 sec", 1.5).to_json();
-        let cp = load_str(&format!("{line}\n")).unwrap();
+        let cp = load_str(format!("{header}\n{line}\n")).unwrap();
         let report = render_report(&cp, &[]);
         assert!(report.contains("1 cells"), "{report}");
     }
@@ -1012,7 +994,7 @@ mod tests {
         // No controller → temperature only, no target annotation.
         assert!(report.contains("| g = 1 | 2.000 |"), "{report}");
 
-        // A pre-v3 WAL (NaN temperature sums) keeps the section out.
+        // NaN temperature sums keep the section out.
         let mut old = cell("t", "g = 1", "6 sec", 1.0);
         old.per_temp[0].temperature = f64::NAN;
         let report = render_report(&checkpoint(vec![old]), &[]);
@@ -1072,25 +1054,28 @@ mod tests {
 
     #[test]
     fn old_schema_wal_renders_without_nan() {
-        // A pre-PR-4 WAL record: no wall_ms/reduction (both null) and no
-        // swap counters on its per_temp entries. The report must say `n/a`,
-        // never `NaN`.
+        // A record with no wall_ms, reduction or stage temperature (all
+        // null) beside one whose temperature is finite. The report must say
+        // `n/a`, never `NaN`.
+        let header = crate::checkpoint::WalMeta::new(1985, 1).header_line();
         let line = cell("table4.1", "g = 1", "6 sec", 2000.0)
             .to_json()
             .replace("\"reduction\":2000", "\"reduction\":null")
             .replace("\"wall_ms\":10", "\"wall_ms\":null")
-            .replace(
-                ",\"ended_exchange\":0,\"swap_attempts\":0,\"swap_accepts\":0",
-                "",
-            )
-            .replace(",\"temperature\":4,\"target_acceptance\":null", "");
+            .replace("\"temperature\":4", "\"temperature\":null");
         let baseline = cell("table4.1", "Metropolis", "6 sec", 1900.0).to_json();
-        let cp = load_str(&format!("{line}\n{baseline}\n")).unwrap();
+        let cp = load_str(format!("{header}\n{line}\n{baseline}\n")).unwrap();
         assert!(cp.cells[0].reduction.is_nan(), "null loads as NaN");
+        assert!(cp.cells[0].per_temp[0].temperature.is_nan());
         assert_eq!(cp.cells[0].per_temp[0].swap_attempts, 0);
         let report = render_report(&cp, &[]);
         assert!(!report.contains("NaN"), "{report}");
         assert!(report.contains("n/a s of chain time"), "{report}");
+        let temps = report.split("### Stage temperature").nth(1);
+        assert!(
+            temps.is_some_and(|t| t.contains("| g = 1 | — |")),
+            "{report}"
+        );
         assert!(
             report.contains("| 6 sec | Metropolis | n/a | 1900 | n/a |"),
             "{report}"

@@ -98,27 +98,24 @@ pub struct TempAggregate {
     pub ended_budget: u64,
     /// Stages that ended by the equilibrium criterion.
     pub ended_equilibrium: u64,
-    /// Stages closed by a replica-exchange swap phase (WAL schema v2;
-    /// loads as 0 from v1 logs).
+    /// Stages closed by a replica-exchange swap phase.
     pub ended_exchange: u64,
     /// Replica-exchange swaps attempted with this rung as the lower pair
-    /// member (WAL schema v2; loads as 0 from v1 logs).
+    /// member.
     pub swap_attempts: u64,
-    /// Replica-exchange swaps accepted (WAL schema v2; loads as 0 from
-    /// v1 logs).
+    /// Replica-exchange swaps accepted.
     pub swap_accepts: u64,
-    /// Sum of the controlled stage temperatures across instances (WAL
-    /// schema v3; loads as NaN from v1/v2 logs). Divide by the stage
-    /// count (`ended_*` sum) for the mean stage temperature.
+    /// Sum of the controlled stage temperatures across instances. Divide
+    /// by the stage count (`ended_*` sum) for the mean stage temperature.
+    /// NaN when a stage had no single temperature.
     pub temperature: f64,
-    /// Sum of the controller's target acceptance rates across instances
-    /// (WAL schema v3). NaN when no adaptive controller ran, and when
-    /// loading v1/v2 logs.
+    /// Sum of the controller's target acceptance rates across instances.
+    /// NaN when no adaptive controller ran.
     pub target_acceptance: f64,
 }
 
-/// `f64` sums compare bitwise so NaN (no controller, or a pre-v3 log)
-/// stays reflexive and WAL round-trip tests can use plain equality.
+/// `f64` sums compare bitwise so NaN (no controller) stays reflexive and
+/// WAL round-trip tests can use plain equality.
 impl PartialEq for TempAggregate {
     fn eq(&self, other: &Self) -> bool {
         self.temp == other.temp
@@ -658,11 +655,9 @@ impl TelemetryLog {
         if let Some(w) = inner.writer.as_mut() {
             // Telemetry must never take down the run it is observing:
             // count write errors (the suite exits nonzero when any record
-            // was lost) but keep going. The line goes out in one write so
-            // a crash tears at most the final record.
-            let mut line = crate::checkpoint::wal_line(&record.to_json(), seq);
-            line.push('\n');
-            if let Err(e) = w.write_all(line.as_bytes()).and_then(|()| w.flush()) {
+            // was lost) but keep going.
+            let line = crate::checkpoint::wal_line(&record.to_json(), seq);
+            if let Err(e) = crate::jsonl::append(w, line) {
                 eprintln!("telemetry: write failed for cell {}: {e}", record.key);
                 let key = record.key.clone();
                 inner.lost.push(key);
@@ -684,9 +679,7 @@ impl TelemetryLog {
         }
         let mut inner = self.lock();
         if let Some(w) = inner.writer.as_mut() {
-            let mut line = event.to_json();
-            line.push('\n');
-            if let Err(e) = w.write_all(line.as_bytes()).and_then(|()| w.flush()) {
+            if let Err(e) = crate::jsonl::append(w, event.to_json()) {
                 eprintln!("telemetry: write failed for supervisor event: {e}");
             }
         }

@@ -6,10 +6,11 @@
 //! key (`table__method__column.jsonl` after sanitization). The file starts
 //! with one versioned header line identifying the cell, followed by one
 //! event line per chain event, in instance order. Like the telemetry WAL
-//! (see [`checkpoint`](crate::checkpoint)), the header is written and
-//! flushed before any fault-injection wrapper is applied, every instance's
-//! events go out in a single write, and the parser tolerates a torn final
-//! line — so a killed or chaos run still leaves parseable traces.
+//! (see [`checkpoint`](crate::checkpoint)), the file follows the shared
+//! [`jsonl`] rules: the header is written and flushed before any
+//! fault-injection wrapper is applied, every instance's events go out in a
+//! single write, and the parser drops a torn final line — so a killed or
+//! chaos run still leaves parseable traces.
 //!
 //! Event lines (all carry the `instance` index):
 //!
@@ -30,20 +31,10 @@ use std::sync::Mutex;
 
 use anneal_core::{json, AdvanceReason, ChainTrace, StopReason};
 
-use crate::checkpoint::Json;
+use crate::checkpoint::{field_f64, field_str, field_u64, Json};
 use crate::faults::{ChaosWriter, FaultPlan};
+use crate::jsonl::{self, TRACE};
 use crate::telemetry::CellKey;
-
-/// Schema identifier in a trace file's header line.
-pub const TRACE_SCHEMA: &str = "anneal-chain-trace";
-
-/// Current trace format version. Loaders accept this version or older.
-///
-/// History: v1 had no replica-exchange swap counters on `temp` events;
-/// v2 added `swap_attempts`/`swap_accepts` (absent fields load as 0);
-/// v3 added `temperature`/`target_acceptance` on `temp` events for the
-/// adaptive temperature controller (absent fields load as NaN).
-pub const TRACE_VERSION: u64 = 3;
 
 /// Creates per-cell trace writers under one directory; the `--trace DIR`
 /// half of the observability pipeline.
@@ -82,12 +73,7 @@ impl TraceSink {
         base_seed: u64,
     ) -> Result<CellTraceWriter, String> {
         let path = self.cell_path(key);
-        let file = std::fs::File::create(&path)
-            .map_err(|e| format!("cannot create trace file `{}`: {e}", path.display()))?;
-        let mut writer = std::io::BufWriter::new(file);
-        writeln!(writer, "{}", header_line(key, strategy, budget, base_seed))
-            .and_then(|()| writer.flush())
-            .map_err(|e| format!("cannot write trace header to `{}`: {e}", path.display()))?;
+        let writer = TRACE.create(&path, &header_fields(key, strategy, budget, base_seed))?;
         let boxed: Box<dyn Write + Send> = match self.faults {
             Some(plan) => Box::new(ChaosWriter::new(writer, plan)),
             None => Box::new(writer),
@@ -121,11 +107,12 @@ pub fn cell_file_name(key: &CellKey) -> String {
     )
 }
 
-fn header_line(key: &CellKey, strategy: &str, budget: &str, base_seed: u64) -> String {
+/// The header members after the schema and version: the cell, its
+/// strategy, budget and base seed.
+pub(crate) fn header_fields(key: &CellKey, strategy: &str, budget: &str, base_seed: u64) -> String {
     format!(
-        "{{\"trace\":\"{TRACE_SCHEMA}\",\"version\":{TRACE_VERSION},\
-         \"table\":\"{}\",\"method\":\"{}\",\"column\":\"{}\",\
-         \"strategy\":\"{}\",\"budget\":\"{}\",\"base_seed\":{}}}",
+        ",\"table\":\"{}\",\"method\":\"{}\",\"column\":\"{}\",\
+         \"strategy\":\"{}\",\"budget\":\"{}\",\"base_seed\":{}",
         json::escape(&key.table),
         json::escape(&key.method),
         json::escape(&key.column),
@@ -158,32 +145,29 @@ impl CellTraceWriter {
         attempt: u32,
         trace: &ChainTrace,
     ) -> Result<(), String> {
-        let text = instance_lines(instance, seed, attempt, trace);
+        let text = instance_lines(instance, seed, attempt, trace).join("\n");
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner
-            .write_all(text.as_bytes())
-            .and_then(|()| inner.flush())
+        jsonl::append(&mut *inner, text)
             .map_err(|e| format!("trace write for instance {instance} failed: {e}"))
     }
 }
 
-/// The event lines (newline-terminated) for one instance's trace.
-pub fn instance_lines(instance: usize, seed: u64, attempt: u32, trace: &ChainTrace) -> String {
-    let mut s = String::with_capacity(256 + 64 * (trace.samples.len() + trace.stages.len()));
-    s.push_str(&format!(
+/// The event lines for one instance's trace, in file order.
+pub fn instance_lines(instance: usize, seed: u64, attempt: u32, trace: &ChainTrace) -> Vec<String> {
+    let mut lines = vec![format!(
         "{{\"event\":\"run_start\",\"instance\":{instance},\"seed\":{seed},\
-         \"attempt\":{attempt},\"initial_cost\":{},\"temperatures\":{}}}\n",
+         \"attempt\":{attempt},\"initial_cost\":{},\"temperatures\":{}}}",
         json::float(trace.initial_cost),
         trace.temperatures
-    ));
+    )];
     for stage in &trace.stages {
         let t = &stage.stats;
-        s.push_str(&format!(
+        lines.push(format!(
             "{{\"event\":\"temp\",\"instance\":{instance},\"temp\":{},\"evals\":{},\
              \"proposals\":{},\"accepted_downhill\":{},\"accepted_uphill\":{},\
              \"rejected_uphill\":{},\"swap_attempts\":{},\"swap_accepts\":{},\
              \"temperature\":{},\"target_acceptance\":{},\
-             \"ended_by\":\"{}\",\"wall_ms\":{}}}\n",
+             \"ended_by\":\"{}\",\"wall_ms\":{}}}",
             t.temp,
             t.evals,
             t.proposals,
@@ -199,21 +183,21 @@ pub fn instance_lines(instance: usize, seed: u64, attempt: u32, trace: &ChainTra
         ));
     }
     for &(evals, cost) in &trace.samples {
-        s.push_str(&format!(
-            "{{\"event\":\"sample\",\"instance\":{instance},\"evals\":{evals},\"cost\":{}}}\n",
+        lines.push(format!(
+            "{{\"event\":\"sample\",\"instance\":{instance},\"evals\":{evals},\"cost\":{}}}",
             json::float(cost)
         ));
     }
     for &(evals, cost) in &trace.bests {
-        s.push_str(&format!(
-            "{{\"event\":\"best\",\"instance\":{instance},\"evals\":{evals},\"cost\":{}}}\n",
+        lines.push(format!(
+            "{{\"event\":\"best\",\"instance\":{instance},\"evals\":{evals},\"cost\":{}}}",
             json::float(cost)
         ));
     }
     if let Some(stop) = &trace.stop {
-        s.push_str(&format!(
+        lines.push(format!(
             "{{\"event\":\"stop\",\"instance\":{instance},\"reason\":\"{}\",\"evals\":{},\
-             \"final_cost\":{},\"best_cost\":{},\"energy_callbacks\":{}}}\n",
+             \"final_cost\":{},\"best_cost\":{},\"energy_callbacks\":{}}}",
             stop.reason.as_str(),
             stop.evals,
             json::float(stop.final_cost),
@@ -221,14 +205,12 @@ pub fn instance_lines(instance: usize, seed: u64, attempt: u32, trace: &ChainTra
             trace.energy_events
         ));
     }
-    s
+    lines
 }
 
 /// A trace file's parsed header.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceMeta {
-    /// Trace format version.
-    pub version: u64,
     /// Cell identity.
     pub key: CellKey,
     /// Strategy name.
@@ -271,16 +253,16 @@ pub enum TraceEvent {
         accepted_uphill: u64,
         /// Uphill rejections.
         rejected_uphill: u64,
-        /// Replica-exchange swaps attempted at this rung (0 pre-v2 and
-        /// outside the replica-exchange strategy).
+        /// Replica-exchange swaps attempted at this rung (0 outside the
+        /// replica-exchange strategy).
         swap_attempts: u64,
         /// Replica-exchange swaps accepted.
         swap_accepts: u64,
-        /// Controlled stage temperature (trace v3; NaN in older traces
-        /// and for schedule-free acceptance functions).
+        /// Controlled stage temperature (NaN for schedule-free acceptance
+        /// functions).
         temperature: f64,
-        /// Adaptive-controller target acceptance rate for the stage
-        /// (trace v3; NaN when no controller ran).
+        /// Adaptive-controller target acceptance rate for the stage (NaN
+        /// when no controller ran).
         target_acceptance: f64,
         /// Why the stage ended.
         ended_by: AdvanceReason,
@@ -322,19 +304,6 @@ pub enum TraceEvent {
     },
 }
 
-impl TraceEvent {
-    /// The instance index the event belongs to.
-    pub fn instance(&self) -> usize {
-        match self {
-            TraceEvent::RunStart { instance, .. }
-            | TraceEvent::Temp { instance, .. }
-            | TraceEvent::Sample { instance, .. }
-            | TraceEvent::Best { instance, .. }
-            | TraceEvent::Stop { instance, .. } => *instance,
-        }
-    }
-}
-
 /// A loaded cell trace: header, events in file order, and whether a torn
 /// final line was dropped.
 #[derive(Debug)]
@@ -366,44 +335,24 @@ impl CellTrace {
 
 /// Loads one trace file, tolerating a torn final line.
 pub fn load(path: &Path) -> Result<CellTrace, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read trace `{}`: {e}", path.display()))?;
-    parse_str(&text).map_err(|e| format!("trace `{}`: {e}", path.display()))
+    let bytes =
+        std::fs::read(path).map_err(|e| format!("cannot read trace `{}`: {e}", path.display()))?;
+    parse_str(bytes).map_err(|e| format!("trace `{}`: {e}", path.display()))
 }
 
 /// [`load`] on in-memory trace text.
-pub fn parse_str(text: &str) -> Result<CellTrace, String> {
-    let lines: Vec<&str> = text.lines().collect();
-    let mut meta = None;
+pub fn parse_str(text: impl AsRef<[u8]>) -> Result<CellTrace, String> {
     let mut events = Vec::new();
-    let mut torn = false;
-    let n = lines.len();
-    for (i, line) in lines.iter().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let last = i + 1 == n;
-        let parsed: Result<(), String> = (|| {
-            let value = Json::parse(line)?;
-            if i == 0 {
-                meta = Some(meta_from_json(&value)?);
-            } else {
-                events.push(event_from_json(&value)?);
-            }
-            Ok(())
-        })();
-        match parsed {
-            Ok(()) => {}
-            // Same WAL discipline as `checkpoint::load_str`: a torn final
-            // line is the signature of a killed run, anything earlier is
-            // real corruption.
-            Err(e) if i == 0 => return Err(format!("bad trace header: {e}")),
-            Err(_) if last => torn = true,
-            Err(e) => return Err(format!("corrupt event at line {}: {e}", i + 1)),
-        }
-    }
-    let meta = meta.ok_or("empty trace file (no header)")?;
-    Ok(CellTrace { meta, events, torn })
+    let scan = TRACE.scan(text.as_ref(), |value| {
+        events.push(event_from_json(value)?);
+        Ok(())
+    })?;
+    let header = scan.header.ok_or("empty trace file (no header)")?;
+    Ok(CellTrace {
+        meta: meta_from_json(&header)?,
+        events,
+        torn: scan.torn,
+    })
 }
 
 /// Loads every `*.jsonl` trace in `dir`, sorted by file name. Unparseable
@@ -429,108 +378,62 @@ pub fn load_dir(dir: &Path) -> Result<Vec<CellTrace>, String> {
 }
 
 fn meta_from_json(v: &Json) -> Result<TraceMeta, String> {
-    let schema = v.get("trace").and_then(Json::as_str).unwrap_or_default();
-    if schema != TRACE_SCHEMA {
-        return Err(format!("unknown trace schema `{schema}`"));
-    }
-    let version = u64_field(v, "version")?;
-    if version > TRACE_VERSION {
-        return Err(format!(
-            "trace version {version} is newer than supported {TRACE_VERSION}"
-        ));
-    }
     Ok(TraceMeta {
-        version,
         key: CellKey::new(
-            str_field(v, "table")?,
-            str_field(v, "method")?,
-            str_field(v, "column")?,
+            field_str(v, "table")?,
+            field_str(v, "method")?,
+            field_str(v, "column")?,
         ),
-        strategy: str_field(v, "strategy")?.to_string(),
-        budget: str_field(v, "budget")?.to_string(),
-        base_seed: u64_field(v, "base_seed")?,
+        strategy: field_str(v, "strategy")?.to_string(),
+        budget: field_str(v, "budget")?.to_string(),
+        base_seed: field_u64(v, "base_seed")?,
     })
 }
 
 fn event_from_json(v: &Json) -> Result<TraceEvent, String> {
-    let instance = u64_field(v, "instance")? as usize;
-    match str_field(v, "event")? {
+    let instance = field_u64(v, "instance")? as usize;
+    match field_str(v, "event")? {
         "run_start" => Ok(TraceEvent::RunStart {
             instance,
-            seed: u64_field(v, "seed")?,
-            attempt: u64_field(v, "attempt")? as u32,
-            initial_cost: f64_field(v, "initial_cost")?,
-            temperatures: u64_field(v, "temperatures")? as usize,
+            seed: field_u64(v, "seed")?,
+            attempt: field_u64(v, "attempt")? as u32,
+            initial_cost: field_f64(v, "initial_cost")?,
+            temperatures: field_u64(v, "temperatures")? as usize,
         }),
         "temp" => Ok(TraceEvent::Temp {
             instance,
-            temp: u64_field(v, "temp")? as usize,
-            evals: u64_field(v, "evals")?,
-            proposals: u64_field(v, "proposals")?,
-            accepted_downhill: u64_field(v, "accepted_downhill")?,
-            accepted_uphill: u64_field(v, "accepted_uphill")?,
-            rejected_uphill: u64_field(v, "rejected_uphill")?,
-            // Absent in v1 traces (pre replica-exchange).
-            swap_attempts: v.get("swap_attempts").map_or(Ok(0), Json::as_u64_checked)?,
-            swap_accepts: v.get("swap_accepts").map_or(Ok(0), Json::as_u64_checked)?,
-            // Absent before v3 (pre adaptive temperature control).
-            temperature: optional_f64_field(v, "temperature")?,
-            target_acceptance: optional_f64_field(v, "target_acceptance")?,
-            ended_by: str_field(v, "ended_by")?.parse()?,
-            wall_ms: f64_field(v, "wall_ms")?,
+            temp: field_u64(v, "temp")? as usize,
+            evals: field_u64(v, "evals")?,
+            proposals: field_u64(v, "proposals")?,
+            accepted_downhill: field_u64(v, "accepted_downhill")?,
+            accepted_uphill: field_u64(v, "accepted_uphill")?,
+            rejected_uphill: field_u64(v, "rejected_uphill")?,
+            swap_attempts: field_u64(v, "swap_attempts")?,
+            swap_accepts: field_u64(v, "swap_accepts")?,
+            temperature: field_f64(v, "temperature")?,
+            target_acceptance: field_f64(v, "target_acceptance")?,
+            ended_by: field_str(v, "ended_by")?.parse()?,
+            wall_ms: field_f64(v, "wall_ms")?,
         }),
         "sample" => Ok(TraceEvent::Sample {
             instance,
-            evals: u64_field(v, "evals")?,
-            cost: f64_field(v, "cost")?,
+            evals: field_u64(v, "evals")?,
+            cost: field_f64(v, "cost")?,
         }),
         "best" => Ok(TraceEvent::Best {
             instance,
-            evals: u64_field(v, "evals")?,
-            cost: f64_field(v, "cost")?,
+            evals: field_u64(v, "evals")?,
+            cost: field_f64(v, "cost")?,
         }),
         "stop" => Ok(TraceEvent::Stop {
             instance,
-            reason: str_field(v, "reason")?.parse()?,
-            evals: u64_field(v, "evals")?,
-            final_cost: f64_field(v, "final_cost")?,
-            best_cost: f64_field(v, "best_cost")?,
-            energy_callbacks: u64_field(v, "energy_callbacks")?,
+            reason: field_str(v, "reason")?.parse()?,
+            evals: field_u64(v, "evals")?,
+            final_cost: field_f64(v, "final_cost")?,
+            best_cost: field_f64(v, "best_cost")?,
+            energy_callbacks: field_u64(v, "energy_callbacks")?,
         }),
         other => Err(format!("unknown event kind `{other}`")),
-    }
-}
-
-fn str_field<'a>(v: &'a Json, key: &str) -> Result<&'a str, String> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("missing string field `{key}`"))
-}
-
-fn u64_field(v: &Json, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .ok_or_else(|| format!("missing field `{key}`"))?
-        .as_u64_checked()
-}
-
-fn f64_field(v: &Json, key: &str) -> Result<f64, String> {
-    match v.get(key) {
-        Some(Json::Null) => Ok(f64::NAN),
-        Some(other) => other
-            .as_f64()
-            .ok_or_else(|| format!("field `{key}` is not a number")),
-        None => Err(format!("missing field `{key}`")),
-    }
-}
-
-/// [`f64_field`] for fields older trace versions did not write: absent and
-/// `null` both map to NaN.
-fn optional_f64_field(v: &Json, key: &str) -> Result<f64, String> {
-    match v.get(key) {
-        None | Some(Json::Null) => Ok(f64::NAN),
-        Some(other) => other
-            .as_f64()
-            .ok_or_else(|| format!("field `{key}` is not a number")),
     }
 }
 
@@ -542,6 +445,10 @@ mod tests {
 
     fn key() -> CellKey {
         CellKey::new("table4.1", "g = 1", "6 sec")
+    }
+
+    fn header() -> String {
+        TRACE.header(&header_fields(&key(), "Figure1", "1500 evals", 1985))
     }
 
     fn sample_trace() -> ChainTrace {
@@ -586,11 +493,9 @@ mod tests {
 
     #[test]
     fn instance_round_trips_through_parse() {
-        let header = header_line(&key(), "Figure1", "1500 evals", 1985);
-        let body = instance_lines(0, 42, 1, &sample_trace());
-        let parsed = parse_str(&format!("{header}\n{body}")).unwrap();
+        let body = instance_lines(0, 42, 1, &sample_trace()).join("\n");
+        let parsed = parse_str(format!("{}\n{body}\n", header())).unwrap();
         assert_eq!(parsed.meta.key, key());
-        assert_eq!(parsed.meta.version, TRACE_VERSION);
         assert_eq!(parsed.meta.strategy, "Figure1");
         assert_eq!(parsed.counts(), (1, 1, 2, 2, 1));
         assert!(!parsed.torn);
@@ -612,74 +517,18 @@ mod tests {
     }
 
     #[test]
-    fn v1_temp_events_load_with_zero_swap_fields() {
-        let header = format!(
-            "{{\"trace\":\"{TRACE_SCHEMA}\",\"version\":1,\"table\":\"t\",\"method\":\"m\",\
-             \"column\":\"c\",\"strategy\":\"Figure1\",\"budget\":\"b\",\"base_seed\":1}}"
-        );
-        let temp = "{\"event\":\"temp\",\"instance\":0,\"temp\":0,\"evals\":9,\
-             \"proposals\":9,\"accepted_downhill\":3,\"accepted_uphill\":2,\
-             \"rejected_uphill\":4,\"ended_by\":\"budget\",\"wall_ms\":1.5}";
-        let parsed = parse_str(&format!("{header}\n{temp}\n")).unwrap();
-        assert_eq!(parsed.meta.version, 1);
-        match &parsed.events[0] {
-            TraceEvent::Temp {
-                swap_attempts,
-                swap_accepts,
-                temperature,
-                target_acceptance,
-                ..
-            } => {
-                assert_eq!(*swap_attempts, 0);
-                assert_eq!(*swap_accepts, 0);
-                assert!(temperature.is_nan(), "absent pre-v3 field loads as NaN");
-                assert!(target_acceptance.is_nan());
-            }
-            other => panic!("expected temp event, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn v2_temp_events_load_with_nan_temperature() {
-        let header = format!(
-            "{{\"trace\":\"{TRACE_SCHEMA}\",\"version\":2,\"table\":\"t\",\"method\":\"m\",\
-             \"column\":\"c\",\"strategy\":\"Figure1\",\"budget\":\"b\",\"base_seed\":1}}"
-        );
-        let temp = "{\"event\":\"temp\",\"instance\":0,\"temp\":0,\"evals\":9,\
-             \"proposals\":9,\"accepted_downhill\":3,\"accepted_uphill\":2,\
-             \"rejected_uphill\":4,\"swap_attempts\":1,\"swap_accepts\":1,\
-             \"ended_by\":\"budget\",\"wall_ms\":1.5}";
-        let parsed = parse_str(&format!("{header}\n{temp}\n")).unwrap();
-        assert_eq!(parsed.meta.version, 2);
-        match &parsed.events[0] {
-            TraceEvent::Temp {
-                swap_attempts,
-                temperature,
-                target_acceptance,
-                ..
-            } => {
-                assert_eq!(*swap_attempts, 1);
-                assert!(temperature.is_nan());
-                assert!(target_acceptance.is_nan());
-            }
-            other => panic!("expected temp event, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn torn_final_line_is_tolerated() {
-        let header = header_line(&key(), "Figure1", "1500 evals", 1985);
-        let body = instance_lines(0, 42, 1, &sample_trace());
+        let header = header();
+        let body = instance_lines(0, 42, 1, &sample_trace()).join("\n");
         let torn_at = header.len() + 1 + body.len() / 2;
-        let text = format!("{header}\n{body}");
+        let text = format!("{header}\n{body}\n");
         let parsed = parse_str(&text[..torn_at]).unwrap();
         assert!(parsed.torn);
     }
 
     #[test]
     fn corruption_in_the_middle_is_an_error() {
-        let header = header_line(&key(), "Figure1", "1500 evals", 1985);
-        let err = parse_str(&format!("{header}\nnot json\n{{\"event\":\"x\"}}\n")).unwrap_err();
+        let err = parse_str(format!("{}\nnot json\n{{\"event\":\"x\"}}\n", header())).unwrap_err();
         assert!(err.contains("line 2"), "{err}");
     }
 
@@ -687,7 +536,7 @@ mod tests {
     fn bad_header_is_an_error() {
         assert!(parse_str("").is_err());
         assert!(parse_str("{\"wal\":\"anneal-repro-wal\"}\n").is_err());
-        let newer = format!("{{\"trace\":\"{TRACE_SCHEMA}\",\"version\":999}}\n");
+        let newer = format!("{{\"trace\":\"{}\",\"version\":999}}\n", TRACE.name);
         assert!(parse_str(&newer).unwrap_err().contains("newer"));
     }
 
@@ -719,5 +568,34 @@ mod tests {
         assert_eq!(loaded.meta.key, key());
         assert_eq!(loaded.events.len(), 0);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    mod truncation_property {
+        use super::*;
+        use crate::jsonl::testing::{any_float, any_string, check_cut};
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// A trace cut at any byte scans to exactly its complete lines.
+            #[test]
+            fn a_cut_trace_scans_to_its_complete_lines(
+                label in any_string(),
+                costs in proptest::collection::vec(any_float(), 3),
+                cut in any::<u64>(),
+            ) {
+                let mut trace = sample_trace();
+                trace.initial_cost = costs[0];
+                trace.stages[0].stats.temperature = costs[1];
+                trace.samples[1].1 = costs[2];
+                let lines: Vec<String> = (0..2)
+                    .flat_map(|i| instance_lines(i, 42, 1, &trace))
+                    .collect();
+                let key = CellKey::new("table4.1", label.clone(), label);
+                let header = TRACE.header(&header_fields(&key, "Figure1", "b", 1));
+                check_cut(&TRACE, &header, &lines, cut)?;
+            }
+        }
     }
 }

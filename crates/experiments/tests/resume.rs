@@ -183,6 +183,12 @@ fn degraded_chaos_run_resumes_to_the_clean_tables() {
     // No retries: some cells fail outright and the run is degraded.
     let plan = FaultPlan::parse("seed=3,panic=0.15").unwrap();
     let buf = SharedBuf::default();
+    writeln!(
+        buf.0.lock().unwrap(),
+        "{}",
+        WalMeta::new(config.seed, config.scale.divisor).header_line()
+    )
+    .unwrap();
     let chaos_log = TelemetryLog::with_writer(Box::new(buf.clone())).with_faults(Some(plan));
     table4_2b::run_logged(&config, &chaos_log);
     let summary = chaos_log.summary();
@@ -194,7 +200,7 @@ fn degraded_chaos_run_resumes_to_the_clean_tables() {
 
     // Resume replays only the cells that succeeded; failed ones re-run
     // clean (no fault plan — the chaos monkey died with the process).
-    let checkpoint = checkpoint::load_str(&buf.contents()).expect("chaos WAL loads");
+    let checkpoint = checkpoint::load_str(buf.contents()).expect("chaos WAL loads");
     assert!(!checkpoint.torn);
     let resumed_log = TelemetryLog::in_memory().with_resume(checkpoint.cells);
     let resumed = table4_2b::run_logged(&config, &resumed_log);
@@ -207,4 +213,23 @@ fn degraded_chaos_run_resumes_to_the_clean_tables() {
         "only the failed cells were re-run"
     );
     assert_bitwise_identical(&clean, &resumed, "degraded chaos + resume");
+}
+
+/// A WAL from before the current version is a runtime error, not a usage
+/// error: `report` names the version and prints no usage text.
+#[test]
+fn report_refuses_an_older_wal_without_the_usage_text() {
+    let wal = std::env::temp_dir().join(format!("anneal-resume-v3-{}", std::process::id()));
+    let header = "{\"wal\":\"anneal-repro-wal\",\"version\":3,\"seed\":7,\"scale\":2000}";
+    std::fs::write(&wal, format!("{header}\n")).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_report"))
+        .arg("--wal")
+        .arg(&wal)
+        .output()
+        .expect("run report");
+    std::fs::remove_file(&wal).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("version 3"), "{stderr}");
+    assert!(!stderr.contains("usage:"), "{stderr}");
 }

@@ -183,6 +183,9 @@ fn sigterm_drains_to_a_clean_resumable_wal() {
     let clean = repro().args(workload).output().expect("spawn repro");
     assert!(clean.status.success());
 
+    // A WAL left by an earlier run under a reused pid would already hold
+    // records, and the SIGTERM below would land before the handlers exist.
+    let _ = std::fs::remove_file(&wal);
     let mut child = repro()
         .args(workload)
         .args(["--isolation", "process", "--telemetry"])

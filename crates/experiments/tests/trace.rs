@@ -123,8 +123,9 @@ fn trace_schema_matches_the_golden_file() {
 
 #[test]
 fn golden_file_round_trips_through_the_parser() {
+    // The loader reads only the current version, so loading at all pins
+    // the golden file's version.
     let parsed = trace::load(&golden_path()).unwrap();
-    assert_eq!(parsed.meta.version, trace::TRACE_VERSION);
     assert_eq!(parsed.meta.key, CellKey::new("table4.1", "g = 1", "6 sec"));
     assert_eq!(parsed.meta.strategy, "Figure1");
     assert_eq!(parsed.meta.base_seed, 1985);
