@@ -1,5 +1,5 @@
-//! High-level entry point: configure a problem, strategy, acceptance
-//! function, budget and seed, then run.
+//! The one way to configure and run a chain: pick a problem, strategy,
+//! acceptance function, budget and seed, then run.
 
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -8,30 +8,61 @@ use crate::budget::Budget;
 use crate::problem::Problem;
 use crate::schedule::adaptive::AcceptanceController;
 use crate::stats::RunResult;
-use crate::strategy::{Figure1, Figure2, Rejectionless, ReplicaExchange, DEFAULT_EQUILIBRIUM};
-use crate::trace::{ChainObserver, NoopObserver};
+use crate::strategy::{
+    fig1, fig2, rejectionless, replica_exchange, DEFAULT_EQUILIBRIUM, DEFAULT_EXCHANGE_INTERVAL,
+};
+use crate::trace::ChainObserver;
 
-/// Which of the paper's two control strategies to run.
+/// Which control strategy a chain runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Strategy {
-    /// Figure 1: perturb, accept uphill moves probabilistically.
+    /// Figure 1 ([`fig1`]): perturb, accept uphill moves probabilistically.
     #[default]
     Figure1,
-    /// Figure 2: descend to a local optimum, then kick uphill.
+    /// Figure 2 ([`fig2`]): descend to a local optimum, then kick uphill.
     Figure2,
-    /// \[GREE84\]: weigh every neighbor, sample one — no rejections. Requires
-    /// [`Problem::all_moves`].
+    /// \[GREE84\] ([`rejectionless`]): weigh every neighbor, sample one — no
+    /// rejections. Requires [`Problem::all_moves`].
     Rejectionless,
-    /// Parallel tempering: one chain per temperature rung of the g function's
-    /// schedule, swapping configurations between adjacent rungs every
-    /// `exchange_interval` within-chain proposals.
+    /// Parallel tempering ([`replica_exchange`]): one chain per temperature
+    /// rung of the g function's schedule, swapping configurations between
+    /// adjacent rungs every `exchange_interval` within-chain proposals.
     ReplicaExchange {
         /// Within-chain proposals per rung between swap phases.
         exchange_interval: u64,
     },
 }
 
-/// A configured optimization run — the crate's high-level API.
+impl Strategy {
+    /// The strategy's lower-case name, as `repro --strategy` and the job
+    /// server spell it.
+    pub const fn name(&self) -> &'static str {
+        match self {
+            Strategy::Figure1 => "figure1",
+            Strategy::Figure2 => "figure2",
+            Strategy::Rejectionless => "rejectionless",
+            Strategy::ReplicaExchange { .. } => "replica-exchange",
+        }
+    }
+
+    /// The strategy whose [`name`](Self::name) is `name`, or `None`.
+    /// `exchange_interval` sets replica exchange's interval
+    /// ([`DEFAULT_EXCHANGE_INTERVAL`] when `None`); the other strategies
+    /// ignore it.
+    pub fn from_name(name: &str, exchange_interval: Option<u64>) -> Option<Strategy> {
+        let exchange_interval = exchange_interval.unwrap_or(DEFAULT_EXCHANGE_INTERVAL);
+        [
+            Strategy::Figure1,
+            Strategy::Figure2,
+            Strategy::Rejectionless,
+            Strategy::ReplicaExchange { exchange_interval },
+        ]
+        .into_iter()
+        .find(|s| s.name() == name)
+    }
+}
+
+/// A configured chain — the crate's one way to run a strategy.
 ///
 /// `Annealer` is a non-consuming builder over a borrowed problem; `run`
 /// executes one deterministic chain per call.
@@ -39,7 +70,7 @@ pub enum Strategy {
 /// # Examples
 ///
 /// ```
-/// use anneal_core::{Annealer, Budget, GFunction, Problem, Rng, RngExt, Strategy};
+/// use anneal_core::{Annealer, Budget, GFunction, NoopObserver, Problem, Rng, RngExt, Strategy};
 ///
 /// struct MinimizeBits;
 /// impl Problem for MinimizeBits {
@@ -63,19 +94,20 @@ pub enum Strategy {
 ///     .strategy(Strategy::Figure1)
 ///     .budget(Budget::evaluations(30_000))
 ///     .seed(7)
-///     .run(&mut GFunction::unit());
+///     .run(&mut GFunction::unit(), &mut NoopObserver);
 /// assert_eq!(result.best_cost, 0.0);
 /// ```
 #[derive(Debug)]
 pub struct Annealer<'a, P: Problem> {
-    problem: &'a P,
-    strategy: Strategy,
-    equilibrium: u64,
-    budget: Budget,
-    seed: u64,
-    start: Option<P::State>,
-    trajectory_every: u64,
-    controller: Option<AcceptanceController>,
+    pub(crate) problem: &'a P,
+    pub(crate) strategy: Strategy,
+    pub(crate) equilibrium: u64,
+    pub(crate) budget: Budget,
+    pub(crate) seed: u64,
+    pub(crate) start: Option<P::State>,
+    pub(crate) trajectory_every: u64,
+    pub(crate) controller: Option<AcceptanceController>,
+    pub(crate) replicas: Option<usize>,
 }
 
 impl<'a, P: Problem> Annealer<'a, P> {
@@ -91,6 +123,7 @@ impl<'a, P: Problem> Annealer<'a, P> {
             start: None,
             trajectory_every: 0,
             controller: None,
+            replicas: None,
         }
     }
 
@@ -100,7 +133,9 @@ impl<'a, P: Problem> Annealer<'a, P> {
         self
     }
 
-    /// Sets the equilibrium counter limit `n`.
+    /// Sets the equilibrium counter limit `n`: consecutive uphill
+    /// rejections under Figure 1, uphill kick attempts under Figure 2,
+    /// before the temperature advances. The other strategies ignore it.
     pub fn equilibrium(&mut self, n: u64) -> &mut Self {
         self.equilibrium = n;
         self
@@ -133,65 +168,51 @@ impl<'a, P: Problem> Annealer<'a, P> {
     }
 
     /// Attaches an adaptive acceptance-ratio controller (see
-    /// [`schedule::adaptive`](crate::schedule::adaptive)). Honored by the
-    /// [`Figure1`] and [`Figure2`] strategies, which correct each stage's
-    /// temperature toward the controller's target acceptance trajectory;
-    /// ignored by the other strategies.
+    /// [`schedule::adaptive`](crate::schedule::adaptive)). Honored by
+    /// [`Strategy::Figure1`] and [`Strategy::Figure2`], which correct each
+    /// stage's temperature toward the controller's target acceptance
+    /// trajectory; ignored by the other strategies.
     pub fn controller(&mut self, controller: Option<AcceptanceController>) -> &mut Self {
         self.controller = controller;
         self
     }
 
-    /// Runs the configured strategy with acceptance function `g`.
+    /// Rebuilds the ladder of a [`Strategy::ReplicaExchange`] run to `k`
+    /// geometric rungs (Kirkpatrick ratio from g's top temperature); the
+    /// rebuilt ladder replaces g's schedule. `None` keeps g's own ladder;
+    /// the other strategies ignore the setting.
+    pub fn replicas(&mut self, k: Option<usize>) -> &mut Self {
+        self.replicas = k;
+        self
+    }
+
+    /// Runs the configured strategy with acceptance function `g`,
+    /// reporting structured chain events (temperature stages, energy
+    /// samples, best improvements, stop) to `obs` — see [`ChainObserver`].
     ///
-    /// `g` is taken by `&mut` because acceptance functions carry gate state;
-    /// it is reset at the start of the run, so a `GFunction` can be reused
-    /// across runs.
-    pub fn run(&self, g: &mut GFunction) -> RunResult<P::State> {
-        self.dispatch(g, &mut NoopObserver)
-    }
-
-    /// Runs the configured strategy, reporting structured chain events
-    /// (temperature stages, energy samples, best improvements, stop) to
-    /// `obs` — see [`ChainObserver`]. With [`NoopObserver`] this is exactly
-    /// [`run`](Self::run); tracing never perturbs the RNG, so results are
-    /// bitwise-identical either way.
-    pub fn run_traced<O: ChainObserver>(
-        &self,
-        g: &mut GFunction,
-        obs: &mut O,
-    ) -> RunResult<P::State> {
-        self.dispatch(g, obs)
-    }
-
-    fn dispatch<O: ChainObserver>(&self, g: &mut GFunction, obs: &mut O) -> RunResult<P::State> {
+    /// The chain's RNG is seeded from [`seed`](Self::seed); without
+    /// [`start_from`](Self::start_from) the start is its first draw. `g` is
+    /// taken by `&mut` because acceptance functions carry gate state; it is
+    /// reset at the start of the run, so a `GFunction` can be reused across
+    /// runs.
+    ///
+    /// The observer is monomorphized: with
+    /// [`NoopObserver`](crate::NoopObserver) the chain compiles to its bare
+    /// loop (no clock reads, no extra branches), and tracing never touches
+    /// the RNG, so a traced run is bitwise-identical to an untraced one.
+    pub fn run<O: ChainObserver>(&self, g: &mut GFunction, obs: &mut O) -> RunResult<P::State> {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let start = match &self.start {
             Some(s) => s.clone(),
             None => self.problem.random_state(&mut rng),
         };
         match self.strategy {
-            Strategy::Figure1 => Figure1 {
-                equilibrium: self.equilibrium,
-                trajectory_every: self.trajectory_every,
-                controller: self.controller,
+            Strategy::Figure1 => fig1::run(self, g, start, &mut rng, obs),
+            Strategy::Figure2 => fig2::run(self, g, start, &mut rng, obs),
+            Strategy::Rejectionless => rejectionless::run(self, g, start, &mut rng, obs),
+            Strategy::ReplicaExchange { exchange_interval } => {
+                replica_exchange::run(self, exchange_interval, g, start, &mut rng, obs)
             }
-            .run_traced(self.problem, g, start, self.budget, &mut rng, obs),
-            Strategy::Figure2 => Figure2 {
-                equilibrium: self.equilibrium,
-                trajectory_every: self.trajectory_every,
-                controller: self.controller,
-            }
-            .run_traced(self.problem, g, start, self.budget, &mut rng, obs),
-            Strategy::Rejectionless => Rejectionless {
-                trajectory_every: self.trajectory_every,
-            }
-            .run_traced(self.problem, g, start, self.budget, &mut rng, obs),
-            Strategy::ReplicaExchange { exchange_interval } => ReplicaExchange {
-                exchange_interval,
-                trajectory_every: self.trajectory_every,
-            }
-            .run_traced(self.problem, g, start, self.budget, &mut rng, obs),
         }
     }
 }
@@ -199,6 +220,9 @@ impl<'a, P: Problem> Annealer<'a, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::{AdvanceReason, StopReason};
+    use crate::trace::{NoopObserver, TraceCollector};
+    use crate::Schedule;
     use rand::{Rng, RngExt};
 
     struct BitCount;
@@ -226,7 +250,19 @@ mod tests {
             }
             None
         }
+        fn all_moves(&self, _: &u64) -> Vec<u32> {
+            (0..16).collect()
+        }
     }
+
+    const ALL: [Strategy; 4] = [
+        Strategy::Figure1,
+        Strategy::Figure2,
+        Strategy::Rejectionless,
+        Strategy::ReplicaExchange {
+            exchange_interval: 32,
+        },
+    ];
 
     #[test]
     fn builder_runs_both_strategies() {
@@ -236,9 +272,34 @@ mod tests {
                 .strategy(strategy)
                 .budget(Budget::evaluations(20_000))
                 .seed(3)
-                .run(&mut GFunction::unit());
+                .run(&mut GFunction::unit(), &mut NoopObserver);
             assert_eq!(r.best_cost, 0.0, "{strategy:?}");
         }
+    }
+
+    #[test]
+    fn names_round_trip() {
+        for strategy in ALL {
+            let interval = match strategy {
+                Strategy::ReplicaExchange { exchange_interval } => Some(exchange_interval),
+                _ => None,
+            };
+            assert_eq!(
+                Strategy::from_name(strategy.name(), interval),
+                Some(strategy)
+            );
+        }
+        assert_eq!(
+            Strategy::from_name("replica-exchange", None),
+            Some(Strategy::ReplicaExchange {
+                exchange_interval: DEFAULT_EXCHANGE_INTERVAL
+            })
+        );
+        assert_eq!(
+            Strategy::from_name("figure1", Some(9)),
+            Some(Strategy::Figure1)
+        );
+        assert_eq!(Strategy::from_name("Figure1", None), None);
     }
 
     #[test]
@@ -247,7 +308,7 @@ mod tests {
         let r = Annealer::new(&p)
             .budget(Budget::evaluations(10))
             .start_from(0b11)
-            .run(&mut GFunction::metropolis(1e-9));
+            .run(&mut GFunction::metropolis(1e-9), &mut NoopObserver);
         assert_eq!(r.initial_cost, 2.0);
     }
 
@@ -260,7 +321,7 @@ mod tests {
                     .strategy(strategy)
                     .budget(Budget::evaluations(2_000))
                     .seed(41)
-                    .run(&mut GFunction::two_level())
+                    .run(&mut GFunction::two_level(), &mut NoopObserver)
             };
             let a = run();
             let b = run();
@@ -269,23 +330,89 @@ mod tests {
         }
     }
 
+    /// One chain per strategy, untraced and traced: tracing never touches
+    /// the RNG, and the trace mirrors the run's own accounting. Replica
+    /// exchange also pins its stage-end reasons (budget, equilibrium,
+    /// exchange): every rung but the coldest closes on a swap phase.
     #[test]
-    fn run_traced_matches_run_for_every_strategy() {
-        use crate::trace::TraceCollector;
+    fn traced_run_is_bitwise_identical_and_consistent_for_every_strategy() {
         let p = BitCount;
-        for strategy in [Strategy::Figure1, Strategy::Figure2] {
+        let stage_reasons = [None, None, None, Some((1, 0, 5))];
+        for (strategy, expected_reasons) in ALL.into_iter().zip(stage_reasons) {
             let mut annealer = Annealer::new(&p);
             annealer
                 .strategy(strategy)
-                .budget(Budget::evaluations(2_000))
-                .seed(5);
-            let plain = annealer.run(&mut GFunction::six_temp_annealing(2.0));
+                .budget(Budget::evaluations(8_000))
+                .seed(33);
+            let untraced = annealer.run(&mut GFunction::six_temp_annealing(2.0), &mut NoopObserver);
             let mut obs = TraceCollector::new();
-            let traced = annealer.run_traced(&mut GFunction::six_temp_annealing(2.0), &mut obs);
-            assert_eq!(plain.best_cost.to_bits(), traced.best_cost.to_bits());
-            assert_eq!(plain.stats, traced.stats);
-            assert_eq!(obs.trace().stages.len(), traced.stats.per_temp.len());
-            assert!(obs.trace().stop.is_some());
+            let traced = annealer.run(&mut GFunction::six_temp_annealing(2.0), &mut obs);
+            let what = format!("{strategy:?}");
+            assert_eq!(
+                untraced.best_cost.to_bits(),
+                traced.best_cost.to_bits(),
+                "{what}"
+            );
+            assert_eq!(
+                untraced.final_cost.to_bits(),
+                traced.final_cost.to_bits(),
+                "{what}"
+            );
+            assert_eq!(untraced.stats, traced.stats, "{what}");
+
+            let t = obs.trace();
+            assert_eq!(t.initial_cost, traced.initial_cost, "{what}");
+            assert_eq!(t.temperatures, 6, "{what}");
+            assert_eq!(t.stages.len(), traced.stats.per_temp.len(), "{what}");
+            for (st, ts) in t.stages.iter().zip(&traced.stats.per_temp) {
+                assert_eq!(&st.stats, ts, "{what}");
+            }
+            let stop = t.stop.expect("stop event recorded");
+            assert_eq!(stop.reason, traced.stop, "{what}");
+            assert_eq!(stop.final_cost.to_bits(), traced.final_cost.to_bits());
+            assert_eq!(stop.best_cost.to_bits(), traced.best_cost.to_bits());
+            assert!(!t.samples.is_empty(), "{what}: energy trajectory sampled");
+            assert_eq!(
+                t.bests.last().map(|&(_, c)| c),
+                Some(traced.best_cost),
+                "{what}: last best event is the final best"
+            );
+            if let Some(reasons) = expected_reasons {
+                assert_eq!(t.stage_reasons(), reasons, "{what}");
+                assert_eq!(stop.reason, StopReason::Budget, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn replicas_rebuild_the_ladder_for_replica_exchange_only() {
+        let p = BitCount;
+        let k = 4;
+        let top = 2.0;
+        let run = |strategy| {
+            Annealer::new(&p)
+                .strategy(strategy)
+                .budget(Budget::evaluations(3_000))
+                .seed(8)
+                .replicas(Some(k))
+                .run(&mut GFunction::six_temp_annealing(top), &mut NoopObserver)
+        };
+        let ladder = Schedule::geometric(top, crate::KIRKPATRICK_RATIO, k);
+        let rx = run(ALL[3]);
+        assert_eq!(rx.stats.per_temp.len(), k, "one stage per rebuilt rung");
+        for (rung, stage) in rx.stats.per_temp.iter().enumerate() {
+            assert_eq!(stage.temperature.to_bits(), ladder.value(rung).to_bits());
+        }
+        assert_eq!(rx.stats.per_temp[k - 1].ended_by, AdvanceReason::Budget);
+        for strategy in &ALL[..3] {
+            let without = Annealer::new(&p)
+                .strategy(*strategy)
+                .budget(Budget::evaluations(3_000))
+                .seed(8)
+                .run(&mut GFunction::six_temp_annealing(top), &mut NoopObserver);
+            let with = run(*strategy);
+            assert_eq!(with.best_cost.to_bits(), without.best_cost.to_bits());
+            assert_eq!(with.stats, without.stats, "{strategy:?} ignores replicas");
         }
     }
 
@@ -295,8 +422,8 @@ mod tests {
         let mut g = GFunction::unit();
         let mut annealer = Annealer::new(&p);
         annealer.budget(Budget::evaluations(5_000)).seed(1);
-        let a = annealer.run(&mut g);
-        let b = annealer.run(&mut g);
+        let a = annealer.run(&mut g, &mut NoopObserver);
+        let b = annealer.run(&mut g, &mut NoopObserver);
         assert_eq!(a.best_cost, b.best_cost, "gate reset makes runs identical");
         assert_eq!(a.stats, b.stats);
     }

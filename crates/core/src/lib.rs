@@ -12,8 +12,10 @@
 //!
 //! * the [`Problem`] trait — plug in any combinatorial optimization problem
 //!   with a random-perturbation neighborhood;
-//! * the two control strategies, [`Figure1`] (Metropolis/Kirkpatrick chain)
-//!   and [`Figure2`] (local-opt-then-kick, after Cohoon & Sahni);
+//! * the paper's two control strategies, Figure 1 (Metropolis/Kirkpatrick
+//!   chain) and Figure 2 (local-opt-then-kick, after Cohoon & Sahni), plus
+//!   rejectionless \[GREE84\] and replica exchange — each a [`Strategy`]
+//!   of the one chain runner, [`Annealer`];
 //! * all 20 acceptance-function classes of §3 plus the \[COHO83a\] baseline,
 //!   as [`GFunction`] constructors;
 //! * temperature [`Schedule`]s (single, geometric/Kirkpatrick, uniform/GOLD84);
@@ -25,7 +27,7 @@
 //! # Quick start
 //!
 //! ```
-//! use anneal_core::{Annealer, Budget, GFunction, Problem, Rng, RngExt, Strategy};
+//! use anneal_core::{Annealer, Budget, GFunction, NoopObserver, Problem, Rng, RngExt, Strategy};
 //!
 //! // Minimize the number of set bits in a word by flipping random bits.
 //! struct MinimizeBits;
@@ -51,7 +53,7 @@
 //!     .strategy(Strategy::Figure1)
 //!     .budget(Budget::evaluations(30_000))
 //!     .seed(1985)
-//!     .run(&mut GFunction::unit());
+//!     .run(&mut GFunction::unit(), &mut NoopObserver);
 //! assert_eq!(result.best_cost, 0.0);
 //! ```
 //!
@@ -66,7 +68,7 @@
 //! ```
 //! use anneal_core::schedule::adaptive;
 //! use anneal_core::{
-//!     Annealer, Budget, GFunction, Problem, Rng, RngExt, Strategy,
+//!     Annealer, Budget, GFunction, NoopObserver, Problem, Rng, RngExt, Strategy,
 //!     estimate_delta_stats,
 //! };
 //! use rand::{rngs::StdRng, SeedableRng};
@@ -105,7 +107,7 @@
 //!     .budget(Budget::evaluations(30_000 - spec.probe_evals))
 //!     .seed(1985)
 //!     .controller(spec.controller)
-//!     .run(&mut g);
+//!     .run(&mut g, &mut NoopObserver);
 //!
 //! // 4. The statistics: one TempStats per stage entered, recording the
 //! //    controlled temperature and the acceptance rate it produced.
@@ -143,10 +145,7 @@ pub use schedule::adaptive::{AcceptanceController, AdaptiveMode, AdaptiveSchedul
 pub use schedule::Schedule;
 pub use seeds::derive_seed;
 pub use stats::{AdvanceReason, RunResult, RunStats, StopReason, TempStats};
-pub use strategy::{
-    Figure1, Figure2, Rejectionless, ReplicaExchange, DEFAULT_EQUILIBRIUM,
-    DEFAULT_EXCHANGE_INTERVAL,
-};
+pub use strategy::{DEFAULT_EQUILIBRIUM, DEFAULT_EXCHANGE_INTERVAL};
 pub use telemetry::RunTelemetry;
 pub use trace::{
     ChainObserver, ChainTrace, NoopObserver, StageTrace, StopTrace, TraceCollector,

@@ -19,8 +19,8 @@
 //! segment reversals, partition exchanges — applying the move a second time
 //! *is* the undo, which is what the default implementation does.
 //!
-//! [Figure 1]: crate::strategy::Figure1
-//! [Figure 2]: crate::strategy::Figure2
+//! [Figure 1]: crate::strategy::fig1
+//! [Figure 2]: crate::strategy::fig2
 
 use rand::Rng;
 
@@ -116,7 +116,7 @@ pub trait Problem {
     /// Enumerates the complete perturbation neighborhood of `state`.
     ///
     /// Required only by the rejectionless strategy of
-    /// [`Rejectionless`](crate::strategy::Rejectionless) (\[GREE84\]), which
+    /// [`rejectionless`](crate::strategy::rejectionless) (\[GREE84\]), which
     /// must weigh *every* neighbor at each step. The default returns an
     /// empty vector, which the rejectionless strategy treats as "not
     /// supported" and reports by stopping immediately.

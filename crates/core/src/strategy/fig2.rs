@@ -1,204 +1,146 @@
-//! The Figure-2 strategy: local optimization before uphill moves
-//! (Cohoon & Sahni, [COHO83a/b]).
+//! The paper's Figure-2 strategy: local optimization before uphill moves
+//! (Cohoon & Sahni, \[COHO83a/b\]).
+//!
+//! ```text
+//! Step 1  let i be a random feasible solution. temp = 1. counter = 0
+//! Step 2  continue to perturb i until no perturbation decreases h
+//! Step 3  update the best solution found so far, if i is best
+//! Step 4  if counter >= n then
+//!             [if temp = k then stop else [temp = temp+1, counter = 0]]
+//! Step 5  counter = counter+1, r = random
+//!         let j be the result of a random perturbation to i
+//!         if r < g_temp(h(i),h(j)) then [i = j, go to Step 2]
+//!         go to Step 4
+//! ```
+//!
+//! The notable differences from [Figure 1](super::fig1) (§3): perturbations
+//! that increase the objective are considered **only after a local optimum
+//! has been reached**, and the counter bounds uphill *attempts* per
+//! temperature (it never resets on acceptance). `n` is the
+//! [equilibrium](crate::Annealer::equilibrium) limit, and a
+//! [controller](crate::Annealer::controller) corrects each stage's
+//! temperature as under Figure 1.
+//!
+//! Local descent uses [`Problem::improving_move`]; every cost probe the
+//! problem reports is charged against the budget, reflecting the paper's
+//! observation that finding a local optimum is expensive ("it takes about 20
+//! seconds", §4.2.4). With the default `improving_move` (`None` for every
+//! state) the strategy performs no descent and degenerates to accepted
+//! kicks only.
 
 use rand::Rng;
 
-use super::{Run, DEFAULT_EQUILIBRIUM};
+use super::Run;
 use crate::accept::GFunction;
-use crate::budget::Budget;
+use crate::annealer::Annealer;
 use crate::problem::Problem;
-use crate::schedule::adaptive::AcceptanceController;
 use crate::stats::{RunResult, StopReason};
-use crate::trace::{ChainObserver, NoopObserver};
+use crate::trace::ChainObserver;
 
-/// The paper's Figure-2 control strategy.
-///
-/// ```text
-/// Step 1  let i be a random feasible solution. temp = 1. counter = 0
-/// Step 2  continue to perturb i until no perturbation decreases h
-/// Step 3  update the best solution found so far, if i is best
-/// Step 4  if counter >= n then
-///             [if temp = k then stop else [temp = temp+1, counter = 0]]
-/// Step 5  counter = counter+1, r = random
-///         let j be the result of a random perturbation to i
-///         if r < g_temp(h(i),h(j)) then [i = j, go to Step 2]
-///         go to Step 4
-/// ```
-///
-/// The notable differences from [`Figure1`](super::Figure1) (§3):
-/// perturbations that increase the objective are considered **only after a
-/// local optimum has been reached**, and the counter bounds uphill *attempts*
-/// per temperature (it never resets on acceptance).
-///
-/// Local descent uses [`Problem::improving_move`]; every cost probe the
-/// problem reports is charged against the budget, reflecting the paper's
-/// observation that finding a local optimum is expensive ("it takes about 20
-/// seconds", §4.2.4).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Figure2 {
-    /// Maximum uphill kick attempts `n` per temperature (Step 4).
-    pub equilibrium: u64,
-    /// Sample `(evals, best_cost)` every this many evaluations; 0 disables.
-    pub trajectory_every: u64,
-    /// Optional adaptive acceptance-ratio controller, as on
-    /// [`Figure1`](super::Figure1): corrects each stage's temperature toward
-    /// a target acceptance trajectory at temperature advances.
-    pub controller: Option<AcceptanceController>,
-}
-
-impl Default for Figure2 {
-    fn default() -> Self {
-        Figure2 {
-            equilibrium: DEFAULT_EQUILIBRIUM,
-            trajectory_every: 0,
-            controller: None,
-        }
-    }
-}
-
-impl Figure2 {
-    /// A Figure-2 strategy with per-temperature kick limit `n`.
-    pub fn with_equilibrium(n: u64) -> Self {
-        Figure2 {
-            equilibrium: n,
-            ..Self::default()
-        }
+/// Runs Figure 2 from `start`.
+pub(crate) fn run<P: Problem, O: ChainObserver>(
+    a: &Annealer<'_, P>,
+    g: &mut GFunction,
+    start: P::State,
+    rng: &mut dyn Rng,
+    obs: &mut O,
+) -> RunResult<P::State> {
+    let (problem, equilibrium, controller) = (a.problem, a.equilibrium, a.controller.as_ref());
+    g.reset();
+    let k = g.temperatures();
+    let mut state = start;
+    let mut cost = problem.cost(&state);
+    let initial_cost = cost;
+    let mut run = Run::<P>::new(a.budget, k, a.trajectory_every, &state, cost, O::ENABLED);
+    run.enter_stage(g, controller);
+    if O::ENABLED {
+        obs.on_run_start(initial_cost, k);
     }
 
-    /// Enables best-cost trajectory sampling every `every` evaluations.
-    pub fn trajectory(mut self, every: u64) -> Self {
-        self.trajectory_every = every;
-        self
-    }
-
-    /// Attaches (or detaches) an adaptive acceptance-ratio controller.
-    pub fn with_controller(mut self, controller: Option<AcceptanceController>) -> Self {
-        self.controller = controller;
-        self
-    }
-
-    /// Runs the strategy from `start`.
-    ///
-    /// The problem must implement [`Problem::improving_move`]; with the
-    /// default (`None` for every state) the strategy performs no descent and
-    /// degenerates to accepted kicks only.
-    pub fn run<P: Problem>(
-        &self,
-        problem: &P,
-        g: &mut GFunction,
-        start: P::State,
-        budget: Budget,
-        rng: &mut dyn Rng,
-    ) -> RunResult<P::State> {
-        self.run_traced(problem, g, start, budget, rng, &mut NoopObserver)
-    }
-
-    /// Like [`run`](Self::run), reporting structured chain events to `obs`.
-    ///
-    /// The observer parameter is monomorphized: with [`NoopObserver`] this
-    /// compiles to exactly `run`, and tracing never touches the RNG.
-    pub fn run_traced<P: Problem, O: ChainObserver>(
-        &self,
-        problem: &P,
-        g: &mut GFunction,
-        start: P::State,
-        budget: Budget,
-        rng: &mut dyn Rng,
-        obs: &mut O,
-    ) -> RunResult<P::State> {
-        g.reset();
-        let k = g.temperatures();
-        let mut state = start;
-        let mut cost = problem.cost(&state);
-        let initial_cost = cost;
-        let mut run = Run::<P>::new(budget, k, self.trajectory_every, &state, cost, O::ENABLED);
-        run.enter_stage(g, self.controller.as_ref());
-        if O::ENABLED {
-            obs.on_run_start(initial_cost, k);
-        }
-
-        let stop = 'run: loop {
-            // Step 2: descend to a local optimum.
-            loop {
-                if run.meter.exhausted() {
-                    if !run.advance_temp(true, obs) {
-                        break 'run StopReason::Budget;
-                    }
-                    run.enter_stage(g, self.controller.as_ref());
+    let stop = 'run: loop {
+        // Step 2: descend to a local optimum.
+        loop {
+            if run.meter.exhausted() {
+                if !run.advance_temp(true, obs) {
+                    break 'run StopReason::Budget;
                 }
-                let mut probes = 0;
-                let improving = problem.improving_move(&state, &mut probes);
-                run.charge(probes);
-                match improving {
-                    Some(mv) => {
-                        problem.apply(&mut state, &mv);
-                        cost = problem.cost(&state);
-                        run.charge(1);
-                        run.stats.accepted_downhill += 1;
-                        if O::ENABLED {
-                            obs.on_energy(run.total_evals, cost);
-                        }
-                    }
-                    None => break,
-                }
+                run.enter_stage(g, controller);
             }
-            run.stats.descents += 1;
-
-            // Step 3: update best.
-            run.observe(&state, cost, obs);
-
-            // Steps 4 & 5: uphill kicks until one is accepted.
-            loop {
-                if run.counter >= self.equilibrium {
-                    if !run.advance_temp(false, obs) {
-                        break 'run StopReason::Equilibrium;
-                    }
-                    run.enter_stage(g, self.controller.as_ref());
-                }
-                if run.meter.exhausted() {
-                    if !run.advance_temp(true, obs) {
-                        break 'run StopReason::Budget;
-                    }
-                    run.enter_stage(g, self.controller.as_ref());
-                }
-                run.counter += 1;
-                let mv = problem.propose(&state, rng);
-                run.stats.proposals += 1;
-                problem.apply(&mut state, &mv);
-                let new_cost = problem.cost(&state);
-                run.charge(1);
-                // From a local optimum every in-neighborhood move satisfies
-                // h(j) >= h(i); a strictly downhill proposal (possible when
-                // `propose` samples outside the enumerated neighborhood) is
-                // accepted unconditionally.
-                if new_cost < cost || g.decide_figure2(run.temp, cost, new_cost, rng) {
-                    if new_cost < cost {
-                        run.stats.accepted_downhill += 1;
-                    } else {
-                        run.stats.accepted_uphill += 1;
-                    }
-                    cost = new_cost;
+            let mut probes = 0;
+            let improving = problem.improving_move(&state, &mut probes);
+            run.charge(probes);
+            match improving {
+                Some(mv) => {
+                    problem.apply(&mut state, &mv);
+                    cost = problem.cost(&state);
+                    run.charge(1);
+                    run.stats.accepted_downhill += 1;
                     if O::ENABLED {
                         obs.on_energy(run.total_evals, cost);
                     }
-                    continue 'run; // back to Step 2
                 }
-                problem.undo(&mut state, &mv);
-                run.stats.rejected_uphill += 1;
+                None => break,
+            }
+        }
+        run.stats.descents += 1;
+
+        // Step 3: update best.
+        run.observe(&state, cost, obs);
+
+        // Steps 4 & 5: uphill kicks until one is accepted.
+        loop {
+            if run.counter >= equilibrium {
+                if !run.advance_temp(false, obs) {
+                    break 'run StopReason::Equilibrium;
+                }
+                run.enter_stage(g, controller);
+            }
+            if run.meter.exhausted() {
+                if !run.advance_temp(true, obs) {
+                    break 'run StopReason::Budget;
+                }
+                run.enter_stage(g, controller);
+            }
+            run.counter += 1;
+            let mv = problem.propose(&state, rng);
+            run.stats.proposals += 1;
+            problem.apply(&mut state, &mv);
+            let new_cost = problem.cost(&state);
+            run.charge(1);
+            // From a local optimum every in-neighborhood move satisfies
+            // h(j) >= h(i); a strictly downhill proposal (possible when
+            // `propose` samples outside the enumerated neighborhood) is
+            // accepted unconditionally.
+            if new_cost < cost || g.decide_figure2(run.temp, cost, new_cost, rng) {
+                if new_cost < cost {
+                    run.stats.accepted_downhill += 1;
+                } else {
+                    run.stats.accepted_uphill += 1;
+                }
+                cost = new_cost;
                 if O::ENABLED {
                     obs.on_energy(run.total_evals, cost);
                 }
+                continue 'run; // back to Step 2
             }
-        };
+            problem.undo(&mut state, &mv);
+            run.stats.rejected_uphill += 1;
+            if O::ENABLED {
+                obs.on_energy(run.total_evals, cost);
+            }
+        }
+    };
 
-        run.finish(stop, initial_cost, cost, obs)
-    }
+    run.finish(stop, initial_cost, cost, obs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{rngs::StdRng, RngExt, SeedableRng};
+    use crate::budget::Budget;
+    use crate::trace::NoopObserver;
+    use crate::Strategy;
+    use rand::RngExt;
 
     /// Bit-count toy with full neighborhood enumeration for descent.
     struct BitCount;
@@ -228,25 +170,26 @@ mod tests {
         }
     }
 
+    /// A Figure-2 chain on [`BitCount`] with `budget` evaluations.
+    fn figure2(budget: u64, seed: u64) -> Annealer<'static, BitCount> {
+        let mut a = Annealer::new(&BitCount);
+        a.strategy(Strategy::Figure2)
+            .budget(Budget::evaluations(budget))
+            .seed(seed);
+        a
+    }
+
     #[test]
     fn first_descent_finds_global_optimum_of_bitcount() {
         // Bit flipping has no false local optima, so one descent suffices.
-        let p = BitCount;
-        let mut rng = StdRng::seed_from_u64(1);
-        let start = p.random_state(&mut rng);
-        let mut g = GFunction::unit();
-        let r = Figure2::default().run(&p, &mut g, start, Budget::evaluations(10_000), &mut rng);
+        let r = figure2(10_000, 1).run(&mut GFunction::unit(), &mut NoopObserver);
         assert_eq!(r.best_cost, 0.0);
         assert!(r.stats.descents >= 1);
     }
 
     #[test]
     fn charges_descent_probes_to_budget() {
-        let p = BitCount;
-        let mut rng = StdRng::seed_from_u64(2);
-        let start = p.random_state(&mut rng);
-        let mut g = GFunction::unit();
-        let r = Figure2::default().run(&p, &mut g, start, Budget::evaluations(500), &mut rng);
+        let r = figure2(500, 2).run(&mut GFunction::unit(), &mut NoopObserver);
         // Descent probes (20 per improving-move query) dominate: far fewer
         // than 500 proposals can have been made.
         assert!(r.stats.evals >= r.stats.proposals);
@@ -257,11 +200,10 @@ mod tests {
     fn counter_bounds_kicks_per_temperature() {
         // Reject every kick: zero-probability g (Boltzmann, tiny Y) and a
         // problem already at its local optimum.
-        let p = BitCount;
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut g = GFunction::metropolis(1e-12);
-        let strat = Figure2::with_equilibrium(7);
-        let r = strat.run(&p, &mut g, 0, Budget::evaluations(100_000), &mut rng);
+        let r = figure2(100_000, 3)
+            .equilibrium(7)
+            .start_from(0)
+            .run(&mut GFunction::metropolis(1e-12), &mut NoopObserver);
         assert_eq!(r.stop, StopReason::Equilibrium);
         assert_eq!(r.stats.proposals, 7, "exactly n kick attempts at k=1");
         assert_eq!(r.stats.rejected_uphill, 7);
@@ -271,11 +213,10 @@ mod tests {
     fn accepted_kick_does_not_reset_counter() {
         // g = 1 under Figure 2 accepts every kick. With n = 5 and k = 1 the
         // run must stop after 5 kick attempts even though all are accepted.
-        let p = BitCount;
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut g = GFunction::unit();
-        let strat = Figure2::with_equilibrium(5);
-        let r = strat.run(&p, &mut g, 1, Budget::evaluations(1_000_000), &mut rng);
+        let r = figure2(1_000_000, 4)
+            .equilibrium(5)
+            .start_from(1)
+            .run(&mut GFunction::unit(), &mut NoopObserver);
         assert_eq!(r.stop, StopReason::Equilibrium);
         assert_eq!(r.stats.proposals, 5, "counter is not reset by acceptance");
         assert_eq!(r.stats.accepted_uphill, 5, "g = 1 accepts every kick");
@@ -284,13 +225,7 @@ mod tests {
 
     #[test]
     fn deterministic_under_same_seed() {
-        let p = BitCount;
-        let run = |seed| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let start = p.random_state(&mut rng);
-            let mut g = GFunction::two_level();
-            Figure2::default().run(&p, &mut g, start, Budget::evaluations(3_000), &mut rng)
-        };
+        let run = |seed| figure2(3_000, seed).run(&mut GFunction::two_level(), &mut NoopObserver);
         let a = run(17);
         let b = run(17);
         assert_eq!(a.best_cost, b.best_cost);
@@ -299,12 +234,9 @@ mod tests {
 
     #[test]
     fn six_temperature_schedule_advances() {
-        let p = BitCount;
-        let mut rng = StdRng::seed_from_u64(6);
-        let start = p.random_state(&mut rng);
-        let mut g = GFunction::six_temp_annealing(2.0);
-        let strat = Figure2::with_equilibrium(3);
-        let r = strat.run(&p, &mut g, start, Budget::evaluations(50_000), &mut rng);
+        let r = figure2(50_000, 6)
+            .equilibrium(3)
+            .run(&mut GFunction::six_temp_annealing(2.0), &mut NoopObserver);
         // With a tiny kick limit the run sweeps all six temperatures.
         assert_eq!(r.stop, StopReason::Equilibrium);
         assert_eq!(r.stats.equilibrium_advances, 5);

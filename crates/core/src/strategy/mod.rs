@@ -1,29 +1,29 @@
-//! The paper's two Monte Carlo control strategies.
+//! The control strategies, one module each: the paper's two and two later
+//! ones. A chain is configured and started through
+//! [`Annealer`](crate::Annealer), whose [`Strategy`](crate::Strategy) picks
+//! the module that runs it.
 //!
-//! * [`Figure1`] — the Metropolis/Kirkpatrick adaptation: random
+//! * [`fig1`] — the Metropolis/Kirkpatrick adaptation: random
 //!   perturbations, downhill always accepted, uphill accepted with
 //!   probability `g_temp`, equilibrium counter advancing the temperature.
-//! * [`Figure2`] — the Cohoon/Sahni variant: descend to a local optimum
+//! * [`fig2`] — the Cohoon/Sahni variant: descend to a local optimum
 //!   first, then attempt uphill kicks.
-//! * [`Rejectionless`] — the Greene/Supowit \[GREE84\] variant discussed in
+//! * [`rejectionless`] — the Greene/Supowit \[GREE84\] variant discussed in
 //!   §2: weigh every neighbor and sample one, so no step is wasted on a
 //!   rejection (at the cost of evaluating the whole neighborhood).
-//! * [`ReplicaExchange`] — parallel tempering: one chain per temperature
+//! * [`replica_exchange`] — parallel tempering: one chain per temperature
 //!   rung, coupled by periodic configuration swaps between adjacent rungs.
 //!
 //! All strategies charge every cost evaluation against a shared
 //! [`Budget`] split evenly over the temperature schedule, so
 //! methods can be compared at equal computational cost (§3).
 
-mod fig1;
-mod fig2;
-mod rejectionless;
-mod replica_exchange;
+pub mod fig1;
+pub mod fig2;
+pub mod rejectionless;
+pub mod replica_exchange;
 
-pub use fig1::Figure1;
-pub use fig2::Figure2;
-pub use rejectionless::Rejectionless;
-pub use replica_exchange::{ReplicaExchange, DEFAULT_EXCHANGE_INTERVAL};
+pub use replica_exchange::DEFAULT_EXCHANGE_INTERVAL;
 
 use std::time::Instant;
 

@@ -1,7 +1,7 @@
 //! The rejectionless ("without rejected moves") method of Greene & Supowit
-//! [GREE84], discussed in §2 of the paper:
+//! \[GREE84\], discussed in §2 of the paper:
 //!
-//! > "[GREE84] develops a method to improve the run time performance of
+//! > "\[GREE84\] develops a method to improve the run time performance of
 //! > annealing at low temperatures. The method proposed trades computer
 //! > time with computer space. In fact, the authors themselves state that
 //! > the memory cost is great."
@@ -14,152 +14,123 @@
 //! time/space trade the paper quotes; the budget accounting charges one
 //! evaluation per weighed neighbor, keeping comparisons against Figure 1/2
 //! honest.
+//!
+//! Requires the problem to implement [`Problem::all_moves`]; with the
+//! default empty neighborhood the run stops immediately (zero evaluations).
+//!
+//! Temperature control: the budget is split evenly across the schedule as
+//! in the other strategies; a temperature advances when its share is
+//! exhausted or when the chain **freezes** (every neighbor has acceptance
+//! probability 0).
 
 use rand::{Rng, RngExt};
 
 use super::Run;
 use crate::accept::GFunction;
-use crate::budget::Budget;
+use crate::annealer::Annealer;
 use crate::problem::Problem;
 use crate::stats::{RunResult, StopReason};
-use crate::trace::{ChainObserver, NoopObserver};
+use crate::trace::ChainObserver;
 
-/// The \[GREE84\] rejectionless strategy.
-///
-/// Requires the problem to implement [`Problem::all_moves`]; with the
-/// default empty neighborhood the run stops immediately (zero evaluations).
-///
-/// Temperature control: the budget is split evenly across the schedule as
-/// in the other strategies; a temperature advances when its share is
-/// exhausted or when the chain **freezes** (every neighbor has acceptance
-/// probability 0).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Rejectionless {
-    /// Sample `(evals, best_cost)` every this many evaluations; 0 disables.
-    pub trajectory_every: u64,
-}
-
-impl Rejectionless {
-    /// Enables best-cost trajectory sampling every `every` evaluations.
-    pub fn trajectory(mut self, every: u64) -> Self {
-        self.trajectory_every = every;
-        self
+/// Runs the rejectionless strategy from `start`.
+pub(crate) fn run<P: Problem, O: ChainObserver>(
+    a: &Annealer<'_, P>,
+    g: &mut GFunction,
+    start: P::State,
+    rng: &mut dyn Rng,
+    obs: &mut O,
+) -> RunResult<P::State> {
+    let problem = a.problem;
+    g.reset();
+    let k = g.temperatures();
+    let mut state = start;
+    let mut cost = problem.cost(&state);
+    let initial_cost = cost;
+    let mut run = Run::<P>::new(a.budget, k, a.trajectory_every, &state, cost, O::ENABLED);
+    run.stage_temperature = g.schedule().value(0);
+    if O::ENABLED {
+        obs.on_run_start(initial_cost, k);
     }
 
-    /// Runs the strategy from `start`.
-    pub fn run<P: Problem>(
-        &self,
-        problem: &P,
-        g: &mut GFunction,
-        start: P::State,
-        budget: Budget,
-        rng: &mut dyn Rng,
-    ) -> RunResult<P::State> {
-        self.run_traced(problem, g, start, budget, rng, &mut NoopObserver)
-    }
-
-    /// Like [`run`](Self::run), reporting structured chain events to `obs`.
-    ///
-    /// The observer parameter is monomorphized: with [`NoopObserver`] this
-    /// compiles to exactly `run`, and tracing never touches the RNG.
-    pub fn run_traced<P: Problem, O: ChainObserver>(
-        &self,
-        problem: &P,
-        g: &mut GFunction,
-        start: P::State,
-        budget: Budget,
-        rng: &mut dyn Rng,
-        obs: &mut O,
-    ) -> RunResult<P::State> {
-        g.reset();
-        let k = g.temperatures();
-        let mut state = start;
-        let mut cost = problem.cost(&state);
-        let initial_cost = cost;
-        let mut run = Run::<P>::new(budget, k, self.trajectory_every, &state, cost, O::ENABLED);
-        run.stage_temperature = g.schedule().value(0);
-        if O::ENABLED {
-            obs.on_run_start(initial_cost, k);
+    // Neighborhood and weight buffers are reused across steps; problems
+    // overriding `all_moves_into` fill them with no per-step allocation.
+    let mut moves: Vec<P::Move> = Vec::new();
+    let mut weights: Vec<f64> = Vec::new();
+    let stop = loop {
+        if run.meter.exhausted() {
+            if !run.advance_temp(true, obs) {
+                break StopReason::Budget;
+            }
+            run.stage_temperature = g.schedule().value(run.temp);
+        }
+        problem.all_moves_into(&state, &mut moves);
+        if moves.is_empty() {
+            // Neighborhood enumeration unsupported (or a degenerate
+            // instance): nothing to sample.
+            break StopReason::Equilibrium;
         }
 
-        // Neighborhood and weight buffers are reused across steps; problems
-        // overriding `all_moves_into` fill them with no per-step allocation.
-        let mut moves: Vec<P::Move> = Vec::new();
-        let mut weights: Vec<f64> = Vec::new();
-        let stop = loop {
-            if run.meter.exhausted() {
-                if !run.advance_temp(true, obs) {
-                    break StopReason::Budget;
-                }
-                run.stage_temperature = g.schedule().value(run.temp);
-            }
-            problem.all_moves_into(&state, &mut moves);
-            if moves.is_empty() {
-                // Neighborhood enumeration unsupported (or a degenerate
-                // instance): nothing to sample.
+        // Weigh every neighbor by its acceptance probability.
+        weights.clear();
+        let mut total = 0.0;
+        for mv in &moves {
+            problem.apply(&mut state, mv);
+            let neighbor_cost = problem.cost(&state);
+            problem.undo(&mut state, mv);
+            let p = if neighbor_cost < cost {
+                1.0
+            } else {
+                g.probability(run.temp, cost, neighbor_cost)
+            };
+            weights.push(p);
+            total += p;
+        }
+        run.stats.proposals += moves.len() as u64;
+        run.charge(moves.len() as u64);
+
+        if total <= 0.0 {
+            // Frozen at this temperature: advance or stop.
+            if !run.advance_temp(false, obs) {
                 break StopReason::Equilibrium;
             }
+            run.stage_temperature = g.schedule().value(run.temp);
+            continue;
+        }
 
-            // Weigh every neighbor by its acceptance probability.
-            weights.clear();
-            let mut total = 0.0;
-            for mv in &moves {
-                problem.apply(&mut state, mv);
-                let neighbor_cost = problem.cost(&state);
-                problem.undo(&mut state, mv);
-                let p = if neighbor_cost < cost {
-                    1.0
-                } else {
-                    g.probability(run.temp, cost, neighbor_cost)
-                };
-                weights.push(p);
-                total += p;
+        // Sample a move proportionally to its weight.
+        let mut r = rng.random_range(0.0..total);
+        let mut chosen = moves.len() - 1;
+        for (i, w) in weights.iter().enumerate() {
+            if r < *w {
+                chosen = i;
+                break;
             }
-            run.stats.proposals += moves.len() as u64;
-            run.charge(moves.len() as u64);
+            r -= w;
+        }
+        problem.apply(&mut state, &moves[chosen]);
+        let new_cost = problem.cost(&state);
+        if new_cost < cost {
+            run.stats.accepted_downhill += 1;
+            g.note_downhill();
+        } else {
+            run.stats.accepted_uphill += 1;
+        }
+        cost = new_cost;
+        if O::ENABLED {
+            obs.on_energy(run.total_evals, cost);
+        }
+        run.observe(&state, cost, obs);
+    };
 
-            if total <= 0.0 {
-                // Frozen at this temperature: advance or stop.
-                if !run.advance_temp(false, obs) {
-                    break StopReason::Equilibrium;
-                }
-                run.stage_temperature = g.schedule().value(run.temp);
-                continue;
-            }
-
-            // Sample a move proportionally to its weight.
-            let mut r = rng.random_range(0.0..total);
-            let mut chosen = moves.len() - 1;
-            for (i, w) in weights.iter().enumerate() {
-                if r < *w {
-                    chosen = i;
-                    break;
-                }
-                r -= w;
-            }
-            problem.apply(&mut state, &moves[chosen]);
-            let new_cost = problem.cost(&state);
-            if new_cost < cost {
-                run.stats.accepted_downhill += 1;
-                g.note_downhill();
-            } else {
-                run.stats.accepted_uphill += 1;
-            }
-            cost = new_cost;
-            if O::ENABLED {
-                obs.on_energy(run.total_evals, cost);
-            }
-            run.observe(&state, cost, obs);
-        };
-
-        run.finish(stop, initial_cost, cost, obs)
-    }
+    run.finish(stop, initial_cost, cost, obs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{rngs::StdRng, SeedableRng};
+    use crate::budget::Budget;
+    use crate::trace::NoopObserver;
+    use crate::Strategy;
 
     struct BitCount;
     impl Problem for BitCount {
@@ -182,14 +153,19 @@ mod tests {
         }
     }
 
+    /// A rejectionless chain on `p` with `budget` evaluations.
+    fn rejectionless<P: Problem>(p: &P, budget: u64, seed: u64) -> Annealer<'_, P> {
+        let mut a = Annealer::new(p);
+        a.strategy(Strategy::Rejectionless)
+            .budget(Budget::evaluations(budget))
+            .seed(seed);
+        a
+    }
+
     #[test]
     fn solves_bitcount() {
-        let p = BitCount;
-        let mut rng = StdRng::seed_from_u64(1);
-        let start = p.random_state(&mut rng);
-        let mut g = GFunction::six_temp_annealing(1.0);
-        let r =
-            Rejectionless::default().run(&p, &mut g, start, Budget::evaluations(30_000), &mut rng);
+        let r = rejectionless(&BitCount, 30_000, 1)
+            .run(&mut GFunction::six_temp_annealing(1.0), &mut NoopObserver);
         assert_eq!(r.best_cost, 0.0);
         // Every step moves: accepted counts equal steps, no rejections.
         assert_eq!(r.stats.rejected_uphill, 0);
@@ -204,11 +180,9 @@ mod tests {
         // A Boltzmann g at an astronomically low temperature freezes as soon
         // as the state reaches the global optimum (every neighbor uphill
         // with p = 0).
-        let p = BitCount;
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut g = GFunction::metropolis(1e-15);
-        let r =
-            Rejectionless::default().run(&p, &mut g, 1, Budget::evaluations(1_000_000), &mut rng);
+        let r = rejectionless(&BitCount, 1_000_000, 2)
+            .start_from(1)
+            .run(&mut GFunction::metropolis(1e-15), &mut NoopObserver);
         assert_eq!(r.best_cost, 0.0);
         assert_eq!(
             r.stop,
@@ -237,27 +211,18 @@ mod tests {
                 *s += m;
             }
         }
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut g = GFunction::unit();
-        let r = Rejectionless::default().run(
-            &NoNeighborhood,
-            &mut g,
-            5,
-            Budget::evaluations(100),
-            &mut rng,
-        );
+        let r = rejectionless(&NoNeighborhood, 100, 3)
+            .start_from(5)
+            .run(&mut GFunction::unit(), &mut NoopObserver);
         assert_eq!(r.stats.evals, 0);
         assert_eq!(r.best_cost, 5.0);
     }
 
     #[test]
     fn deterministic() {
-        let p = BitCount;
         let run = |seed| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let start = p.random_state(&mut rng);
-            let mut g = GFunction::six_temp_annealing(1.0);
-            Rejectionless::default().run(&p, &mut g, start, Budget::evaluations(5_000), &mut rng)
+            rejectionless(&BitCount, 5_000, seed)
+                .run(&mut GFunction::six_temp_annealing(1.0), &mut NoopObserver)
         };
         let a = run(9);
         let b = run(9);

@@ -11,13 +11,12 @@
 //! state per instance across candidates) and keeps the parameter with the
 //! largest total cost reduction.
 
-use rand::{rngs::StdRng, SeedableRng};
-
 use crate::accept::GFunction;
+use crate::annealer::Annealer;
 use crate::budget::Budget;
 use crate::problem::Problem;
 use crate::seeds::derive_seed;
-use crate::strategy::{Figure1, DEFAULT_EQUILIBRIUM};
+use crate::trace::NoopObserver;
 
 /// Outcome for a single candidate parameter value.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,7 +54,6 @@ impl TuneReport {
 pub struct Tuner<'a, P: Problem> {
     instances: &'a [P],
     budget: Budget,
-    equilibrium: u64,
     seed: u64,
 }
 
@@ -71,15 +69,8 @@ impl<'a, P: Problem> Tuner<'a, P> {
         Tuner {
             instances,
             budget,
-            equilibrium: DEFAULT_EQUILIBRIUM,
             seed,
         }
-    }
-
-    /// Overrides the Figure-1 equilibrium limit.
-    pub fn equilibrium(mut self, n: u64) -> Self {
-        self.equilibrium = n;
-        self
     }
 
     /// Sweeps `candidates`, building a g function per candidate with
@@ -90,18 +81,17 @@ impl<'a, P: Problem> Tuner<'a, P> {
     /// Panics if `candidates` is empty.
     pub fn tune(&self, make_g: impl Fn(f64) -> GFunction, candidates: &[f64]) -> TuneReport {
         assert!(!candidates.is_empty(), "need at least one candidate");
-        let strategy = Figure1::with_equilibrium(self.equilibrium);
         let outcomes: Vec<CandidateOutcome> = candidates
             .iter()
             .map(|&value| {
                 let mut total = 0.0;
                 for (idx, problem) in self.instances.iter().enumerate() {
-                    let mut g = make_g(value);
                     // Same per-instance seed for every candidate: identical
                     // starting states, as the paper requires.
-                    let mut rng = StdRng::seed_from_u64(derive_seed(self.seed, idx as u64));
-                    let start = problem.random_state(&mut rng);
-                    let result = strategy.run(problem, &mut g, start, self.budget, &mut rng);
+                    let result = Annealer::new(problem)
+                        .budget(self.budget)
+                        .seed(derive_seed(self.seed, idx as u64))
+                        .run(&mut make_g(value), &mut NoopObserver);
                     total += result.reduction();
                 }
                 CandidateOutcome {

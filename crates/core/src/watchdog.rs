@@ -96,7 +96,7 @@ mod tests {
 
     #[test]
     fn slow_chain_is_cut_short_by_watchdog() {
-        use crate::{Annealer, Budget, GFunction, Problem, Rng, RngExt, Strategy};
+        use crate::{Annealer, Budget, GFunction, NoopObserver, Problem, Rng, RngExt, Strategy};
 
         // Every evaluation sleeps, so the nominal evaluation budget would
         // take minutes; the watchdog must stop the run almost immediately.
@@ -125,7 +125,7 @@ mod tests {
             .strategy(Strategy::Figure1)
             .budget(Budget::evaluations(1_000_000))
             .seed(1985)
-            .run(&mut GFunction::unit());
+            .run(&mut GFunction::unit(), &mut NoopObserver);
         assert!(expired(), "watchdog fired");
         assert!(
             started.elapsed() < Duration::from_secs(20),

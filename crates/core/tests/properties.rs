@@ -2,11 +2,10 @@
 
 use anneal_core::schedule::adaptive;
 use anneal_core::{
-    derive_seed, AcceptanceController, Budget, DeltaStats, Figure1, Figure2, Form, GFunction, Gate,
-    Meter, Problem, Rng, RngExt, Schedule,
+    derive_seed, AcceptanceController, Annealer, Budget, DeltaStats, Form, GFunction, Gate, Meter,
+    NoopObserver, Problem, Rng, RngExt, Schedule,
 };
 use proptest::prelude::*;
-use rand::{rngs::StdRng, SeedableRng};
 
 /// Toy problem for strategy-level properties.
 struct BitCount {
@@ -35,6 +34,9 @@ impl Problem for BitCount {
             }
         }
         None
+    }
+    fn all_moves(&self, _: &u64) -> Vec<u32> {
+        (0..self.bits).collect()
     }
 }
 
@@ -161,11 +163,11 @@ proptest! {
 
     #[test]
     fn figure1_best_never_exceeds_initial(seed in any::<u64>(), budget in 10u64..3000) {
-        let p = BitCount { bits: 16 };
-        let mut rng = StdRng::seed_from_u64(seed);
-        let start = p.random_state(&mut rng);
         let mut g = GFunction::six_temp_annealing(2.0);
-        let r = Figure1::default().run(&p, &mut g, start, Budget::evaluations(budget), &mut rng);
+        let r = Annealer::new(&BitCount { bits: 16 })
+            .budget(Budget::evaluations(budget))
+            .seed(seed)
+            .run(&mut g, &mut NoopObserver);
         prop_assert!(r.best_cost <= r.initial_cost);
         prop_assert!(r.best_cost <= r.final_cost);
         prop_assert!(r.stats.evals <= budget + 6, "budget respected within one step per temp");
@@ -173,11 +175,12 @@ proptest! {
 
     #[test]
     fn figure2_best_never_exceeds_initial(seed in any::<u64>(), budget in 10u64..3000) {
-        let p = BitCount { bits: 16 };
-        let mut rng = StdRng::seed_from_u64(seed);
-        let start = p.random_state(&mut rng);
         let mut g = GFunction::unit();
-        let r = Figure2::default().run(&p, &mut g, start, Budget::evaluations(budget), &mut rng);
+        let r = Annealer::new(&BitCount { bits: 16 })
+            .strategy(anneal_core::Strategy::Figure2)
+            .budget(Budget::evaluations(budget))
+            .seed(seed)
+            .run(&mut g, &mut NoopObserver);
         prop_assert!(r.best_cost <= r.initial_cost);
         // Descent probes arrive in bursts of up to `bits`, so allow one burst
         // of overshoot.
@@ -254,12 +257,12 @@ proptest! {
     fn controlled_runs_are_deterministic(seed in any::<u64>(), budget in 100u64..3000) {
         let p = BitCount { bits: 12 };
         let run = || {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let start = p.random_state(&mut rng);
             let mut g = GFunction::six_temp_annealing(2.0);
-            Figure1::default()
-                .with_controller(Some(AcceptanceController::default()))
-                .run(&p, &mut g, start, Budget::evaluations(budget), &mut rng)
+            Annealer::new(&p)
+                .controller(Some(AcceptanceController::default()))
+                .budget(Budget::evaluations(budget))
+                .seed(seed)
+                .run(&mut g, &mut NoopObserver)
         };
         let a = run();
         let b = run();
@@ -274,16 +277,25 @@ proptest! {
     #[test]
     fn strategies_are_deterministic(seed in any::<u64>()) {
         let p = BitCount { bits: 12 };
-        let run = |s| {
-            let mut rng = StdRng::seed_from_u64(s);
-            let start = p.random_state(&mut rng);
-            let mut g = GFunction::two_level();
-            Figure1::default().run(&p, &mut g, start, Budget::evaluations(500), &mut rng)
-        };
-        let a = run(seed);
-        let b = run(seed);
-        prop_assert_eq!(a.best_cost, b.best_cost);
-        prop_assert_eq!(a.final_cost, b.final_cost);
-        prop_assert_eq!(a.stats, b.stats);
+        use anneal_core::Strategy as Chain;
+        for strategy in [
+            Chain::Figure1,
+            Chain::Figure2,
+            Chain::Rejectionless,
+            Chain::ReplicaExchange { exchange_interval: 16 },
+        ] {
+            let run = || {
+                Annealer::new(&p)
+                    .strategy(strategy)
+                    .budget(Budget::evaluations(500))
+                    .seed(seed)
+                    .run(&mut GFunction::two_level(), &mut NoopObserver)
+            };
+            let a = run();
+            let b = run();
+            prop_assert_eq!(a.best_cost, b.best_cost, "{:?}", strategy);
+            prop_assert_eq!(a.final_cost, b.final_cost, "{:?}", strategy);
+            prop_assert_eq!(a.stats, b.stats, "{:?}", strategy);
+        }
     }
 }

@@ -15,7 +15,7 @@
 
 use anneal_core::schedule::adaptive::{self, AdaptiveMode, DEFAULT_PROBE_SAMPLES};
 use anneal_core::{
-    estimate_delta_stats, json, Annealer, Budget, GFunction, Problem, Rng, Strategy,
+    estimate_delta_stats, json, Annealer, Budget, GFunction, NoopObserver, Problem, Rng, Strategy,
 };
 use anneal_linarr::{LinearArrangementProblem, Neighborhood};
 use anneal_netlist::generator::{random_multi_pin, random_two_pin};
@@ -113,7 +113,7 @@ fn chain_kernel(
             .strategy(strategy)
             .budget(Budget::evaluations(CHAIN_EVALS))
             .seed(BENCH_SEED)
-            .run(&mut g)
+            .run(&mut g, &mut NoopObserver)
             .stats
             .evals
     };
@@ -127,7 +127,7 @@ fn chain_kernel(
                     .strategy(strategy)
                     .budget(Budget::evaluations(CHAIN_EVALS))
                     .seed(BENCH_SEED)
-                    .run(&mut g);
+                    .run(&mut g, &mut NoopObserver);
                 std::hint::black_box(r.best_cost)
             })
         }),
@@ -285,7 +285,7 @@ pub fn kernels() -> Vec<Kernel> {
                 .budget(Budget::evaluations(CHAIN_EVALS))
                 .seed(BENCH_SEED)
                 .controller(controller)
-                .run(&mut g)
+                .run(&mut g, &mut NoopObserver)
                 .stats
                 .evals
         };
@@ -300,7 +300,7 @@ pub fn kernels() -> Vec<Kernel> {
                         .budget(Budget::evaluations(CHAIN_EVALS))
                         .seed(BENCH_SEED)
                         .controller(controller)
-                        .run(&mut g);
+                        .run(&mut g, &mut NoopObserver);
                     std::hint::black_box(r.best_cost)
                 })
             }),

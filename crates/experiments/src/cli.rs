@@ -69,8 +69,16 @@ pub enum Command {
     Job(String),
 }
 
-/// The `--strategy` spellings `repro` accepts.
-pub const STRATEGIES: [&str; 4] = ["figure1", "figure2", "rejectionless", "replica-exchange"];
+/// The `--strategy` spellings `repro` accepts ([`Strategy::name`]).
+pub const STRATEGIES: [&str; 4] = [
+    Strategy::Figure1.name(),
+    Strategy::Figure2.name(),
+    Strategy::Rejectionless.name(),
+    Strategy::ReplicaExchange {
+        exchange_interval: DEFAULT_EXCHANGE_INTERVAL,
+    }
+    .name(),
+];
 
 /// The `--schedule` spellings `repro` accepts.
 pub const SCHEDULES: [&str; 2] = ["adaptive", "asa"];
@@ -433,21 +441,17 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
 
     config = config.with_retry(RetryPolicy::new(retries, backoff));
 
-    let strategy = match strategy_name.as_deref() {
-        None => None,
-        Some("figure1") => Some(Strategy::Figure1),
-        Some("figure2") => Some(Strategy::Figure2),
-        Some("rejectionless") => Some(Strategy::Rejectionless),
-        Some("replica-exchange") => Some(Strategy::ReplicaExchange {
-            exchange_interval: exchange_interval.unwrap_or(DEFAULT_EXCHANGE_INTERVAL),
-        }),
-        Some(other) => {
-            return Err(format!(
-                "unknown --strategy `{other}` (one of: {})",
-                STRATEGIES.join(", ")
-            ));
-        }
-    };
+    let strategy = strategy_name
+        .as_deref()
+        .map(|name| {
+            Strategy::from_name(name, exchange_interval).ok_or_else(|| {
+                format!(
+                    "unknown --strategy `{name}` (one of: {})",
+                    STRATEGIES.join(", ")
+                )
+            })
+        })
+        .transpose()?;
     if !matches!(strategy, Some(Strategy::ReplicaExchange { .. }))
         && (replicas.is_some() || exchange_interval.is_some())
     {

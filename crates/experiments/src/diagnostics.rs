@@ -5,8 +5,7 @@
 //! method's temperature control actually advanced — for the full Table-4.1
 //! roster on the GOLA set at the 12-second budget.
 
-use anneal_core::{derive_seed, Figure1};
-use rand::{rngs::StdRng, SeedableRng};
+use anneal_core::{derive_seed, Annealer, NoopObserver};
 
 use crate::budgetmap::PAPER_SECONDS;
 use crate::config::SuiteConfig;
@@ -49,9 +48,11 @@ pub fn run(config: &SuiteConfig) -> Table {
             let ctx = MethodCtx {
                 n_nets: problem.netlist().n_nets(),
             };
-            let mut g = spec.g(&ctx);
-            let mut rng = StdRng::seed_from_u64(derive_seed(config.seed ^ 0x444941, idx as u64));
-            let r = Figure1::default().run(problem, &mut g, start.clone(), budget, &mut rng);
+            let r = Annealer::new(problem)
+                .budget(budget)
+                .seed(derive_seed(config.seed ^ 0x444941, idx as u64))
+                .start_from(start.clone())
+                .run(&mut spec.g(&ctx), &mut NoopObserver);
             proposals += r.stats.proposals;
             accepted += r.stats.accepted_downhill + r.stats.accepted_uphill;
             uphill += r.stats.accepted_uphill;

@@ -7,12 +7,13 @@
 //! Kernighan–Lin heuristic and time-equalized multistart descent, on random
 //! two-pin netlists.
 
-use anneal_core::{derive_seed, local, Figure1, GFunction, Problem};
+use anneal_core::{derive_seed, local, Annealer, GFunction, NoopObserver, Problem};
 use anneal_netlist::generator::random_two_pin;
 use anneal_partition::{fiduccia_mattheyses, kernighan_lin, PartitionProblem, PartitionState};
 use rand::{rngs::StdRng, SeedableRng};
 
 use crate::config::SuiteConfig;
+use crate::runner::RUN_SALT;
 use crate::table::Table;
 
 /// Instances in the extension set.
@@ -66,10 +67,11 @@ pub fn run(config: &SuiteConfig) -> Table {
             .zip(&starts)
             .enumerate()
             .map(|(i, (p, start))| {
-                let mut g = make_g();
-                let mut rng = StdRng::seed_from_u64(derive_seed(config.seed ^ 0x52554E, i as u64));
-                Figure1::default()
-                    .run(p, &mut g, start.clone(), budget, &mut rng)
+                Annealer::new(p)
+                    .budget(budget)
+                    .seed(derive_seed(config.seed ^ RUN_SALT, i as u64))
+                    .start_from(start.clone())
+                    .run(&mut make_g(), &mut NoopObserver)
                     .best_cost
             })
             .collect();

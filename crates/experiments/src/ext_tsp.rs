@@ -8,13 +8,14 @@
 //! 2-opt descent). \[GOLD84\]'s finding — 2-opt beats annealing on most
 //! instances at equal time — is the shape to reproduce.
 
-use anneal_core::{derive_seed, local, Figure1, GFunction, Problem};
+use anneal_core::{derive_seed, local, Annealer, GFunction, NoopObserver, Problem};
 use anneal_tsp::{
     hull_cheapest_insertion, nearest_neighbor, two_opt_descent, TspInstance, TspProblem,
 };
 use rand::{rngs::StdRng, SeedableRng};
 
 use crate::config::SuiteConfig;
+use crate::runner::RUN_SALT;
 use crate::table::Table;
 
 /// Instances in the extension set (\[GOLD84\] used 10).
@@ -55,10 +56,11 @@ pub fn run(config: &SuiteConfig) -> Table {
             .zip(&starts)
             .enumerate()
             .map(|(i, (p, start))| {
-                let mut g = make_g();
-                let mut rng = StdRng::seed_from_u64(derive_seed(config.seed ^ 0x52554E, i as u64));
-                Figure1::default()
-                    .run(p, &mut g, start.clone(), budget, &mut rng)
+                Annealer::new(p)
+                    .budget(budget)
+                    .seed(derive_seed(config.seed ^ RUN_SALT, i as u64))
+                    .start_from(start.clone())
+                    .run(&mut make_g(), &mut NoopObserver)
                     .best_cost
             })
             .collect()

@@ -13,8 +13,8 @@
 //!
 //! A [`JobSpec`] pins everything a run depends on — problem generator,
 //! method, strategy, budget and base seed — and execution flows through the
-//! same `runner` dispatch the offline CLI uses (`run_strategy`,
-//! `adapt_schedule_for`, the same seed-stream salts).
+//! same chain runner the offline CLI uses ([`anneal_core::Annealer`], with
+//! `runner`'s `adapt_schedule_for` and the same seed-stream salts).
 //! A job's result [record](JobSpec::execute) therefore contains no
 //! wall-clock fields and is **byte-identical** to running
 //! `repro job SPEC.json` offline with the same spec. The only
@@ -43,8 +43,8 @@ use std::time::Duration;
 
 use anneal_core::schedule::adaptive::AdaptiveMode;
 use anneal_core::{
-    derive_seed, json, metrics, watchdog, Budget, GFunction, NoopObserver, Problem, Strategy,
-    DEFAULT_EQUILIBRIUM, DEFAULT_EXCHANGE_INTERVAL,
+    derive_seed, json, metrics, watchdog, Annealer, Budget, GFunction, NoopObserver, Problem,
+    Strategy,
 };
 use anneal_linarr::LinearArrangementProblem;
 use anneal_netlist::generator::{random_multi_pin, random_two_pin};
@@ -57,7 +57,7 @@ use crate::budgetmap::Scale;
 use crate::checkpoint::{field_str, field_u64, wal_line, Json};
 use crate::instances::{DEFAULT_SEED, NOLA_PIN_RANGE};
 use crate::jsonl::{self, JOURNAL};
-use crate::runner::{adapt_schedule_for, run_strategy, PROBE_SALT, RUN_SALT};
+use crate::runner::{adapt_schedule_for, panic_message, PROBE_SALT, RUN_SALT};
 use crate::scheduler::{PushError, TaskQueue};
 
 /// Schema tag of a job result record.
@@ -160,16 +160,6 @@ impl Method {
                 "field `method` must be one of sta, metropolis, g1, two-level; got `{other}`"
             )),
         }
-    }
-}
-
-/// Stable lower-case strategy name (the CLI's `--strategy` vocabulary).
-pub fn strategy_str(strategy: Strategy) -> &'static str {
-    match strategy {
-        Strategy::Figure1 => "figure1",
-        Strategy::Figure2 => "figure2",
-        Strategy::Rejectionless => "rejectionless",
-        Strategy::ReplicaExchange { .. } => "replica-exchange",
     }
 }
 
@@ -390,20 +380,12 @@ impl JobSpec {
             Some(v) => Some(ranged_u64(v, "replicas", 2, 16)? as usize),
             None => None,
         };
-        let strategy = match strategy_name {
-            "figure1" => Strategy::Figure1,
-            "figure2" => Strategy::Figure2,
-            "rejectionless" => Strategy::Rejectionless,
-            "replica-exchange" => Strategy::ReplicaExchange {
-                exchange_interval: exchange_interval.unwrap_or(DEFAULT_EXCHANGE_INTERVAL),
-            },
-            other => {
-                return Err(format!(
-                    "field `strategy` must be one of figure1, figure2, rejectionless, \
-                     replica-exchange; got `{other}`"
-                ))
-            }
-        };
+        let strategy = Strategy::from_name(strategy_name, exchange_interval).ok_or_else(|| {
+            format!(
+                "field `strategy` must be one of figure1, figure2, rejectionless, \
+                 replica-exchange; got `{strategy_name}`"
+            )
+        })?;
         if !matches!(strategy, Strategy::ReplicaExchange { .. })
             && (replicas.is_some() || exchange_interval.is_some())
         {
@@ -513,10 +495,7 @@ impl JobSpec {
         if let Some(t) = self.temperature {
             s.push_str(&format!(",\"temperature\":{}", json::float(t)));
         }
-        s.push_str(&format!(
-            ",\"strategy\":\"{}\"",
-            strategy_str(self.strategy)
-        ));
+        s.push_str(&format!(",\"strategy\":\"{}\"", self.strategy.name()));
         if let Some(k) = self.replicas {
             s.push_str(&format!(",\"replicas\":{k}"));
         }
@@ -566,13 +545,8 @@ impl JobSpec {
             match catch_unwind(AssertUnwindSafe(|| self.run_instance(i))) {
                 Ok(out) => outs.push(out),
                 Err(payload) => {
-                    let msg = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "instance panicked".to_string());
                     return JobOutcome::Failed {
-                        error: format!("instance {i}: {msg}"),
+                        error: format!("instance {i}: {}", panic_message(payload)),
                     };
                 }
             }
@@ -655,19 +629,14 @@ impl JobSpec {
             self.budget(),
         );
         let chain_seed = derive_seed(self.seed ^ RUN_SALT, i);
-        let mut rng = StdRng::seed_from_u64(chain_seed);
-        let result = run_strategy(
-            p,
-            &mut g,
-            start,
-            self.strategy,
-            budget,
-            DEFAULT_EQUILIBRIUM,
-            self.replicas,
-            controller,
-            &mut rng,
-            &mut NoopObserver,
-        );
+        let result = Annealer::new(p)
+            .strategy(self.strategy)
+            .budget(budget)
+            .seed(chain_seed)
+            .start_from(start)
+            .replicas(self.replicas)
+            .controller(controller)
+            .run(&mut g, &mut NoopObserver);
         InstanceOut {
             seed: chain_seed,
             initial: result.initial_cost,

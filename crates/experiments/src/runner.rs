@@ -23,9 +23,9 @@ use std::time::{Duration, Instant};
 
 use anneal_core::schedule::adaptive::{self, AcceptanceController, AdaptiveMode};
 use anneal_core::{
-    derive_seed, estimate_delta_stats, metrics, watchdog, Budget, ChainObserver, Figure1, Figure2,
-    GFunction, NoopObserver, Rejectionless, ReplicaExchange, RunResult, RunTelemetry, Strategy,
-    TraceCollector, DEFAULT_EQUILIBRIUM,
+    derive_seed, estimate_delta_stats, metrics, watchdog, Annealer, Budget, ChainObserver,
+    GFunction, NoopObserver, RunResult, RunTelemetry, Strategy, TraceCollector,
+    DEFAULT_EQUILIBRIUM,
 };
 use anneal_linarr::{goto_arrangement, ArrangedState, LinearArrangementProblem};
 use rand::{rngs::StdRng, SeedableRng};
@@ -80,61 +80,6 @@ pub(crate) fn adapt_schedule_for<P: anneal_core::Problem>(
         wall @ Budget::WallClock(_) => wall,
     };
     (budget, derived.controller)
-}
-
-/// Runs one chain of `strategy` on `problem` from `start` — the single
-/// dispatch point deciding how a (strategy, g, ladder) triple executes.
-///
-/// Both the table runner ([`ArrangementSet`]) and the job server
-/// ([`crate::jobs`]) call through here, so a job submitted over HTTP runs
-/// byte-for-byte the chain the offline CLI would run for the same spec.
-/// `replicas` rebuilds the ladder to that many geometric rungs for
-/// [`Strategy::ReplicaExchange`] (the `--replicas` behavior); `controller`
-/// attaches acceptance feedback to the Figure-1/Figure-2 strategies only —
-/// the others run their schedule open-loop.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_strategy<P, O>(
-    problem: &P,
-    g: &mut GFunction,
-    start: P::State,
-    strategy: Strategy,
-    budget: Budget,
-    equilibrium: u64,
-    replicas: Option<usize>,
-    controller: Option<AcceptanceController>,
-    rng: &mut StdRng,
-    obs: &mut O,
-) -> RunResult<P::State>
-where
-    P: anneal_core::Problem,
-    O: ChainObserver,
-{
-    match strategy {
-        Strategy::Figure1 => Figure1::with_equilibrium(equilibrium)
-            .with_controller(controller)
-            .run_traced(problem, g, start, budget, rng, obs),
-        Strategy::Figure2 => Figure2::with_equilibrium(equilibrium)
-            .with_controller(controller)
-            .run_traced(problem, g, start, budget, rng, obs),
-        Strategy::Rejectionless => {
-            Rejectionless::default().run_traced(problem, g, start, budget, rng, obs)
-        }
-        Strategy::ReplicaExchange { exchange_interval } => {
-            if let Some(k) = replicas {
-                // `--replicas K`: one chain per rung of a K-rung
-                // geometric ladder grown from the method's own top
-                // temperature (the core strategy stays ladder-agnostic).
-                let top = g.schedule().value(0);
-                *g = g.clone().with_schedule(anneal_core::Schedule::geometric(
-                    top,
-                    anneal_core::KIRKPATRICK_RATIO,
-                    k,
-                ));
-            }
-            ReplicaExchange::with_interval(exchange_interval)
-                .run_traced(problem, g, start, budget, rng, obs)
-        }
-    }
 }
 
 /// Bounded retry for failed cells: up to `attempts` runs per instance, with
@@ -223,7 +168,8 @@ struct InstanceOutcome {
     outcome: Result<(f64, RunTelemetry), String>,
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// The message a caught panic carried, for failure records.
+pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -638,7 +584,6 @@ impl ArrangementSet {
         obs: &mut O,
     ) -> RunResult<ArrangedState> {
         let problem = &self.problems[idx];
-        let start = &self.starts[idx];
         let ctx = MethodCtx {
             n_nets: problem.netlist().n_nets(),
         };
@@ -648,19 +593,15 @@ impl ArrangementSet {
         let probe_seed = derive_seed(self.seed ^ PROBE_SALT, idx as u64);
         let (budget, controller) =
             adapt_schedule_for(self.schedule, probe_seed, problem, &mut g, budget);
-        let mut rng = StdRng::seed_from_u64(derive_seed(self.seed ^ RUN_SALT, idx as u64));
-        run_strategy(
-            problem,
-            &mut g,
-            start.clone(),
-            strategy,
-            budget,
-            self.equilibrium,
-            self.replicas,
-            controller,
-            &mut rng,
-            obs,
-        )
+        Annealer::new(problem)
+            .strategy(strategy)
+            .equilibrium(self.equilibrium)
+            .budget(budget)
+            .seed(derive_seed(self.seed ^ RUN_SALT, idx as u64))
+            .start_from(self.starts[idx].clone())
+            .replicas(self.replicas)
+            .controller(controller)
+            .run(&mut g, obs)
     }
 }
 

@@ -222,24 +222,11 @@ impl Supervisor {
             base_args.push("--watchdog-ms".into());
             base_args.push(w.as_millis().max(1).to_string());
         }
-        match config.strategy {
-            None => {}
-            Some(Strategy::Figure1) => {
-                base_args.extend(["--strategy".into(), "figure1".into()]);
-            }
-            Some(Strategy::Figure2) => {
-                base_args.extend(["--strategy".into(), "figure2".into()]);
-            }
-            Some(Strategy::Rejectionless) => {
-                base_args.extend(["--strategy".into(), "rejectionless".into()]);
-            }
-            Some(Strategy::ReplicaExchange { exchange_interval }) => {
-                base_args.extend([
-                    "--strategy".into(),
-                    "replica-exchange".into(),
-                    "--exchange-interval".into(),
-                    exchange_interval.to_string(),
-                ]);
+        if let Some(strategy) = config.strategy {
+            base_args.extend(["--strategy".into(), strategy.name().into()]);
+            if let Strategy::ReplicaExchange { exchange_interval } = strategy {
+                base_args.push("--exchange-interval".into());
+                base_args.push(exchange_interval.to_string());
             }
         }
         if let Some(k) = config.replicas {

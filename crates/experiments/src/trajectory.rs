@@ -4,8 +4,7 @@
 //! asymptotic-convergence discussion it cites from \[ROME84a/b\], \[LUND83\]
 //! and \[GEM83\]).
 
-use anneal_core::{derive_seed, Figure1};
-use rand::{rngs::StdRng, SeedableRng};
+use anneal_core::{derive_seed, Annealer, NoopObserver};
 
 use crate::budgetmap::PAPER_SECONDS;
 use crate::config::SuiteConfig;
@@ -64,10 +63,12 @@ pub fn run(config: &SuiteConfig) -> Table {
         let ctx = MethodCtx {
             n_nets: problem.netlist().n_nets(),
         };
-        let mut g = spec.g(&ctx);
-        let mut rng = StdRng::seed_from_u64(derive_seed(config.seed ^ 0x54524A, 0));
-        let strategy = Figure1::default().trajectory(every);
-        let result = strategy.run(problem, &mut g, start.clone(), budget, &mut rng);
+        let result = Annealer::new(problem)
+            .budget(budget)
+            .seed(derive_seed(config.seed ^ 0x54524A, 0))
+            .start_from(start.clone())
+            .trajectory(every)
+            .run(&mut spec.g(&ctx), &mut NoopObserver);
 
         // Resample the recorded trajectory onto the fixed grid (runs may
         // stop early on equilibrium; extend with the final best).

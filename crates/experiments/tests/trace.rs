@@ -1,20 +1,19 @@
 //! End-to-end observability tests: the trace JSONL schema pinned by a
-//! golden file, traced-vs-untraced bitwise identity on a real table, chaos
-//! compatibility, and a no-op-observer overhead guard.
+//! golden file, traced-vs-untraced bitwise identity on a real table, and
+//! chaos compatibility.
 
 use std::path::PathBuf;
 use std::time::Duration;
 
 use anneal_core::{
-    AdvanceReason, Annealer, Budget, ChainTrace, GFunction, NoopObserver, StageTrace, StopReason,
-    StopTrace, Strategy, TempStats, TraceCollector,
+    AdvanceReason, Annealer, Budget, ChainTrace, GFunction, StageTrace, StopReason, StopTrace,
+    Strategy, TempStats, TraceCollector,
 };
 use anneal_experiments::{
     tables::table4_2b, trace, CellKey, FaultPlan, SuiteConfig, Table, TelemetryLog, TraceSink,
 };
 use anneal_linarr::LinearArrangementProblem;
 use anneal_netlist::generator::random_two_pin;
-use criterion::{measure, Bencher, MeasureConfig};
 use rand::{rngs::StdRng, SeedableRng};
 
 /// A fully pinned chain trace: every field fixed, both stage-end reasons
@@ -234,53 +233,6 @@ fn chaos_trace_writes_never_perturb_the_tables() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The observer hooks are monomorphized out when tracing is off: a chain
-/// run with [`NoopObserver`] must cost about the same as a plain run. The
-/// 3x bound is deliberately loose for CI noise — it catches a structural
-/// mistake (per-event allocation or dispatch on the untraced path), not a
-/// few percent of drift.
-#[test]
-fn noop_observer_adds_no_structural_overhead() {
-    let mut rng = StdRng::seed_from_u64(1985);
-    let problem = LinearArrangementProblem::new(random_two_pin(15, 150, &mut rng));
-    let cfg = MeasureConfig::quick();
-    let run_chain = |problem: &LinearArrangementProblem| {
-        let mut g = GFunction::metropolis(1.5);
-        Annealer::new(problem)
-            .strategy(Strategy::Figure1)
-            .budget(Budget::evaluations(1_500))
-            .seed(1985)
-            .run(&mut g)
-            .best_cost
-    };
-    let run_noop = |problem: &LinearArrangementProblem| {
-        let mut g = GFunction::metropolis(1.5);
-        Annealer::new(problem)
-            .strategy(Strategy::Figure1)
-            .budget(Budget::evaluations(1_500))
-            .seed(1985)
-            .run_traced(&mut g, &mut NoopObserver)
-            .best_cost
-    };
-    assert_eq!(
-        run_chain(&problem).to_bits(),
-        run_noop(&problem).to_bits(),
-        "noop-observed chain is the untraced chain"
-    );
-    let plain = measure("plain", &cfg, |b: &mut Bencher| {
-        b.iter(|| std::hint::black_box(run_chain(&problem)))
-    });
-    let noop = measure("noop", &cfg, |b: &mut Bencher| {
-        b.iter(|| std::hint::black_box(run_noop(&problem)))
-    });
-    assert!(
-        noop.median_ns <= plain.median_ns * 3.0,
-        "noop observer cost blew up: {} ns vs {} ns per chain",
-        noop.median_ns,
-        plain.median_ns
-    );
-}
-
 #[test]
 fn collector_keeps_a_bounded_sample_of_a_long_chain() {
     let mut rng = StdRng::seed_from_u64(3);
@@ -291,7 +243,7 @@ fn collector_keeps_a_bounded_sample_of_a_long_chain() {
         .strategy(Strategy::Figure1)
         .budget(Budget::evaluations(100_000))
         .seed(3)
-        .run_traced(&mut g, &mut collector);
+        .run(&mut g, &mut collector);
     let chain = collector.into_trace();
     let stop = chain.stop.expect("chain stopped");
     assert_eq!(stop.best_cost.to_bits(), result.best_cost.to_bits());

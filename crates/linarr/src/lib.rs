@@ -19,7 +19,7 @@
 //! # Examples
 //!
 //! ```
-//! use anneal_core::{Annealer, Budget, GFunction, Strategy};
+//! use anneal_core::{Annealer, Budget, GFunction, NoopObserver, Strategy};
 //! use anneal_linarr::{goto_arrangement, LinearArrangementProblem};
 //! use anneal_netlist::generator::random_two_pin;
 //! use rand::{rngs::StdRng, SeedableRng};
@@ -34,7 +34,7 @@
 //!     .strategy(Strategy::Figure1)
 //!     .budget(Budget::evaluations(30_000))
 //!     .start_from(problem.state_from(start))
-//!     .run(&mut GFunction::unit());
+//!     .run(&mut GFunction::unit(), &mut NoopObserver);
 //! assert!(result.best_cost <= result.initial_cost);
 //! ```
 

@@ -53,7 +53,7 @@ pub enum ArrMove {
 /// # Examples
 ///
 /// ```
-/// use anneal_core::{Annealer, Budget, GFunction};
+/// use anneal_core::{Annealer, Budget, GFunction, NoopObserver};
 /// use anneal_linarr::LinearArrangementProblem;
 /// use anneal_netlist::generator::random_two_pin;
 /// use rand::{rngs::StdRng, SeedableRng};
@@ -64,7 +64,7 @@ pub enum ArrMove {
 /// let result = Annealer::new(&problem)
 ///     .budget(Budget::evaluations(20_000))
 ///     .seed(7)
-///     .run(&mut GFunction::unit());
+///     .run(&mut GFunction::unit(), &mut NoopObserver);
 /// assert!(result.best_cost <= result.initial_cost);
 /// ```
 #[derive(Debug, Clone)]
@@ -247,7 +247,7 @@ impl Problem for LinearArrangementProblem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anneal_core::{Annealer, Budget, GFunction, Strategy};
+    use anneal_core::{Annealer, Budget, GFunction, NoopObserver, Strategy};
     use anneal_netlist::generator::{random_multi_pin, random_two_pin};
     use rand::{rngs::StdRng, SeedableRng};
 
@@ -307,7 +307,7 @@ mod tests {
         let r = Annealer::new(&p)
             .budget(Budget::evaluations(30_000))
             .seed(11)
-            .run(&mut GFunction::six_temp_annealing(2.0));
+            .run(&mut GFunction::six_temp_annealing(2.0), &mut NoopObserver);
         assert!(r.reduction() > 0.0, "30k evals must improve a random start");
         assert!(r.best_state.verify(p.netlist()));
     }
@@ -321,7 +321,10 @@ mod tests {
             .strategy(Strategy::Figure2)
             .budget(Budget::evaluations(20_000))
             .seed(13)
-            .run(&mut GFunction::coho83a(p.netlist().n_nets()));
+            .run(
+                &mut GFunction::coho83a(p.netlist().n_nets()),
+                &mut NoopObserver,
+            );
         assert!(r.reduction() > 0.0);
     }
 
@@ -334,7 +337,7 @@ mod tests {
         let r = Annealer::new(&p)
             .budget(Budget::evaluations(10_000))
             .seed(14)
-            .run(&mut GFunction::unit());
+            .run(&mut GFunction::unit(), &mut NoopObserver);
         assert!(r.reduction() > 0.0);
     }
 }

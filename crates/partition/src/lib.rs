@@ -16,7 +16,7 @@
 //! # Examples
 //!
 //! ```
-//! use anneal_core::{Annealer, Budget, GFunction};
+//! use anneal_core::{Annealer, Budget, GFunction, NoopObserver};
 //! use anneal_netlist::generator::random_two_pin;
 //! use anneal_partition::{kernighan_lin, PartitionProblem, PartitionState};
 //! use rand::{rngs::StdRng, SeedableRng};
@@ -31,7 +31,7 @@
 //! let problem = PartitionProblem::new(netlist);
 //! let sa = Annealer::new(&problem)
 //!     .budget(Budget::evaluations(20_000))
-//!     .run(&mut GFunction::six_temp_annealing(10.0));
+//!     .run(&mut GFunction::six_temp_annealing(10.0), &mut NoopObserver);
 //!
 //! assert!(sa.best_cost >= 0.0 && kl.state.cut() < u32::MAX);
 //! ```

@@ -22,7 +22,7 @@ pub struct SwapMove {
 /// # Examples
 ///
 /// ```
-/// use anneal_core::{Annealer, Budget, GFunction};
+/// use anneal_core::{Annealer, Budget, GFunction, NoopObserver};
 /// use anneal_netlist::generator::random_two_pin;
 /// use anneal_partition::PartitionProblem;
 /// use rand::{rngs::StdRng, SeedableRng};
@@ -33,7 +33,7 @@ pub struct SwapMove {
 /// // Kirkpatrick's schedule from §1 of the paper.
 /// let result = Annealer::new(&problem)
 ///     .budget(Budget::evaluations(20_000))
-///     .run(&mut GFunction::six_temp_annealing(10.0));
+///     .run(&mut GFunction::six_temp_annealing(10.0), &mut NoopObserver);
 /// assert!(result.best_cost <= result.initial_cost);
 /// ```
 #[derive(Debug, Clone)]
@@ -140,7 +140,7 @@ impl Problem for PartitionProblem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anneal_core::{Annealer, Budget, GFunction, Strategy};
+    use anneal_core::{Annealer, Budget, GFunction, NoopObserver, Strategy};
     use anneal_netlist::generator::random_two_pin;
     use rand::{rngs::StdRng, SeedableRng};
 
@@ -163,7 +163,7 @@ mod tests {
         let r = Annealer::new(&p)
             .budget(Budget::evaluations(30_000))
             .seed(3)
-            .run(&mut GFunction::six_temp_annealing(10.0));
+            .run(&mut GFunction::six_temp_annealing(10.0), &mut NoopObserver);
         assert_eq!(r.best_cost, 1.0, "optimal cut separates the cliques");
         assert!(r.best_state.verify(p.netlist()));
     }
@@ -174,7 +174,7 @@ mod tests {
         let r = Annealer::new(&p)
             .budget(Budget::evaluations(30_000))
             .seed(4)
-            .run(&mut GFunction::unit());
+            .run(&mut GFunction::unit(), &mut NoopObserver);
         assert_eq!(r.best_cost, 1.0);
     }
 
@@ -185,7 +185,7 @@ mod tests {
             .strategy(Strategy::Figure2)
             .budget(Budget::evaluations(30_000))
             .seed(5)
-            .run(&mut GFunction::unit());
+            .run(&mut GFunction::unit(), &mut NoopObserver);
         assert_eq!(r.best_cost, 1.0);
         assert!(r.stats.descents >= 1);
     }

@@ -18,7 +18,7 @@
 //! # Examples
 //!
 //! ```
-//! use anneal_core::{local::multistart, Annealer, Budget, GFunction};
+//! use anneal_core::{local::multistart, Annealer, Budget, GFunction, NoopObserver};
 //! use anneal_tsp::{TspInstance, TspProblem};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
@@ -28,7 +28,7 @@
 //! // Simulated annealing…
 //! let sa = Annealer::new(&problem)
 //!     .budget(Budget::evaluations(20_000))
-//!     .run(&mut GFunction::six_temp_annealing(0.3));
+//!     .run(&mut GFunction::six_temp_annealing(0.3), &mut NoopObserver);
 //!
 //! // …vs time-equalized multistart 2-opt (\[GOLD84\]'s protocol).
 //! let mut rng2 = StdRng::seed_from_u64(85);

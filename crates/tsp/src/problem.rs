@@ -41,7 +41,7 @@ pub enum TourNeighborhood {
 /// # Examples
 ///
 /// ```
-/// use anneal_core::{Annealer, Budget, GFunction};
+/// use anneal_core::{Annealer, Budget, GFunction, NoopObserver};
 /// use anneal_tsp::{TspInstance, TspProblem};
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
@@ -49,7 +49,7 @@ pub enum TourNeighborhood {
 /// let problem = TspProblem::new(TspInstance::random_euclidean(40, &mut rng));
 /// let result = Annealer::new(&problem)
 ///     .budget(Budget::evaluations(30_000))
-///     .run(&mut GFunction::six_temp_annealing(0.5));
+///     .run(&mut GFunction::six_temp_annealing(0.5), &mut NoopObserver);
 /// assert!(result.best_cost < result.initial_cost);
 /// ```
 #[derive(Debug, Clone)]
@@ -187,7 +187,7 @@ impl Problem for TspProblem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anneal_core::{Annealer, Budget, GFunction, Strategy};
+    use anneal_core::{Annealer, Budget, GFunction, NoopObserver, Strategy};
     use rand::{rngs::StdRng, SeedableRng};
 
     fn circle_instance(n: usize) -> TspInstance {
@@ -229,7 +229,7 @@ mod tests {
         let r = Annealer::new(&p)
             .budget(Budget::evaluations(60_000))
             .seed(2)
-            .run(&mut GFunction::six_temp_annealing(0.5));
+            .run(&mut GFunction::six_temp_annealing(0.5), &mut NoopObserver);
         let opt = circle_optimum(p.instance());
         assert!(r.best_cost <= opt * 1.1, "{} vs {opt}", r.best_cost);
     }
@@ -242,7 +242,7 @@ mod tests {
             .strategy(Strategy::Figure2)
             .budget(Budget::evaluations(40_000))
             .seed(3)
-            .run(&mut GFunction::unit());
+            .run(&mut GFunction::unit(), &mut NoopObserver);
         let opt = circle_optimum(p.instance());
         assert!(r.best_cost <= opt * 1.1);
     }

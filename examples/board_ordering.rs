@@ -9,7 +9,7 @@
 //! cargo run --example board_ordering
 //! ```
 
-use annealbench::core::{Annealer, Budget, GFunction, Strategy};
+use annealbench::core::{Annealer, Budget, GFunction, NoopObserver, Strategy};
 use annealbench::linarr::{goto_arrangement, LinearArrangementProblem};
 use annealbench::netlist::generator::random_multi_pin;
 use annealbench::netlist::NetlistStats;
@@ -38,7 +38,7 @@ fn main() {
         .budget(Budget::evaluations(120_000))
         .start_from(goto_state)
         .seed(3)
-        .run(&mut GFunction::exp_difference(0.7));
+        .run(&mut GFunction::exp_difference(0.7), &mut NoopObserver);
 
     println!("after Exponential Diff polish: {}", result.best_cost);
     println!("board order: {:?}", result.best_state.arrangement().order());

@@ -6,7 +6,7 @@
 //! cargo run --example circuit_partition
 //! ```
 
-use annealbench::core::{Annealer, Budget, GFunction, Strategy};
+use annealbench::core::{Annealer, Budget, GFunction, NoopObserver, Strategy};
 use annealbench::netlist::generator::random_two_pin;
 use annealbench::partition::{
     fiduccia_mattheyses, kernighan_lin, PartitionProblem, PartitionState,
@@ -43,7 +43,7 @@ fn main() {
                 .strategy(strategy)
                 .budget(Budget::evaluations(60_000))
                 .seed(5)
-                .run(&mut g);
+                .run(&mut g, &mut NoopObserver);
             println!(
                 "{name} : cut {:>3} under {strategy:?} (from {})",
                 r.best_cost, r.initial_cost

@@ -8,7 +8,9 @@
 //! cargo run --example custom_problem
 //! ```
 
-use annealbench::core::{Annealer, Budget, GFunction, Problem, Rng, RngExt, Strategy, Tuner};
+use annealbench::core::{
+    Annealer, Budget, GFunction, NoopObserver, Problem, Rng, RngExt, Strategy, Tuner,
+};
 use rand::{rngs::StdRng, SeedableRng};
 
 /// Number partitioning: state is a ±1 assignment; cost is |Σ sᵢ·wᵢ|.
@@ -85,7 +87,7 @@ fn main() {
                 .strategy(strategy)
                 .budget(Budget::evaluations(100_000))
                 .seed(17)
-                .run(&mut g);
+                .run(&mut g, &mut NoopObserver);
             println!(
                 "  {name:<16} {strategy:?}: residue {:>10} (from {})",
                 r.best_cost, r.initial_cost

@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use annealbench::core::{Annealer, GFunction, Strategy};
+use annealbench::core::{Annealer, GFunction, NoopObserver, Strategy};
 use annealbench::experiments::vax_seconds;
 use annealbench::linarr::LinearArrangementProblem;
 use annealbench::netlist::generator::random_two_pin;
@@ -22,7 +22,7 @@ fn main() {
         .strategy(Strategy::Figure1)
         .budget(vax_seconds(6.0))
         .seed(42)
-        .run(&mut GFunction::unit());
+        .run(&mut GFunction::unit(), &mut NoopObserver);
 
     println!("g = 1 on a random GOLA instance (6 paper-seconds):");
     println!("  initial density : {}", result.initial_cost);

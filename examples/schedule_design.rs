@@ -8,7 +8,7 @@
 //! ```
 
 use annealbench::core::{
-    estimate_delta_stats, white84_schedule, Annealer, Budget, GFunction, Strategy,
+    estimate_delta_stats, white84_schedule, Annealer, Budget, GFunction, NoopObserver, Strategy,
 };
 use annealbench::linarr::LinearArrangementProblem;
 use annealbench::netlist::generator::random_two_pin;
@@ -36,7 +36,10 @@ fn main() {
         ("White84 schedule", &mut white_g),
         ("tuned Y₁=2 schedule", &mut kirk_g),
     ] {
-        let r = Annealer::new(&problem).budget(budget).seed(7).run(g);
+        let r = Annealer::new(&problem)
+            .budget(budget)
+            .seed(7)
+            .run(g, &mut NoopObserver);
         println!(
             "Figure 1, {name:<20}: density {} → {}",
             r.initial_cost, r.best_cost
@@ -50,7 +53,7 @@ fn main() {
         .strategy(Strategy::Rejectionless)
         .budget(budget)
         .seed(7)
-        .run(&mut GFunction::six_temp_annealing(2.0));
+        .run(&mut GFunction::six_temp_annealing(2.0), &mut NoopObserver);
     println!(
         "Rejectionless [GREE84]     : density {} → {} ({} moves from {} evals)",
         r.initial_cost,

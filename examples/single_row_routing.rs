@@ -13,7 +13,7 @@
 //! cargo run --release --example single_row_routing
 //! ```
 
-use annealbench::core::{Annealer, GFunction, Strategy};
+use annealbench::core::{Annealer, GFunction, NoopObserver, Strategy};
 use annealbench::experiments::vax_seconds;
 use annealbench::linarr::{goto_arrangement, LinearArrangementProblem};
 use annealbench::netlist::Netlist;
@@ -62,7 +62,7 @@ fn main() {
         .budget(vax_seconds(12.0))
         .start_from(goto.clone())
         .seed(9)
-        .run(&mut GFunction::unit());
+        .run(&mut GFunction::unit(), &mut NoopObserver);
     println!("after g = 1 polish          : {} tracks", result.best_cost);
     println!(
         "column order: {:?}",

@@ -6,7 +6,7 @@
 //! cargo run --example tsp_tour
 //! ```
 
-use annealbench::core::{local::multistart, Annealer, Budget, GFunction};
+use annealbench::core::{local::multistart, Annealer, Budget, GFunction, NoopObserver};
 use annealbench::tsp::{
     hull_cheapest_insertion, nearest_neighbor, two_opt_descent, TspInstance, TspProblem,
 };
@@ -22,13 +22,13 @@ fn main() {
     let sa = Annealer::new(&problem)
         .budget(budget)
         .seed(1)
-        .run(&mut GFunction::six_temp_annealing(0.3));
+        .run(&mut GFunction::six_temp_annealing(0.3), &mut NoopObserver);
 
     // g = 1: the paper's no-tuning alternative.
     let unit = Annealer::new(&problem)
         .budget(budget)
         .seed(1)
-        .run(&mut GFunction::unit());
+        .run(&mut GFunction::unit(), &mut NoopObserver);
 
     // Multistart 2-opt at the same budget ([LIN73] protocol).
     let mut rng2 = StdRng::seed_from_u64(2);

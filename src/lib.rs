@@ -27,7 +27,7 @@
 //!
 //! ```
 //! use annealbench::{
-//!     core::{Annealer, Budget, GFunction},
+//!     core::{Annealer, Budget, GFunction, NoopObserver},
 //!     linarr::LinearArrangementProblem,
 //!     netlist::generator::random_two_pin,
 //! };
@@ -40,7 +40,7 @@
 //! let result = Annealer::new(&problem)
 //!     .budget(Budget::evaluations(30_000))
 //!     .seed(42)
-//!     .run(&mut GFunction::unit());
+//!     .run(&mut GFunction::unit(), &mut NoopObserver);
 //! println!(
 //!     "density {} → {}",
 //!     result.initial_cost, result.best_cost
@@ -57,7 +57,7 @@ pub use anneal_tsp as tsp;
 
 // Convenience re-exports of the most-used types at the crate root.
 pub use anneal_core::{
-    Annealer, Budget, Figure1, Figure2, GFunction, Problem, RunResult, Schedule, Strategy,
+    Annealer, Budget, GFunction, NoopObserver, Problem, RunResult, Schedule, Strategy,
 };
 pub use anneal_linarr::{goto_arrangement, LinearArrangementProblem};
 pub use anneal_partition::PartitionProblem;

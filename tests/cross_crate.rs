@@ -1,7 +1,7 @@
 //! Cross-crate integration: the framework drives every substrate problem
 //! end-to-end through the public API of the root crate.
 
-use annealbench::core::{local, Annealer, Budget, GFunction, Strategy};
+use annealbench::core::{local, Annealer, Budget, GFunction, NoopObserver, Strategy};
 use annealbench::linarr::{Neighborhood, Objective};
 use annealbench::netlist::generator::{random_multi_pin, random_two_pin};
 use annealbench::partition::{kernighan_lin, PartitionState};
@@ -24,7 +24,7 @@ fn every_problem_runs_under_both_strategies() {
                     .strategy(strategy)
                     .budget(Budget::evaluations(5_000))
                     .seed(9)
-                    .run(&mut GFunction::unit());
+                    .run(&mut GFunction::unit(), &mut NoopObserver);
                 assert!(
                     r.best_cost <= r.initial_cost,
                     concat!($name, " under {:?}"),
@@ -50,7 +50,7 @@ fn all_twenty_one_g_functions_run_on_gola() {
         let r = Annealer::new(&p)
             .budget(Budget::evaluations(3_000))
             .seed(4)
-            .run(&mut spec.g(&ctx));
+            .run(&mut spec.g(&ctx), &mut NoopObserver);
         assert!(
             r.best_cost <= r.initial_cost,
             "{} worsened the best state",
@@ -71,7 +71,7 @@ fn goto_feeds_monte_carlo_polish() {
         .budget(Budget::evaluations(30_000))
         .start_from(state)
         .seed(5)
-        .run(&mut GFunction::unit());
+        .run(&mut GFunction::unit(), &mut NoopObserver);
     assert!(r.best_cost <= goto_density);
 }
 
@@ -95,7 +95,7 @@ fn kl_and_multistart_agree_with_sa_on_easy_instance() {
     let sa = Annealer::new(&p)
         .budget(Budget::evaluations(40_000))
         .seed(6)
-        .run(&mut GFunction::six_temp_annealing(10.0));
+        .run(&mut GFunction::six_temp_annealing(10.0), &mut NoopObserver);
     assert_eq!(sa.best_cost, 1.0);
 
     let mut rng = StdRng::seed_from_u64(7);
@@ -118,7 +118,7 @@ fn alternative_objectives_and_neighborhoods_compose() {
             let r = Annealer::new(&p)
                 .budget(Budget::evaluations(4_000))
                 .seed(10)
-                .run(&mut GFunction::two_level());
+                .run(&mut GFunction::two_level(), &mut NoopObserver);
             assert!(
                 r.best_cost <= r.initial_cost,
                 "{objective:?} × {neighborhood:?}"
@@ -141,7 +141,7 @@ fn rejectionless_strategy_works_on_every_substrate() {
                 .strategy(Strategy::Rejectionless)
                 .budget(Budget::evaluations(20_000))
                 .seed(3)
-                .run(&mut GFunction::six_temp_annealing(2.0));
+                .run(&mut GFunction::six_temp_annealing(2.0), &mut NoopObserver);
             assert!(r.reduction() > 0.0, concat!($name, " made no progress"));
             assert_eq!(r.stats.rejected_uphill, 0, "rejectionless never rejects");
         }};
@@ -162,7 +162,7 @@ fn white84_schedule_drives_annealing_well() {
     let r = Annealer::new(&p)
         .budget(Budget::evaluations(30_000))
         .seed(5)
-        .run(&mut GFunction::annealing(schedule));
+        .run(&mut GFunction::annealing(schedule), &mut NoopObserver);
     // A landscape-derived schedule should do real work without tuning.
     assert!(r.reduction() > 0.0);
 }
@@ -175,7 +175,7 @@ fn seeded_runs_reproduce_across_problem_types() {
         Annealer::new(&tsp)
             .budget(Budget::evaluations(8_000))
             .seed(123)
-            .run(&mut GFunction::metropolis(0.1))
+            .run(&mut GFunction::metropolis(0.1), &mut NoopObserver)
     };
     let a = run();
     let b = run();
