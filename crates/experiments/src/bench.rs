@@ -15,7 +15,8 @@
 
 use anneal_core::schedule::adaptive::{self, AdaptiveMode, DEFAULT_PROBE_SAMPLES};
 use anneal_core::{
-    estimate_delta_stats, json, Annealer, Budget, GFunction, NoopObserver, Problem, Rng, Strategy,
+    estimate_delta_stats, json::Json, Annealer, Budget, GFunction, NoopObserver, Problem, Rng,
+    Strategy,
 };
 use anneal_linarr::{LinearArrangementProblem, Neighborhood};
 use anneal_netlist::generator::{random_multi_pin, random_two_pin};
@@ -386,13 +387,13 @@ pub fn render_report(results: &[KernelResult], git_rev: &str, cfg: &MeasureConfi
              \"iters_per_sample\": {}, \"samples\": {}, \"evals_per_iter\": {}, \
              \"evals_per_sec\": {}}}{}\n",
             r.name,
-            json::float(m.median_ns),
-            json::float(m.lo_ns),
-            json::float(m.hi_ns),
+            Json::from(m.median_ns),
+            Json::from(m.lo_ns),
+            Json::from(m.hi_ns),
             m.iters_per_sample,
             m.samples,
-            json::float(r.evals_per_iter),
-            json::float(r.evals_per_sec()),
+            Json::from(r.evals_per_iter),
+            Json::from(r.evals_per_sec()),
             if i + 1 < results.len() { "," } else { "" }
         ));
     }

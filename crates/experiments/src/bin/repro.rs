@@ -109,6 +109,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 
+use anneal_core::json::Json;
 use anneal_experiments::{
     ablation, checkpoint, cli, diagnostics, exit_codes, ext_partition, ext_tsp, jsonl, progress,
     supervisor, tables, trajectory, tuning, ChaosWriter, FaultPlan, JobOutcome, JobServer, JobSpec,
@@ -395,7 +396,7 @@ fn run_worker(parsed: &cli::Cli, faults: Option<FaultPlan>) -> Result<ExitCode, 
     std::thread::spawn(move || {
         let mut beats = 0u64;
         // A failed beat means the parent is gone; its deadline owns us now.
-        while emit_line(format!("{{\"hb\":{beats}}}"), false).is_ok() {
+        while emit_line(Json::obj([("hb", beats.into())]).to_string(), false).is_ok() {
             beats += 1;
             std::thread::sleep(heartbeat);
         }
@@ -419,7 +420,7 @@ fn run_worker(parsed: &cli::Cli, faults: Option<FaultPlan>) -> Result<ExitCode, 
     };
     // With `--faults io=…` the record write can fail like a WAL append.
     let fail = faults.is_some_and(|plan| plan.record_write_fails(&worker.cell));
-    if let Err(e) = emit_line(record.to_json(), fail) {
+    if let Err(e) = emit_line(record.to_json().to_string(), fail) {
         eprintln!("worker: record of {} lost: {e}", worker.cell);
         return Ok(ExitCode::from(exit_codes::WORKER_NO_RECORD));
     }

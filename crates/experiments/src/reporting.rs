@@ -16,9 +16,10 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use anneal_core::json;
+use anneal_core::json::Json;
+use anneal_core::json_object;
 
-use crate::checkpoint::{Checkpoint, Json};
+use crate::checkpoint::Checkpoint;
 use crate::jsonl::WAL;
 use crate::telemetry::{CellRecord, TempAggregate};
 use crate::trace::{CellTrace, TraceEvent};
@@ -673,14 +674,16 @@ pub fn chrome_trace_json(traces: &[CellTrace]) -> String {
     tables.sort_unstable();
     tables.dedup();
 
-    let mut events: Vec<String> = Vec::new();
+    // Whole microseconds, as the Trace Event format counts them.
+    let micros = |us: f64| Json::Num(format!("{us:.0}"));
+    let metadata = |pid: usize, tid: usize, kind: &str, name: String| {
+        let args = json_object! { "name": name };
+        json_object! { "ph": "M", "pid": pid, "tid": tid, "name": kind, "args": args }
+    };
+    let mut events: Vec<Json> = Vec::new();
     for (ti, table) in tables.iter().enumerate() {
         let pid = ti + 1;
-        events.push(format!(
-            "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"name\":\"process_name\",\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            json::escape(table)
-        ));
+        events.push(metadata(pid, 0, "process_name", table.to_string()));
         let mut cells: Vec<&CellTrace> = traces
             .iter()
             .filter(|t| t.meta.key.table == *table)
@@ -701,12 +704,8 @@ pub fn chrome_trace_json(traces: &[CellTrace]) -> String {
             }
             for (instance, stages) in instances {
                 tid += 1;
-                events.push(format!(
-                    "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\
-                     \"args\":{{\"name\":\"{} / {} #{instance}\"}}}}",
-                    json::escape(&key.method),
-                    json::escape(&key.column)
-                ));
+                let name = format!("{} / {} #{instance}", key.method, key.column);
+                events.push(metadata(pid, tid, "thread_name", name));
                 let mut ts_us = 0f64;
                 for stage in stages {
                     let TraceEvent::Temp {
@@ -726,27 +725,25 @@ pub fn chrome_trace_json(traces: &[CellTrace]) -> String {
                     } else {
                         0.0
                     };
-                    let temperature_arg = if temperature.is_finite() {
-                        format!(",\"temperature\":{temperature}")
-                    } else {
-                        String::new()
-                    };
-                    events.push(format!(
-                        "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts_us:.0},\
-                         \"dur\":{dur_us:.0},\"name\":\"t{temp}\",\"cat\":\"stage\",\
-                         \"args\":{{\"evals\":{evals},\"proposals\":{proposals},\
-                         \"ended_by\":\"{}\"{temperature_arg}}}}}",
-                        ended_by.as_str()
-                    ));
+                    let mut args = vec![
+                        ("evals", (*evals).into()),
+                        ("proposals", (*proposals).into()),
+                        ("ended_by", ended_by.as_str().into()),
+                    ];
+                    if temperature.is_finite() {
+                        args.push(("temperature", (*temperature).into()));
+                    }
+                    events.push(json_object! {
+                        "ph": "X", "pid": pid, "tid": tid, "ts": micros(ts_us),
+                        "dur": micros(dur_us), "name": format!("t{temp}"), "cat": "stage",
+                        "args": Json::obj(args),
+                    });
                     ts_us += dur_us;
                 }
             }
         }
     }
-    format!(
-        "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{}]}}",
-        events.join(",")
-    )
+    json_object! { "displayTimeUnit": "ms", "traceEvents": Json::Arr(events) }.to_string()
 }
 
 #[cfg(test)]
@@ -1060,6 +1057,7 @@ mod tests {
         let header = crate::checkpoint::WalMeta::new(1985, 1).header_line();
         let line = cell("table4.1", "g = 1", "6 sec", 2000.0)
             .to_json()
+            .to_string()
             .replace("\"reduction\":2000", "\"reduction\":null")
             .replace("\"wall_ms\":10", "\"wall_ms\":null")
             .replace("\"temperature\":4", "\"temperature\":null");

@@ -44,9 +44,10 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
+use anneal_core::json::Json;
 use anneal_core::{Budget, Strategy};
 
-use crate::checkpoint::{record_from_json, Json};
+use crate::checkpoint::record_from_json;
 use crate::config::SuiteConfig;
 use crate::exit_codes;
 use crate::faults::FaultPlan;
@@ -700,7 +701,7 @@ mod tests {
         let lines = [
             "{\"hb\":0}".to_string(),
             "{\"hb\":1}".to_string(),
-            record.to_json(),
+            record.to_json().to_string(),
             "{\"hb\":2}".to_string(),
         ];
         assert_eq!(pick(&lines), Some(record));
@@ -709,23 +710,23 @@ mod tests {
     #[test]
     fn pick_record_rejects_torn_missing_and_foreign_records() {
         let record = worker_record(CellKey::new("table4.1", "g = 1", "6 sec"));
-        let json = record.to_json();
+        let json = record.to_json().to_string();
         let torn = json[..json.len() / 2].to_string();
         assert_eq!(pick(&["{\"hb\":0}".to_string(), torn]), None);
         assert_eq!(pick(&["{\"hb\":0}".to_string()]), None);
         assert_eq!(pick(&[]), None);
 
         let other_cell = worker_record(CellKey::new("table4.1", "g = 2", "6 sec"));
-        assert_eq!(pick(&[other_cell.to_json()]), None);
+        assert_eq!(pick(&[other_cell.to_json().to_string()]), None);
         let mut other_seed = record.clone();
         other_seed.base_seed = 7;
-        assert_eq!(pick(&[other_seed.to_json()]), None);
+        assert_eq!(pick(&[other_seed.to_json().to_string()]), None);
         let mut other_budget = record.clone();
         other_budget.budget = "200 evals".into();
-        assert_eq!(pick(&[other_budget.to_json()]), None);
+        assert_eq!(pick(&[other_budget.to_json().to_string()]), None);
         let mut other_strategy = record;
         other_strategy.strategy = "Figure2".into();
-        assert_eq!(pick(&[other_strategy.to_json()]), None);
+        assert_eq!(pick(&[other_strategy.to_json().to_string()]), None);
     }
 
     #[test]

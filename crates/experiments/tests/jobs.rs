@@ -10,6 +10,7 @@ use std::path::PathBuf;
 use std::process::{Child, Command};
 use std::time::{Duration, Instant};
 
+use anneal_core::json::Json;
 use common::http::{
     body_of, finish, http_delete, http_get, http_post, poll_until, repro, spawn_serving_args,
 };
@@ -61,16 +62,12 @@ fn wait_for_state(addr: &str, id: u64, state: &str) -> String {
     body_of(&response).to_string()
 }
 
-/// Extracts the `id` from a job resource body (`{"id":N,...}`).
+/// The `id` of a job resource body (`{"id":N,...}`).
 fn job_id(body: &str) -> u64 {
-    let rest = body
-        .split_once("\"id\":")
-        .unwrap_or_else(|| panic!("no id in {body}"))
-        .1;
-    rest.split(|c: char| !c.is_ascii_digit())
-        .next()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad id in {body}"))
+    let id = Json::parse(body)
+        .ok()
+        .and_then(|job| job.get("id")?.as_u64_checked().ok());
+    id.unwrap_or_else(|| panic!("no id in {body}"))
 }
 
 /// Extracts the raw `record` object from a done job's resource body — the
@@ -363,6 +360,14 @@ fn invalid_specs_get_precise_400_bodies_over_http() {
     assert_eq!(status, 404);
     let (status, _) = http_get(&addr, "/jobs?limit=99999");
     assert_eq!(status, 400);
+    // So is a body nested past the parser's depth limit: it is refused
+    // before it can overflow a handler's stack, and the server keeps
+    // serving.
+    let (status, response) = http_post(&addr, "/jobs", &"[".repeat(10_000));
+    assert_eq!(status, 400, "{response}");
+    assert!(body_of(&response).contains("deeper than 128"), "{response}");
+    let (status, response) = http_get(&addr, "/healthz");
+    assert_eq!(status, 200, "{response}");
     finish(child);
 }
 
