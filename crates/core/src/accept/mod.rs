@@ -273,13 +273,6 @@ impl GFunction {
         self.fast[t] = classify(self.form, y);
     }
 
-    /// Rescales every temperature by `factor` (§4.2.1 tuning).
-    pub fn scaled(mut self, factor: f64) -> Self {
-        self.schedule = self.schedule.scaled(factor);
-        self.rebuild_fast();
-        self
-    }
-
     /// Overrides the Figure-1 gate (e.g. to ablate the paper's period of 18).
     pub fn with_gate(mut self, gate: Option<Gate>) -> Self {
         self.gate = gate;
@@ -687,13 +680,6 @@ mod tests {
                 fresh.decide_figure1(2, 10.0, 12.0, &mut rng_b)
             );
         }
-    }
-
-    #[test]
-    fn scaled_rescales_schedule() {
-        let g = GFunction::six_temp_annealing(10.0).scaled(0.1);
-        assert!((g.schedule().value(0) - 1.0).abs() < 1e-12);
-        assert_eq!(g.temperatures(), 6);
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub enum Strategy {
     /// Figure 2 ([`fig2`]): descend to a local optimum, then kick uphill.
     Figure2,
     /// \[GREE84\] ([`rejectionless`]): weigh every neighbor, sample one — no
-    /// rejections. Requires [`Problem::all_moves`].
+    /// rejections. Requires [`Problem::all_moves_into`].
     Rejectionless,
     /// Parallel tempering ([`replica_exchange`]): one chain per temperature
     /// rung of the g function's schedule, swapping configurations between
@@ -250,8 +250,9 @@ mod tests {
             }
             None
         }
-        fn all_moves(&self, _: &u64) -> Vec<u32> {
-            (0..16).collect()
+        fn all_moves_into(&self, _: &u64, buf: &mut Vec<u32>) {
+            buf.clear();
+            buf.extend(0..16);
         }
     }
 

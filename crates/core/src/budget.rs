@@ -6,14 +6,14 @@
 //! allots `⌈5/k⌉` seconds per temperature).
 //!
 //! The paper measured CPU seconds on a VAX 11/780. For a machine-independent
-//! and *deterministic* reproduction, the primary budget currency here is the
+//! and *deterministic* reproduction, the one budget currency here is the
 //! number of **cost evaluations** (one per proposed perturbation, plus every
-//! evaluation performed inside local search). Wall-clock budgets are also
-//! supported for paper-faithful runs.
+//! evaluation performed inside local search).
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// A bound on how much work a strategy may perform.
+/// A bound on how much work a strategy may perform: at most this many cost
+/// evaluations.
 ///
 /// # Examples
 ///
@@ -22,24 +22,20 @@ use std::time::{Duration, Instant};
 ///
 /// let b = Budget::evaluations(60_000);
 /// assert_eq!(b.split(6), Budget::evaluations(10_000));
+/// assert_eq!(b.evals(), 60_000);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Budget {
-    /// At most this many cost evaluations.
-    Evaluations(u64),
-    /// At most this much wall-clock time.
-    WallClock(Duration),
-}
+pub struct Budget(u64);
 
 impl Budget {
     /// A budget of `n` cost evaluations.
     pub fn evaluations(n: u64) -> Self {
-        Budget::Evaluations(n)
+        Budget(n)
     }
 
-    /// A wall-clock budget.
-    pub fn wall_clock(d: Duration) -> Self {
-        Budget::WallClock(d)
+    /// The number of cost evaluations the budget allows.
+    pub fn evals(&self) -> u64 {
+        self.0
     }
 
     /// Splits the budget evenly across `k` temperatures, rounding up, as the
@@ -50,44 +46,29 @@ impl Budget {
     /// Panics if `k == 0`.
     pub fn split(&self, k: usize) -> Budget {
         assert!(k > 0, "schedule must have at least one temperature");
-        let k = k as u64;
-        match *self {
-            Budget::Evaluations(n) => Budget::Evaluations(n.div_ceil(k)),
-            Budget::WallClock(d) => {
-                Budget::WallClock(Duration::from_nanos((d.as_nanos() as u64).div_ceil(k)))
-            }
-        }
+        Budget(self.0.div_ceil(k as u64))
     }
 
     /// Scales the budget by an integer factor (used by the experiment
-    /// harness's `--scale` fast mode).
+    /// harness's `--scale` fast mode), keeping at least one evaluation.
     ///
-    /// A `divisor` of 0 is treated as 1, matching both currencies: dividing
-    /// by zero is never a meaningful scale and must not panic mid-suite.
+    /// A `divisor` of 0 is treated as 1: dividing by zero is never a
+    /// meaningful scale and must not panic mid-suite.
     pub fn scale_div(&self, divisor: u64) -> Budget {
-        let divisor = divisor.max(1);
-        match *self {
-            Budget::Evaluations(n) => Budget::Evaluations((n / divisor).max(1)),
-            Budget::WallClock(d) => Budget::WallClock(d / divisor as u32),
-        }
+        Budget((self.0 / divisor.max(1)).max(1))
     }
 }
 
 impl std::fmt::Display for Budget {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match *self {
-            Budget::Evaluations(n) => write!(f, "{n} evals"),
-            Budget::WallClock(d) => write!(f, "{:.3}s wall", d.as_secs_f64()),
-        }
+        write!(f, "{} evals", self.0)
     }
 }
 
 /// Tracks consumption against a [`Budget`].
 ///
 /// Strategies call [`charge`](Meter::charge) once per cost evaluation and
-/// poll [`exhausted`](Meter::exhausted). For evaluation budgets the meter is
-/// fully deterministic; for wall-clock budgets it compares against a
-/// deadline.
+/// poll [`exhausted`](Meter::exhausted). The meter is fully deterministic.
 ///
 /// A meter also honors any [`watchdog`](crate::watchdog) deadline armed on
 /// its constructing thread: once that deadline passes the meter reports
@@ -97,7 +78,6 @@ impl std::fmt::Display for Budget {
 pub struct Meter {
     limit: Budget,
     evals: u64,
-    started: Instant,
     /// Watchdog deadline captured at construction (see [`crate::watchdog`]).
     deadline: Option<Instant>,
 }
@@ -108,7 +88,6 @@ impl Meter {
         Meter {
             limit,
             evals: 0,
-            started: Instant::now(),
             deadline: crate::watchdog::deadline(),
         }
     }
@@ -126,32 +105,19 @@ impl Meter {
     /// Whether the budget is used up (or an armed watchdog deadline has
     /// passed).
     pub fn exhausted(&self) -> bool {
-        if self.timed_out() {
-            return true;
-        }
-        match self.limit {
-            Budget::Evaluations(n) => self.evals >= n,
-            Budget::WallClock(d) => self.started.elapsed() >= d,
-        }
+        self.evals >= self.limit.0 || self.timed_out()
     }
 
     /// Whether a watchdog deadline armed at construction has passed.
     pub fn timed_out(&self) -> bool {
         self.deadline.is_some_and(|d| Instant::now() >= d)
     }
-
-    /// Remaining evaluations, if this is an evaluation budget.
-    pub fn remaining_evals(&self) -> Option<u64> {
-        match self.limit {
-            Budget::Evaluations(n) => Some(n.saturating_sub(self.evals)),
-            Budget::WallClock(_) => None,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn split_rounds_up() {
@@ -172,20 +138,9 @@ mod tests {
         assert!(!m.exhausted());
         m.charge(3);
         assert_eq!(m.evals(), 3);
-        assert_eq!(m.remaining_evals(), Some(2));
         assert!(!m.exhausted());
         m.charge(2);
         assert!(m.exhausted());
-        assert_eq!(m.remaining_evals(), Some(0));
-    }
-
-    #[test]
-    fn wall_clock_meter() {
-        let m = Meter::new(Budget::wall_clock(Duration::from_secs(3600)));
-        assert!(!m.exhausted());
-        assert_eq!(m.remaining_evals(), None);
-        let m2 = Meter::new(Budget::wall_clock(Duration::ZERO));
-        assert!(m2.exhausted());
     }
 
     #[test]
@@ -198,43 +153,17 @@ mod tests {
     }
 
     #[test]
-    fn scale_div_zero_is_identity_for_both_currencies() {
-        // Regression: the Evaluations arm used to divide unguarded and
-        // panicked on 0 while WallClock clamped the divisor to 1.
+    fn scale_div_zero_is_identity() {
+        // Regression: a divisor of 0 used to panic.
         assert_eq!(
             Budget::evaluations(100).scale_div(0),
             Budget::evaluations(100)
         );
-        let d = Duration::from_secs(5);
-        assert_eq!(Budget::wall_clock(d).scale_div(0), Budget::wall_clock(d));
-        assert_eq!(
-            Budget::wall_clock(d).scale_div(2),
-            Budget::wall_clock(Duration::from_millis(2500))
-        );
     }
 
     #[test]
-    fn display_labels_both_currencies() {
+    fn display_counts_evals() {
         assert_eq!(Budget::evaluations(1500).to_string(), "1500 evals");
-        assert_eq!(
-            Budget::wall_clock(Duration::from_millis(250)).to_string(),
-            "0.250s wall"
-        );
-    }
-
-    #[test]
-    fn wall_clock_meter_deadline_elapses() {
-        // A short real deadline: not exhausted at start, exhausted after
-        // sleeping past it. Charges never affect a wall-clock meter.
-        let mut m = Meter::new(Budget::wall_clock(Duration::from_millis(30)));
-        m.charge(1_000_000);
-        assert!(
-            !m.exhausted() || m.started.elapsed() >= Duration::from_millis(30),
-            "charges alone must not exhaust a wall-clock meter"
-        );
-        std::thread::sleep(Duration::from_millis(35));
-        assert!(m.exhausted());
-        assert_eq!(m.evals(), 1_000_000, "evals are still counted");
     }
 
     #[test]
@@ -260,16 +189,5 @@ mod tests {
         m.charge(2);
         assert!(m.exhausted(), "evaluation budget still applies");
         assert!(!m.timed_out());
-    }
-
-    #[test]
-    fn wall_clock_split() {
-        let b = Budget::wall_clock(Duration::from_secs(5));
-        match b.split(6) {
-            Budget::WallClock(d) => {
-                assert!(d >= Duration::from_millis(833) && d <= Duration::from_millis(834));
-            }
-            _ => panic!("split must preserve budget kind"),
-        }
     }
 }

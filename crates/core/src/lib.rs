@@ -132,7 +132,6 @@ pub mod schedule;
 mod seeds;
 mod stats;
 pub mod strategy;
-pub mod telemetry;
 pub mod trace;
 pub mod tune;
 pub mod watchdog;
@@ -147,7 +146,6 @@ pub use schedule::Schedule;
 pub use seeds::derive_seed;
 pub use stats::{AdvanceReason, RunResult, RunStats, StopReason, TempStats};
 pub use strategy::{DEFAULT_EQUILIBRIUM, DEFAULT_EXCHANGE_INTERVAL};
-pub use telemetry::RunTelemetry;
 pub use trace::{
     ChainObserver, ChainTrace, NoopObserver, StageTrace, StopTrace, TraceCollector,
     DEFAULT_TRACE_SAMPLES,

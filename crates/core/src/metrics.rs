@@ -88,24 +88,6 @@ impl Gauge {
         self.bits.store(v.to_bits(), Ordering::Relaxed);
     }
 
-    /// Adds `d` (negative to decrement). A compare-exchange loop keeps
-    /// concurrent adds lossless.
-    pub fn add(&self, d: f64) {
-        let mut current = self.bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(current) + d).to_bits();
-            match self.bits.compare_exchange_weak(
-                current,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(seen) => current = seen,
-            }
-        }
-    }
-
     /// Current value.
     pub fn get(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))
@@ -734,14 +716,11 @@ mod tests {
     }
 
     #[test]
-    fn gauge_sets_adds_and_reads() {
+    fn gauge_sets_and_reads() {
         let g = Gauge::new();
         assert_eq!(g.get(), 0.0);
         g.set(2.5);
         assert_eq!(g.get(), 2.5);
-        g.add(1.0);
-        g.add(-0.5);
-        assert_eq!(g.get(), 3.0);
         g.set(f64::NAN);
         assert!(g.get().is_nan());
     }

@@ -113,29 +113,19 @@ pub trait Problem {
         None
     }
 
-    /// Enumerates the complete perturbation neighborhood of `state`.
-    ///
-    /// Required only by the rejectionless strategy of
-    /// [`rejectionless`](crate::strategy::rejectionless) (\[GREE84\]), which
-    /// must weigh *every* neighbor at each step. The default returns an
-    /// empty vector, which the rejectionless strategy treats as "not
-    /// supported" and reports by stopping immediately.
-    fn all_moves(&self, state: &Self::State) -> Vec<Self::Move> {
-        let _ = state;
-        Vec::new()
-    }
-
     /// Fills `buf` with the complete perturbation neighborhood of `state`,
     /// clearing it first.
     ///
-    /// The rejectionless strategy calls this once per step with a reused
-    /// buffer, so implementations that override it (appending to `buf`
-    /// instead of building a fresh vector) avoid a per-step allocation. The
-    /// default delegates to [`all_moves`](Problem::all_moves), so overriding
-    /// either method is sufficient.
+    /// Required only by the rejectionless strategy of
+    /// [`rejectionless`](crate::strategy::rejectionless) (\[GREE84\]), which
+    /// must weigh *every* neighbor at each step. It calls this once per step
+    /// with a reused buffer, so appending to `buf` costs no per-step
+    /// allocation. The default leaves `buf` empty, which the rejectionless
+    /// strategy treats as "not supported" and reports by stopping
+    /// immediately.
     fn all_moves_into(&self, state: &Self::State, buf: &mut Vec<Self::Move>) {
+        let _ = state;
         buf.clear();
-        buf.extend(self.all_moves(state));
     }
 }
 

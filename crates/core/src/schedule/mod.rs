@@ -103,16 +103,6 @@ impl Schedule {
         Schedule { values }
     }
 
-    /// The schedule with every value multiplied by `factor` — how the paper's
-    /// tuner rescales a base schedule shape per g class (§4.2.1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is not finite and positive.
-    pub fn scaled(&self, factor: f64) -> Self {
-        Self::explicit(self.values.iter().map(|v| v * factor).collect())
-    }
-
     /// Number of temperatures `k`.
     #[allow(clippy::len_without_is_empty)] // never empty by construction
     pub fn len(&self) -> usize {
@@ -182,13 +172,6 @@ mod tests {
         }
         assert!(s.value(0) < 1.0);
         assert!(s.value(24) > 0.0);
-    }
-
-    #[test]
-    fn scaled_multiplies_every_value() {
-        let s = Schedule::geometric(10.0, 0.9, 3).scaled(0.5);
-        assert!((s.value(0) - 5.0).abs() < 1e-12);
-        assert!((s.value(1) - 4.5).abs() < 1e-12);
     }
 
     #[test]

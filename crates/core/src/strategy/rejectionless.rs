@@ -15,7 +15,7 @@
 //! evaluation per weighed neighbor, keeping comparisons against Figure 1/2
 //! honest.
 //!
-//! Requires the problem to implement [`Problem::all_moves`]; with the
+//! Requires the problem to implement [`Problem::all_moves_into`]; with the
 //! default empty neighborhood the run stops immediately (zero evaluations).
 //!
 //! Temperature control: the budget is split evenly across the schedule as
@@ -148,8 +148,9 @@ mod tests {
         fn apply(&self, s: &mut u64, m: &u32) {
             *s ^= 1 << m;
         }
-        fn all_moves(&self, _: &u64) -> Vec<u32> {
-            (0..16).collect()
+        fn all_moves_into(&self, _: &u64, buf: &mut Vec<u32>) {
+            buf.clear();
+            buf.extend(0..16);
         }
     }
 

@@ -35,8 +35,9 @@ impl Problem for BitCount {
         }
         None
     }
-    fn all_moves(&self, _: &u64) -> Vec<u32> {
-        (0..self.bits).collect()
+    fn all_moves_into(&self, _: &u64, buf: &mut Vec<u32>) {
+        buf.clear();
+        buf.extend(0..self.bits);
     }
 }
 
@@ -117,15 +118,10 @@ proptest! {
 
     #[test]
     fn budget_split_conserves_total(n in 1u64..1_000_000, k in 1usize..32) {
-        let per = Budget::evaluations(n).split(k);
-        match per {
-            Budget::Evaluations(p) => {
-                prop_assert!(p * k as u64 >= n, "split covers the whole budget");
-                prop_assert!(p <= n, "a share never exceeds the total");
-                prop_assert!((p.saturating_sub(1)) * (k as u64) < n, "shares are minimal");
-            }
-            _ => prop_assert!(false, "kind preserved"),
-        }
+        let p = Budget::evaluations(n).split(k).evals();
+        prop_assert!(p * k as u64 >= n, "split covers the whole budget");
+        prop_assert!(p <= n, "a share never exceeds the total");
+        prop_assert!((p.saturating_sub(1)) * (k as u64) < n, "shares are minimal");
     }
 
     #[test]

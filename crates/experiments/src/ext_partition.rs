@@ -8,11 +8,11 @@
 //! two-pin netlists.
 
 use anneal_core::{derive_seed, local, Annealer, GFunction, NoopObserver, Problem};
-use anneal_netlist::generator::random_two_pin;
 use anneal_partition::{fiduccia_mattheyses, kernighan_lin, PartitionProblem, PartitionState};
 use rand::{rngs::StdRng, SeedableRng};
 
 use crate::config::SuiteConfig;
+use crate::instances::partition_netlist;
 use crate::runner::RUN_SALT;
 use crate::table::Table;
 
@@ -31,11 +31,8 @@ pub const SECONDS: f64 = 6.0;
 /// method.
 pub fn run(config: &SuiteConfig) -> Table {
     let budget = config.scale.vax_seconds(SECONDS);
-    let problems: Vec<PartitionProblem> = (0..N_INSTANCES)
-        .map(|i| {
-            let mut rng = StdRng::seed_from_u64(derive_seed(config.seed ^ 0x504152, i as u64));
-            PartitionProblem::new(random_two_pin(N_ELEMENTS, N_NETS, &mut rng))
-        })
+    let problems: Vec<PartitionProblem> = (0..N_INSTANCES as u64)
+        .map(|i| PartitionProblem::new(partition_netlist(config.seed, i, N_ELEMENTS, N_NETS)))
         .collect();
 
     // Fixed random starting partitions shared by the Monte Carlo methods.

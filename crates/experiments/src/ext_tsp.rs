@@ -9,12 +9,11 @@
 //! instances at equal time — is the shape to reproduce.
 
 use anneal_core::{derive_seed, local, Annealer, GFunction, NoopObserver, Problem};
-use anneal_tsp::{
-    hull_cheapest_insertion, nearest_neighbor, two_opt_descent, TspInstance, TspProblem,
-};
+use anneal_tsp::{hull_cheapest_insertion, nearest_neighbor, two_opt_descent, TspProblem};
 use rand::{rngs::StdRng, SeedableRng};
 
 use crate::config::SuiteConfig;
+use crate::instances::tsp_instance;
 use crate::runner::RUN_SALT;
 use crate::table::Table;
 
@@ -34,11 +33,8 @@ pub const SECONDS: f64 = 600.0;
 /// instances where the method beats six-temperature annealing.
 pub fn run(config: &SuiteConfig) -> Table {
     let budget = config.scale.vax_seconds(SECONDS);
-    let problems: Vec<TspProblem> = (0..N_INSTANCES)
-        .map(|i| {
-            let mut rng = StdRng::seed_from_u64(derive_seed(config.seed ^ 0x545350, i as u64));
-            TspProblem::new(TspInstance::random_euclidean(N_CITIES, &mut rng))
-        })
+    let problems: Vec<TspProblem> = (0..N_INSTANCES as u64)
+        .map(|i| TspProblem::new(tsp_instance(config.seed, i, N_CITIES)))
         .collect();
 
     let starts: Vec<_> = problems

@@ -1,9 +1,19 @@
 //! The paper's instance sets (§4.2.1, §4.3.1), regenerated deterministically
 //! from a base seed.
+//!
+//! This module owns the seed stream of every generated instance: instance
+//! `i` of a family at base seed `S` comes from [`gola_netlist`],
+//! [`nola_netlist`], [`partition_netlist`] or [`tsp_instance`], each on its
+//! own salted stream. The paper sets, the partition and TSP extensions and
+//! the job server all build their instances through them.
 
 use anneal_core::derive_seed;
 use anneal_linarr::LinearArrangementProblem;
-use anneal_netlist::generator::{random_multi_pin, random_two_pin, PAPER_INSTANCES};
+use anneal_netlist::generator::{
+    random_multi_pin, random_two_pin, PAPER_ELEMENTS, PAPER_INSTANCES, PAPER_NETS,
+};
+use anneal_netlist::Netlist;
+use anneal_tsp::TspInstance;
 use rand::{rngs::StdRng, SeedableRng};
 
 /// Base seed of the default experiment suite (the publication year).
@@ -15,29 +25,58 @@ pub const DEFAULT_SEED: u64 = 1985;
 /// starting density (documented substitution, DESIGN.md).
 pub const NOLA_PIN_RANGE: (usize, usize) = (2, 10);
 
+/// Offset added to the base seed for NOLA instances.
+const NOLA_OFFSET: u64 = 0x4E4F;
+/// Salt xored into the base seed for partition instances.
+const PARTITION_SALT: u64 = 0x504152;
+/// Salt xored into the base seed for TSP instances.
+const TSP_SALT: u64 = 0x545350;
+
+fn rng(stream: u64, i: u64) -> StdRng {
+    StdRng::seed_from_u64(derive_seed(stream, i))
+}
+
+/// GOLA instance `i` at base seed `seed`: `nets` random two-pin nets over
+/// `elements` elements.
+pub fn gola_netlist(seed: u64, i: u64, elements: usize, nets: usize) -> Netlist {
+    random_two_pin(elements, nets, &mut rng(seed, i))
+}
+
+/// NOLA instance `i` at base seed `seed`: `nets` random nets over
+/// `elements` elements, with pin counts drawn from [`NOLA_PIN_RANGE`].
+///
+/// # Panics
+///
+/// Panics if `elements` is below `NOLA_PIN_RANGE.1`.
+pub fn nola_netlist(seed: u64, i: u64, elements: usize, nets: usize) -> Netlist {
+    let (lo, hi) = NOLA_PIN_RANGE;
+    let mut rng = rng(seed.wrapping_add(NOLA_OFFSET), i);
+    random_multi_pin(elements, nets, lo, hi, &mut rng)
+}
+
+/// Partition instance `i` at base seed `seed`: `nets` random two-pin nets
+/// over `elements` elements.
+pub fn partition_netlist(seed: u64, i: u64, elements: usize, nets: usize) -> Netlist {
+    random_two_pin(elements, nets, &mut rng(seed ^ PARTITION_SALT, i))
+}
+
+/// TSP instance `i` at base seed `seed`: `cities` uniform random cities in
+/// the unit square.
+pub fn tsp_instance(seed: u64, i: u64, cities: usize) -> TspInstance {
+    TspInstance::random_euclidean(cities, &mut rng(seed ^ TSP_SALT, i))
+}
+
 /// The 30 GOLA instances: 15 elements, 150 two-pin nets each (§4.2.1).
 pub fn gola_paper_set(seed: u64) -> Vec<LinearArrangementProblem> {
-    (0..PAPER_INSTANCES)
-        .map(|i| {
-            let mut rng = StdRng::seed_from_u64(derive_seed(seed, i as u64));
-            LinearArrangementProblem::new(random_two_pin(15, 150, &mut rng))
-        })
+    (0..PAPER_INSTANCES as u64)
+        .map(|i| LinearArrangementProblem::new(gola_netlist(seed, i, PAPER_ELEMENTS, PAPER_NETS)))
         .collect()
 }
 
 /// The 30 NOLA instances: 15 elements, 150 multi-pin nets each (§4.3.1).
 pub fn nola_paper_set(seed: u64) -> Vec<LinearArrangementProblem> {
-    (0..PAPER_INSTANCES)
-        .map(|i| {
-            let mut rng = StdRng::seed_from_u64(derive_seed(seed.wrapping_add(0x4E4F), i as u64));
-            LinearArrangementProblem::new(random_multi_pin(
-                15,
-                150,
-                NOLA_PIN_RANGE.0,
-                NOLA_PIN_RANGE.1,
-                &mut rng,
-            ))
-        })
+    (0..PAPER_INSTANCES as u64)
+        .map(|i| LinearArrangementProblem::new(nola_netlist(seed, i, PAPER_ELEMENTS, PAPER_NETS)))
         .collect()
 }
 

@@ -24,8 +24,7 @@ use std::time::{Duration, Instant};
 use anneal_core::schedule::adaptive::{self, AcceptanceController, AdaptiveMode};
 use anneal_core::{
     derive_seed, estimate_delta_stats, metrics, watchdog, Annealer, Budget, ChainObserver,
-    GFunction, NoopObserver, RunResult, RunTelemetry, Strategy, TraceCollector,
-    DEFAULT_EQUILIBRIUM,
+    GFunction, NoopObserver, RunResult, Strategy, TraceCollector, DEFAULT_EQUILIBRIUM,
 };
 use anneal_linarr::{goto_arrangement, ArrangedState, LinearArrangementProblem};
 use rand::{rngs::StdRng, SeedableRng};
@@ -73,12 +72,9 @@ pub(crate) fn adapt_schedule_for<P: anneal_core::Problem>(
         adaptive::DEFAULT_PROBE_SAMPLES,
     );
     *g = g.clone().with_schedule(derived.schedule);
-    let budget = match budget {
-        // Floor of one evaluation: a budget smaller than the probe
-        // still runs a (vanishingly short) chain instead of panicking.
-        Budget::Evaluations(n) => Budget::Evaluations(n.saturating_sub(derived.probe_evals).max(1)),
-        wall @ Budget::WallClock(_) => wall,
-    };
+    // Floor of one evaluation: a budget smaller than the probe still runs
+    // a (vanishingly short) chain instead of panicking.
+    let budget = Budget::evaluations(budget.evals().saturating_sub(derived.probe_evals).max(1));
     (budget, derived.controller)
 }
 
@@ -160,12 +156,12 @@ impl Default for CellPolicy {
     }
 }
 
-/// What one instance run produced: its reduction and telemetry, or the
+/// What one instance run produced: its result and wall time, or the
 /// message of a caught panic (or watchdog timeout).
 struct InstanceOutcome {
     index: usize,
     seed: u64,
-    outcome: Result<(f64, RunTelemetry), String>,
+    outcome: Result<(RunResult<ArrangedState>, Duration), String>,
 }
 
 /// The message a caught panic carried, for failure records.
@@ -407,16 +403,14 @@ impl ArrangementSet {
         let mut record = CellRecord::empty(key, strategy_name, budget, self.seed);
         record.instances = n;
         record.attempts = attempts.max(1);
-        let mut total = 0.0;
+        // Absorbed in instance order, so the cell total (`record.reduction`)
+        // is bitwise identical for any thread count.
         for o in outcomes
             .iter()
             .map(|o| o.as_ref().expect("every instance ran"))
         {
             match &o.outcome {
-                Ok((reduction, telemetry)) => {
-                    total += reduction;
-                    record.absorb(o.index, o.seed, telemetry);
-                }
+                Ok((result, wall)) => record.absorb(o.index, o.seed, result, *wall),
                 Err(message) => record.failures.push(CellFailure {
                     instance: o.index,
                     seed: o.seed,
@@ -433,6 +427,7 @@ impl ArrangementSet {
                 );
             }
         }
+        let total = record.reduction;
         log.record(record);
         total
     }
@@ -567,8 +562,7 @@ impl ArrangementSet {
                             stages.record(stage.wall.as_micros() as u64);
                         }
                     }
-                    let telemetry = RunTelemetry::capture(&result, elapsed);
-                    Ok((result.reduction(), telemetry))
+                    Ok((result, elapsed))
                 }
                 Err(payload) => Err(panic_message(payload)),
             },

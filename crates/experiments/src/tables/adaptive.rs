@@ -13,7 +13,7 @@
 //! [`ArrangementSet::schedule`]: crate::ArrangementSet::schedule
 
 use anneal_core::schedule::adaptive::DEFAULT_PROBE_SAMPLES;
-use anneal_core::{AdaptiveMode, Budget};
+use anneal_core::AdaptiveMode;
 use anneal_netlist::generator::PAPER_INSTANCES;
 
 use crate::config::SuiteConfig;
@@ -54,10 +54,7 @@ pub fn run_logged(config: &SuiteConfig, log: &TelemetryLog) -> Table {
 pub fn tuning_evals(mode: Option<AdaptiveMode>, instances: u64, config: &SuiteConfig) -> f64 {
     match mode {
         None => {
-            let per_instance = match config.scale.vax_seconds(TUNING_SECONDS) {
-                Budget::Evaluations(n) => n,
-                Budget::WallClock(_) => unreachable!("vax budgets are evaluation counts"),
-            };
+            let per_instance = config.scale.vax_seconds(TUNING_SECONDS).evals();
             (GRID.len() as u64 * instances * per_instance) as f64
         }
         Some(_) => (instances * DEFAULT_PROBE_SAMPLES) as f64,

@@ -16,9 +16,10 @@ use std::collections::HashMap;
 use std::fmt;
 use std::io::Write;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 use anneal_core::json::Json;
-use anneal_core::{json_object, AdvanceReason, Budget, RunTelemetry};
+use anneal_core::{json_object, AdvanceReason, Budget, RunResult, StopReason};
 
 use crate::faults::FaultPlan;
 use crate::progress::Progress;
@@ -217,14 +218,22 @@ impl CellRecord {
         self.failures.is_empty()
     }
 
-    /// Folds one completed instance run into the aggregates.
-    pub(crate) fn absorb(&mut self, index: usize, seed: u64, telemetry: &RunTelemetry) {
-        self.reduction += telemetry.reduction;
-        self.evals += telemetry.evals;
-        let wall_ms = telemetry.wall.as_secs_f64() * 1e3;
+    /// Folds one completed instance run, which took `wall`, into the
+    /// aggregates.
+    pub(crate) fn absorb<S>(
+        &mut self,
+        index: usize,
+        seed: u64,
+        result: &RunResult<S>,
+        wall: Duration,
+    ) {
+        let (reduction, evals) = (result.reduction(), result.stats.evals);
+        self.reduction += reduction;
+        self.evals += evals;
+        let wall_ms = wall.as_secs_f64() * 1e3;
         self.wall_ms += wall_ms;
         let (mut ad, mut au, mut ru) = (0, 0, 0);
-        for stage in &telemetry.per_temp {
+        for stage in &result.stats.per_temp {
             ad += stage.accepted_downhill;
             au += stage.accepted_uphill;
             ru += stage.rejected_uphill;
@@ -257,17 +266,17 @@ impl CellRecord {
         self.accepted_downhill += ad;
         self.accepted_uphill += au;
         self.rejected_uphill += ru;
-        match telemetry.stop {
-            anneal_core::StopReason::Budget => self.stops_budget += 1,
-            anneal_core::StopReason::Equilibrium => self.stops_equilibrium += 1,
+        match result.stop {
+            StopReason::Budget => self.stops_budget += 1,
+            StopReason::Equilibrium => self.stops_equilibrium += 1,
         }
         self.per_instance.push(InstanceRecord {
             index,
             seed,
-            reduction: telemetry.reduction,
-            evals: telemetry.evals,
+            reduction,
+            evals,
             wall_ms,
-            stop: telemetry.stop.as_str(),
+            stop: result.stop.as_str(),
             accepted_downhill: ad,
             accepted_uphill: au,
             rejected_uphill: ru,

@@ -43,11 +43,7 @@ pub fn run(config: &SuiteConfig) -> Table {
     let start = &set.starts()[0];
 
     let budget = config.scale.vax_seconds(PAPER_SECONDS[2]);
-    let total_evals = match budget {
-        anneal_core::Budget::Evaluations(n) => n,
-        anneal_core::Budget::WallClock(_) => unreachable!("vax budgets are eval-counted"),
-    };
-    let every = (total_evals / SAMPLES).max(1);
+    let every = (budget.evals() / SAMPLES).max(1);
 
     let mut table = Table::new(
         format!(

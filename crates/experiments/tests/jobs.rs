@@ -349,6 +349,10 @@ fn invalid_specs_get_precise_400_bodies_over_http() {
             "{\"problem\":\"gola\",\"elements\":4,\"netlist\":[[0,7]]}",
             "invalid netlist",
         ),
+        (
+            "{\"problem\":\"nola\",\"elements\":5,\"instances\":1,\"scale\":2000}",
+            "field `elements` must be at least 10",
+        ),
     ] {
         let (status, response) = http_post(&addr, "/jobs", spec);
         assert_eq!(status, 400, "{spec}: {response}");

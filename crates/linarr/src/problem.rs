@@ -172,12 +172,6 @@ impl Problem for LinearArrangementProblem {
         }
     }
 
-    fn all_moves(&self, state: &ArrangedState) -> Vec<ArrMove> {
-        let mut moves = Vec::new();
-        self.all_moves_into(state, &mut moves);
-        moves
-    }
-
     fn all_moves_into(&self, state: &ArrangedState, buf: &mut Vec<ArrMove>) {
         buf.clear();
         let n = state.arrangement().len();

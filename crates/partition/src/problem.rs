@@ -102,12 +102,6 @@ impl Problem for PartitionProblem {
         state.swap(&self.netlist, mv.i0, mv.i1);
     }
 
-    fn all_moves(&self, state: &PartitionState) -> Vec<SwapMove> {
-        let mut moves = Vec::new();
-        self.all_moves_into(state, &mut moves);
-        moves
-    }
-
     fn all_moves_into(&self, state: &PartitionState, buf: &mut Vec<SwapMove>) {
         buf.clear();
         let (a, b) = (state.members(0).len(), state.members(1).len());

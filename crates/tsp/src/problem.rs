@@ -144,12 +144,6 @@ impl Problem for TspProblem {
         }
     }
 
-    fn all_moves(&self, state: &Tour) -> Vec<TourMove> {
-        let mut moves = Vec::new();
-        self.all_moves_into(state, &mut moves);
-        moves
-    }
-
     fn all_moves_into(&self, _state: &Tour, buf: &mut Vec<TourMove>) {
         // The 2-opt neighborhood, excluding the no-op whole-tour reversal.
         buf.clear();

@@ -129,7 +129,7 @@ fn alternative_objectives_and_neighborhoods_compose() {
 
 #[test]
 fn rejectionless_strategy_works_on_every_substrate() {
-    // [GREE84]'s method needs `all_moves`; every substrate provides it.
+    // [GREE84]'s method needs `all_moves_into`; every substrate provides it.
     let mut rng = StdRng::seed_from_u64(21);
     let gola = LinearArrangementProblem::new(random_two_pin(15, 150, &mut rng));
     let part = PartitionProblem::new(random_two_pin(16, 48, &mut rng));
