@@ -948,14 +948,15 @@ impl JobServer {
         let capacity = capacity.max(1);
         let (jobs, next_id, journal) = match journal_path {
             Some(path) => {
-                let (jobs, next_id) = replay_journal(path)?;
+                let (jobs, next_id, seq) = replay_journal(path)?;
                 let writer = JOURNAL
                     .open_append(Path::new(path))
                     .map_err(|e| format!("job journal: {e}"))?;
+                // New lines continue the replayed sequence.
                 let journal = Journal {
                     writer,
                     path: path.to_string(),
-                    seq: 0,
+                    seq,
                 };
                 (jobs, next_id, Some(journal))
             }
@@ -1197,20 +1198,21 @@ fn worker_loop(inner: &Inner) {
 /// Replays a journal into the job map: the last event per job wins, and
 /// jobs whose last event is non-terminal come back `queued` (a `running`
 /// job's worker died with the process — the accepted spec re-runs, and
-/// determinism makes the re-run equivalent). Returns the map and the next
-/// fresh id.
-fn replay_journal(path: &str) -> Result<(BTreeMap<u64, JobEntry>, u64), String> {
+/// determinism makes the re-run equivalent). Returns the map, the next
+/// fresh id and the highest `seq` replayed (0 for an empty journal).
+fn replay_journal(path: &str) -> Result<(BTreeMap<u64, JobEntry>, u64, u64), String> {
     let bytes = match std::fs::read(path) {
         Ok(bytes) => bytes,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Ok((BTreeMap::new(), 1));
+            return Ok((BTreeMap::new(), 1, 0));
         }
         Err(e) => return Err(format!("cannot read job journal `{path}`: {e}")),
     };
     let mut jobs: BTreeMap<u64, JobEntry> = BTreeMap::new();
-    let mut max_id = 0u64;
+    let (mut max_id, mut max_seq) = (0u64, 0u64);
     JOURNAL
         .scan(&bytes, |value| {
+            max_seq = max_seq.max(field_u64(value, "seq")?);
             let id = field_u64(value, "job")?;
             let event = field_str(value, "event")?;
             max_id = max_id.max(id);
@@ -1241,7 +1243,7 @@ fn replay_journal(path: &str) -> Result<(BTreeMap<u64, JobEntry>, u64), String> 
             Ok(())
         })
         .map_err(|e| format!("job journal `{path}`: {e}"))?;
-    Ok((jobs, max_id + 1))
+    Ok((jobs, max_id + 1, max_seq))
 }
 
 #[cfg(test)]
@@ -1701,17 +1703,17 @@ mod tests {
             ),
         )
         .unwrap();
-        let (jobs, next_id) = replay_journal(path).unwrap();
+        let (jobs, next_id, seq) = replay_journal(path).unwrap();
         assert_eq!(jobs.len(), 1, "torn line dropped");
-        assert_eq!(next_id, 2);
+        assert_eq!((next_id, seq), (2, 1));
         // An empty journal loads empty.
         std::fs::write(path, "").unwrap();
-        let (jobs, next_id) = replay_journal(path).unwrap();
-        assert!(jobs.is_empty() && next_id == 1);
+        let (jobs, next_id, seq) = replay_journal(path).unwrap();
+        assert!(jobs.is_empty() && next_id == 1 && seq == 0);
         // Corruption before the final line is an error, not a shrug, and
         // so is a recorded result that does not parse.
         let submitted = jsonl::sequenced(1, JournalEvent::Submitted(&spec).to_json(1));
-        let done = JournalEvent::Done("{\"schema\":").to_json(1);
+        let done = jsonl::sequenced(2, JournalEvent::Done("{\"schema\":").to_json(1));
         for bad in ["not json at all".to_string(), done.to_string()] {
             let header = JOURNAL.header([]);
             std::fs::write(path, format!("{header}\n{submitted}\n{bad}\n{{}}\n")).unwrap();
@@ -1746,6 +1748,37 @@ mod tests {
         let (_, listing) = server.list("");
         assert!(listing.contains("\"total\":2"), "{listing}");
         drop(server);
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn a_restart_continues_the_journal_seq() {
+        let dir = std::env::temp_dir().join(format!("jobs-journal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("seq-restart.journal");
+        let path = path.to_str().unwrap();
+        // Job 1 was submitted and cancelled before the restart: terminal,
+        // so the restarted server writes nothing for it.
+        let spec = JobSpec::parse(&gola_spec(",\"instances\":1")).unwrap();
+        let lines = [
+            JOURNAL.header([]),
+            jsonl::sequenced(1, JournalEvent::Submitted(&spec).to_json(1)),
+            jsonl::sequenced(2, JournalEvent::Cancelled.to_json(1)),
+        ];
+        std::fs::write(path, lines.map(|l| format!("{l}\n")).concat()).unwrap();
+        {
+            let server = JobServer::start(1, 8, Some(path)).unwrap();
+            assert_eq!(server.submit(&gola_spec(",\"instances\":1")).0, 202);
+        }
+        let text = std::fs::read_to_string(path).unwrap();
+        let seqs: Vec<u64> = text
+            .lines()
+            .skip(1)
+            .map(|line| field_u64(&Json::parse(line).unwrap(), "seq").unwrap())
+            .collect();
+        // The submission of job 2 is line 3, whatever its worker wrote next.
+        assert_eq!(seqs[..3], [1, 2, 3], "{text}");
+        assert!(seqs.windows(2).all(|w| w[0] < w[1]), "{text}");
         let _ = std::fs::remove_file(path);
     }
 
