@@ -111,10 +111,9 @@ use std::time::Duration;
 
 use anneal_core::json::Json;
 use anneal_experiments::{
-    ablation, checkpoint, cli, diagnostics, exit_codes, ext_partition, ext_tsp, jsonl, progress,
-    supervisor, tables, trajectory, tuning, ChaosWriter, FaultPlan, JobOutcome, JobServer, JobSpec,
-    OpsBoard, OpsServer, Progress, SuiteConfig, Supervisor, SupervisorEvent, Table, TelemetryLog,
-    TraceSink,
+    ablation, checkpoint, cli, diagnostics, exit_codes, ext_partition, ext_tsp, jsonl, supervisor,
+    tables, trajectory, tuning, ChaosWriter, FaultPlan, JobOutcome, JobServer, JobSpec, OpsServer,
+    SuiteConfig, Supervisor, SupervisorEvent, Table, TelemetryLog, TraceSink,
 };
 
 fn main() -> ExitCode {
@@ -155,22 +154,6 @@ fn run(parsed: cli::Cli) -> Result<ExitCode, String> {
     // gracefully on SIGINT/SIGTERM instead of dying mid-WAL-record.
     supervisor::signals::install();
     let config = parsed.config;
-
-    // Live ops plane: the board is shared run state behind /healthz,
-    // /progress and the --progress worker fragment; the server binds only
-    // under --serve. With neither flag nothing is created or bound.
-    let expected_cells = progress::expected_cells(&parsed.experiments, &config);
-    let board = (parsed.serve.is_some()
-        || (parsed.progress && parsed.isolation == cli::Isolation::Process))
-        .then(|| OpsBoard::new(expected_cells));
-    let _server = match (&parsed.serve, &board) {
-        (Some(addr), Some(board)) => {
-            let server = OpsServer::start(addr, Arc::clone(board))?;
-            eprintln!("ops: serving on {}", server.local_addr());
-            Some(server)
-        }
-        _ => None,
-    };
 
     let resumed = match &parsed.resume {
         Some(path) => {
@@ -229,15 +212,12 @@ fn run(parsed: cli::Cli) -> Result<ExitCode, String> {
         Some(dir) => Some(TraceSink::new(dir, faults)?),
         None => None,
     };
-    let ticker = parsed
-        .progress
-        .then(|| Progress::new(expected_cells).with_ops(board.clone()));
     let log = log
         .with_faults(faults)
         .with_resume(resumed)
         .with_trace(trace)
-        .with_progress(ticker)
-        .with_ops(board.clone());
+        .with_expected(tables::expected_cells(&parsed.experiments, &config))
+        .with_ticker(parsed.progress);
     let log = match parsed.isolation {
         cli::Isolation::Thread => log,
         cli::Isolation::Process => {
@@ -247,8 +227,7 @@ fn run(parsed: cli::Cli) -> Result<ExitCode, String> {
                 parsed.trace.as_deref(),
                 parsed.heartbeat,
                 parsed.breaker_threshold,
-            )?
-            .with_ops(board.clone());
+            )?;
             // The supervisor records every worker's cell into the log, so
             // process isolation needs a live one even without a WAL.
             let log = if log.is_enabled() {
@@ -258,6 +237,17 @@ fn run(parsed: cli::Cli) -> Result<ExitCode, String> {
             };
             log.with_supervisor(Some(Arc::new(sup)))
         }
+    };
+    // The live ops plane serves views of the log, which is the only count
+    // of the run. Without --serve nothing binds.
+    let log = Arc::new(log);
+    let _server = match &parsed.serve {
+        Some(addr) => {
+            let server = OpsServer::start(addr, Arc::clone(&log), None)?;
+            eprintln!("ops: serving on {}", server.local_addr());
+            Some(server)
+        }
+        None => None,
     };
 
     for exp in &parsed.experiments {
@@ -335,8 +325,9 @@ fn run_serve(opts: &cli::ServeOpts) -> Result<ExitCode, String> {
         opts.queue,
         opts.journal.as_deref(),
     )?);
-    let board = OpsBoard::new(None);
-    let server = OpsServer::start_with_jobs(&opts.addr, board, Some(Arc::clone(&jobs)))?;
+    // Jobs record no cells: the served log stays empty.
+    let log = Arc::new(TelemetryLog::in_memory());
+    let server = OpsServer::start(&opts.addr, log, Some(Arc::clone(&jobs)))?;
     eprintln!("ops: serving on {}", server.local_addr());
     if let Some(path) = &opts.journal {
         let queued = jobs.queued();

@@ -91,14 +91,6 @@ pub struct InstanceFault {
     pub oom: Option<usize>,
 }
 
-impl InstanceFault {
-    /// Whether this fault kills or wedges the whole process (rather than
-    /// just failing the instance).
-    pub fn process_fatal(&self) -> bool {
-        self.abort || self.oom.is_some()
-    }
-}
-
 impl Default for FaultPlan {
     /// A plan that injects nothing.
     fn default() -> Self {
@@ -448,8 +440,6 @@ mod tests {
         assert!(f.abort);
         assert_eq!(f.hang, Some(Duration::from_millis(7)));
         assert_eq!(f.oom, Some(4));
-        assert!(f.process_fatal());
-        assert!(!InstanceFault::default().process_fatal());
     }
 
     #[test]

@@ -49,7 +49,6 @@ mod instances;
 pub mod jobs;
 pub mod jsonl;
 pub mod ops;
-pub mod progress;
 pub mod reporting;
 mod roster;
 mod runner;
@@ -70,8 +69,7 @@ pub use config::SuiteConfig;
 pub use faults::{ChaosWriter, FaultPlan};
 pub use instances::{gola_paper_set, nola_paper_set, DEFAULT_SEED, NOLA_PIN_RANGE};
 pub use jobs::{JobOutcome, JobServer, JobSpec, JobState};
-pub use ops::{OpsBoard, OpsServer};
-pub use progress::Progress;
+pub use ops::OpsServer;
 pub use roster::{
     full_roster, reduced_roster, replica_exchange_roster, MethodCtx, MethodSpec, TunedY,
 };

@@ -1,366 +1,47 @@
 //! Live ops plane for `repro --serve ADDR`: a dependency-free HTTP/1.1
 //! endpoint exposing the run's metrics and health while it executes.
 //!
-//! Two pieces:
+//! [`OpsServer`] is a hand-rolled `std::net::TcpListener` server (the
+//! workspace is offline/vendored-only, so no hyper/axum) serving:
 //!
-//! * [`OpsBoard`] — shared run state fed by the telemetry log (cell
-//!   completions), the supervisor (worker heartbeats, respawns, breaker
-//!   trips) and the WAL writer (lost records). It also mirrors the hot
-//!   facts into the global [`anneal_core::metrics`] registry as
-//!   labeled gauges/counters so `/metrics` and `--metrics PATH` see them.
-//! * [`OpsServer`] — a hand-rolled `std::net::TcpListener` server (the
-//!   workspace is offline/vendored-only, so no hyper/axum) serving:
-//!   - `GET /metrics` — Prometheus text exposition of the global registry;
-//!   - `GET /healthz` — `200 ok` while the suite is healthy, `503` with
-//!     the reasons once it is degraded (cell failure, lost telemetry,
-//!     circuit breaker open);
-//!   - `GET /progress` — JSON: per-table cell states, retries, supervisor
-//!     worker liveness (heartbeat ages), and an ETA from the same
-//!     estimator the `--progress` ticker uses.
+//! - `GET /metrics` — Prometheus text exposition of the global
+//!   [`anneal_core::metrics`] registry, including the suite, worker and
+//!   breaker gauges set where their events happen;
+//! - `GET /healthz` — `200 ok` while the suite is healthy, `503` with the
+//!   reasons once it is degraded: a cell failed or a telemetry record was
+//!   lost (the predicate behind exit status 2), with any open circuit
+//!   breakers named;
+//! - `GET /progress` — JSON: per-table cell counts, retries, supervisor
+//!   worker liveness (heartbeat ages), and the ETA the `--progress` ticker
+//!   shows.
+//!
+//! `/healthz` and `/progress` are views of the run's [`TelemetryLog`], the
+//! only count of a run, and of the supervisor attached to it, so they
+//! count the same cells as the ticker, the WAL and the end-of-suite
+//! summary.
 //!
 //! Under `repro serve` the same server additionally routes the job API
 //! (`POST /jobs`, `GET /jobs`, `GET /jobs/:id`, `DELETE /jobs/:id`) to a
 //! [`crate::jobs::JobServer`] — see [`crate::jobs`] for the
-//! queueing, journaling and determinism contracts. Without a job server
-//! attached ([`OpsServer::start`]) those paths answer `404` with a JSON
-//! error body.
+//! queueing, journaling and determinism contracts; its log stays empty.
+//! Without a job server those paths answer `404` with a JSON error body.
 //!
-//! Both are created only when `--serve` (or, for the board, `--progress`
-//! under process isolation) is on: with the flags absent nothing binds,
-//! nothing is shared, and results stay bitwise-identical. Updates happen
-//! at cell boundaries and supervisor wait-loop ticks — never inside chain
-//! hot loops.
+//! Without `--serve` nothing binds and results stay bitwise-identical.
 
-use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
-use anneal_core::json::Json;
-use anneal_core::{json_object, metrics};
+use anneal_core::metrics;
 
 use crate::jobs::{error_body, JobServer};
-use crate::supervisor::signals;
+use crate::telemetry::TelemetryLog;
 
 /// Largest request body `POST /jobs` accepts (a generous bound for an
 /// inline netlist; anything larger is a `413`).
 const MAX_BODY: usize = 1 << 20;
-
-/// A supervised worker slot's lifecycle state, as shown by `/progress`
-/// and the `--progress` ticker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WorkerState {
-    /// A child process is running and heartbeating.
-    Live,
-    /// The previous child died abnormally; a replacement was spawned.
-    Respawning,
-    /// The slot's last child exited; nothing is running in it.
-    Idle,
-}
-
-impl WorkerState {
-    fn as_str(self) -> &'static str {
-        match self {
-            WorkerState::Live => "live",
-            WorkerState::Respawning => "respawning",
-            WorkerState::Idle => "idle",
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
-struct WorkerSlot {
-    state: WorkerState,
-    /// Heartbeat age as last reported by the supervisor wait loop, plus
-    /// when it was reported — scrape-time age adds the elapsed gap.
-    beat_age: Duration,
-    reported: Instant,
-}
-
-#[derive(Debug, Default)]
-struct TableState {
-    done: usize,
-    failed: usize,
-    retried: usize,
-}
-
-#[derive(Debug)]
-struct BoardState {
-    tables: BTreeMap<String, TableState>,
-    workers: BTreeMap<usize, WorkerSlot>,
-    /// Tables whose circuit breaker has tripped.
-    breakers: Vec<String>,
-    respawns: u64,
-    /// Telemetry records lost to write errors.
-    lost: u64,
-    done: usize,
-    failed: usize,
-    retried: usize,
-}
-
-/// Shared live-run state behind `/healthz`, `/progress` and the worker
-/// fragment of the `--progress` ticker. Cheap to update (one mutex, cell
-/// boundaries and 5 ms supervisor ticks only) and safe to share across
-/// the runner's worker threads.
-pub struct OpsBoard {
-    started: Instant,
-    expected: Option<usize>,
-    degraded: AtomicBool,
-    state: Mutex<BoardState>,
-}
-
-impl std::fmt::Debug for OpsBoard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OpsBoard")
-            .field("expected", &self.expected)
-            .field("degraded", &self.degraded.load(Ordering::Relaxed))
-            .finish()
-    }
-}
-
-impl OpsBoard {
-    /// A fresh board expecting `expected` cells (`None` when the suite
-    /// mix makes the total unknown; `/progress` then omits the ETA).
-    pub fn new(expected: Option<usize>) -> Arc<Self> {
-        Arc::new(OpsBoard {
-            started: Instant::now(),
-            expected: expected.filter(|&t| t > 0),
-            degraded: AtomicBool::new(false),
-            state: Mutex::new(BoardState {
-                tables: BTreeMap::new(),
-                workers: BTreeMap::new(),
-                breakers: Vec::new(),
-                respawns: 0,
-                lost: 0,
-                done: 0,
-                failed: 0,
-                retried: 0,
-            }),
-        })
-    }
-
-    fn lock(&self) -> MutexGuard<'_, BoardState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Notes one completed cell (both execution paths land here via
-    /// [`TelemetryLog::record`](crate::TelemetryLog::record)).
-    pub fn cell_done(&self, table: &str, ok: bool, attempts: u32) {
-        let mut state = self.lock();
-        {
-            let t = state.tables.entry(table.to_string()).or_default();
-            t.done += 1;
-            if attempts > 1 {
-                t.retried += 1;
-            }
-            if !ok {
-                t.failed += 1;
-            }
-        }
-        state.done += 1;
-        if attempts > 1 {
-            state.retried += 1;
-        }
-        if !ok {
-            state.failed += 1;
-            self.degraded.store(true, Ordering::Relaxed);
-        }
-        let done = state.done as f64;
-        drop(state);
-        metrics::global().gauge("suite.cells_done").set(done);
-        if !ok {
-            metrics::global().gauge("suite.degraded").set(1.0);
-        }
-    }
-
-    /// Notes one telemetry record lost to a WAL write error — the suite
-    /// will exit degraded, so `/healthz` flips immediately.
-    pub fn note_lost(&self) {
-        self.lock().lost += 1;
-        self.degraded.store(true, Ordering::Relaxed);
-        metrics::global().gauge("suite.degraded").set(1.0);
-    }
-
-    /// Notes a worker child spawned into `slot` (`respawn` when it
-    /// replaces an abnormal death).
-    pub fn worker_spawned(&self, slot: usize, respawn: bool) {
-        let mut state = self.lock();
-        state.workers.insert(
-            slot,
-            WorkerSlot {
-                state: if respawn {
-                    WorkerState::Respawning
-                } else {
-                    WorkerState::Live
-                },
-                beat_age: Duration::ZERO,
-                reported: Instant::now(),
-            },
-        );
-        if respawn {
-            state.respawns += 1;
-        }
-        let (live, respawns) = (count_live(&state), state.respawns);
-        drop(state);
-        metrics::global().gauge("workers.live").set(live as f64);
-        if respawn {
-            metrics::global().counter("supervisor.respawns").inc();
-            metrics::global()
-                .gauge("supervisor.respawns_total")
-                .set(respawns as f64);
-        }
-    }
-
-    /// Notes the worker in `slot`'s current heartbeat age, from the
-    /// supervisor's wait loop. A beating worker is live, whatever it was.
-    pub fn worker_beat(&self, slot: usize, beat_age: Duration) {
-        let mut state = self.lock();
-        if let Some(w) = state.workers.get_mut(&slot) {
-            w.state = WorkerState::Live;
-            w.beat_age = beat_age;
-            w.reported = Instant::now();
-        }
-        drop(state);
-        metrics::global()
-            .gauge_with("worker_heartbeat_age_ms", &[("slot", &slot.to_string())])
-            .set(beat_age.as_secs_f64() * 1e3);
-    }
-
-    /// Notes the worker in `slot` exited (cleanly or not).
-    pub fn worker_exited(&self, slot: usize) {
-        let mut state = self.lock();
-        if let Some(w) = state.workers.get_mut(&slot) {
-            w.state = WorkerState::Idle;
-            w.reported = Instant::now();
-        }
-        let live = count_live(&state);
-        drop(state);
-        metrics::global().gauge("workers.live").set(live as f64);
-    }
-
-    /// Notes `table`'s circuit breaker tripping: the suite is degraded
-    /// from here on.
-    pub fn breaker_tripped(&self, table: &str) {
-        let mut state = self.lock();
-        if !state.breakers.iter().any(|t| t == table) {
-            state.breakers.push(table.to_string());
-        }
-        drop(state);
-        self.degraded.store(true, Ordering::Relaxed);
-        metrics::global().gauge("suite.degraded").set(1.0);
-        metrics::global()
-            .gauge_with("breaker_open", &[("table", table)])
-            .set(1.0);
-    }
-
-    /// Whether the suite has degraded (cell failure, lost record, or open
-    /// breaker) — the `/healthz` predicate.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded.load(Ordering::Relaxed)
-    }
-
-    /// The `/healthz` body: `ok` or the degradation reasons.
-    fn health_body(&self) -> String {
-        if !self.is_degraded() {
-            return "ok\n".to_string();
-        }
-        let state = self.lock();
-        let mut reasons = Vec::new();
-        if state.failed > 0 {
-            reasons.push(format!("{} cell(s) failed", state.failed));
-        }
-        if state.lost > 0 {
-            reasons.push(format!("{} telemetry record(s) lost", state.lost));
-        }
-        for table in &state.breakers {
-            reasons.push(format!("circuit breaker open for {table}"));
-        }
-        if reasons.is_empty() {
-            reasons.push("degraded".to_string());
-        }
-        format!("degraded: {}\n", reasons.join("; "))
-    }
-
-    /// The `/progress` JSON document. Seconds print with three decimals
-    /// and heartbeat ages in whole milliseconds.
-    pub fn progress_json(&self) -> String {
-        let elapsed = self.started.elapsed().as_secs_f64();
-        let state = self.lock();
-        let eta = match self.expected {
-            Some(total) if state.done > 0 && state.done < total => {
-                Some(elapsed / state.done as f64 * (total - state.done) as f64)
-            }
-            _ => None,
-        };
-        let seconds = |s: f64| Json::Num(format!("{s:.3}"));
-        let tables = state.tables.iter().map(|(table, t)| {
-            let counts = json_object! { "done": t.done, "failed": t.failed, "retried": t.retried };
-            (table.clone(), counts)
-        });
-        let workers = state.workers.iter().map(|(&slot, w)| {
-            // A live worker's age keeps growing between supervisor ticks.
-            let age = match w.state {
-                WorkerState::Idle => w.beat_age,
-                _ => w.beat_age + w.reported.elapsed(),
-            };
-            let age_ms = Json::Num(format!("{:.0}", age.as_secs_f64() * 1e3));
-            json_object! { "slot": slot, "state": w.state.as_str(), "heartbeat_age_ms": age_ms }
-        });
-        let breakers = state.breakers.iter().map(|t| Json::from(t.as_str()));
-        json_object! {
-            "elapsed_s": seconds(elapsed), "expected": self.expected.map_or(Json::Null, Json::from),
-            "done": state.done, "failed": state.failed, "retried": state.retried,
-            "eta_s": eta.map_or(Json::Null, seconds), "degraded": self.is_degraded(),
-            "draining": signals::draining(), "lost": state.lost, "respawns": state.respawns,
-            "tables": Json::Obj(tables.collect()), "workers": Json::Arr(workers.collect()),
-            "breakers": Json::Arr(breakers.collect()),
-        }
-        .to_string()
-    }
-
-    /// The worker-liveness fragment for the `--progress` ticker, e.g.
-    /// `2 workers live, oldest hb 40ms` — `None` until a worker has been
-    /// seen (in-process runs never show it).
-    pub fn ticker_fragment(&self) -> Option<String> {
-        let state = self.lock();
-        if state.workers.is_empty() {
-            return None;
-        }
-        let live = count_live(&state);
-        let respawning = state
-            .workers
-            .values()
-            .filter(|w| w.state == WorkerState::Respawning)
-            .count();
-        let oldest = state
-            .workers
-            .values()
-            .filter(|w| w.state != WorkerState::Idle)
-            .map(|w| w.beat_age + w.reported.elapsed())
-            .max();
-        let mut s = format!("{live} worker(s) live");
-        if respawning > 0 {
-            s.push_str(&format!(", {respawning} respawning"));
-        }
-        if signals::draining() {
-            s.push_str(", draining");
-        }
-        if let Some(age) = oldest {
-            s.push_str(&format!(", oldest hb {:.0}ms", age.as_secs_f64() * 1e3));
-        }
-        Some(s)
-    }
-}
-
-fn count_live(state: &BoardState) -> usize {
-    state
-        .workers
-        .values()
-        .filter(|w| w.state != WorkerState::Idle)
-        .count()
-}
 
 /// The `--serve` HTTP server: a background accept loop over a
 /// non-blocking [`TcpListener`], shut down when the handle drops (end of
@@ -382,17 +63,12 @@ impl std::fmt::Debug for OpsServer {
 
 impl OpsServer {
     /// Binds `addr` (e.g. `127.0.0.1:9090`; port 0 picks a free port) and
-    /// starts serving `board` in a background thread. The job API is off;
-    /// `/jobs` paths answer `404`.
-    pub fn start(addr: &str, board: Arc<OpsBoard>) -> Result<OpsServer, String> {
-        Self::start_with_jobs(addr, board, None)
-    }
-
-    /// [`start`](OpsServer::start), plus the job API routed to `jobs`
-    /// (the `repro serve` daemon mode).
-    pub fn start_with_jobs(
+    /// starts serving the run `log` records in a background thread, with
+    /// the job API routed to `jobs` (the `repro serve` daemon mode). Without
+    /// `jobs`, the `/jobs` paths answer `404`.
+    pub fn start(
         addr: &str,
-        board: Arc<OpsBoard>,
+        log: Arc<TelemetryLog>,
         jobs: Option<Arc<JobServer>>,
     ) -> Result<OpsServer, String> {
         let listener =
@@ -409,7 +85,7 @@ impl OpsServer {
             std::thread::spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
                     match listener.accept() {
-                        Ok((stream, _)) => handle(stream, &board, jobs.as_deref()),
+                        Ok((stream, _)) => handle(stream, &log, jobs.as_deref()),
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                             std::thread::sleep(Duration::from_millis(20));
                         }
@@ -506,7 +182,7 @@ fn read_request(stream: &mut TcpStream) -> Result<(String, String, String), u16>
 
 /// Serves one request on `stream`. Any parse or I/O problem just drops
 /// the connection — the ops plane must never take down the run.
-fn handle(stream: TcpStream, board: &OpsBoard, jobs: Option<&JobServer>) {
+fn handle(stream: TcpStream, log: &TelemetryLog, jobs: Option<&JobServer>) {
     let mut stream = stream;
     stream.set_nonblocking(false).ok();
     stream
@@ -533,16 +209,11 @@ fn handle(stream: TcpStream, board: &OpsBoard, jobs: Option<&JobServer>) {
             "text/plain; version=0.0.4; charset=utf-8",
             metrics::global().render_prometheus(),
         ),
-        ("GET", "/healthz") => {
-            let body = board.health_body();
-            let status = if board.is_degraded() {
-                "503 Service Unavailable"
-            } else {
-                "200 OK"
-            };
-            (status.to_string(), TEXT, body)
-        }
-        ("GET", "/progress") => ("200 OK".to_string(), JSON, board.progress_json()),
+        ("GET", "/healthz") => match log.degradation() {
+            None => ("200 OK".to_string(), TEXT, "ok\n".to_string()),
+            Some(why) => (status_line(503), TEXT, format!("degraded: {why}\n")),
+        },
+        ("GET", "/progress") => ("200 OK".to_string(), JSON, log.progress_json()),
         // The job API: delegate verb by verb, JSON all the way down.
         _ if list_path == "/jobs" || job_id.is_some() => match jobs {
             None => (
@@ -580,6 +251,10 @@ fn respond(stream: &mut TcpStream, status: &str, content_type: &str, body: &str)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SuiteConfig;
+    use crate::supervisor::{signals, Supervisor, DEFAULT_BREAKER_THRESHOLD, DEFAULT_HEARTBEAT};
+    use crate::telemetry::{CellFailure, CellKey, CellRecord, SupervisorEvent};
+    use anneal_core::Budget;
 
     fn get(addr: SocketAddr, path: &str) -> (String, String) {
         request(addr, "GET", path, None)
@@ -604,40 +279,75 @@ mod tests {
         (status, body.to_string())
     }
 
+    /// A record of a cell of `table`, failed or not, that took `attempts`.
+    fn cell(table: &str, column: &str, ok: bool, attempts: u32) -> CellRecord {
+        let key = CellKey::new(table, "g = 1", column);
+        let mut record = CellRecord::empty(key, "Figure1".into(), Budget::evaluations(100), 7);
+        record.attempts = attempts;
+        if !ok {
+            let message = "boom".to_string();
+            record.failures.push(CellFailure {
+                instance: 0,
+                seed: 7,
+                message,
+            });
+        }
+        record
+    }
+
+    fn supervisor() -> Arc<Supervisor> {
+        let config = SuiteConfig::paper();
+        let sup = Supervisor::new(
+            &config,
+            None,
+            None,
+            DEFAULT_HEARTBEAT,
+            DEFAULT_BREAKER_THRESHOLD,
+        );
+        Arc::new(sup.expect("supervisor"))
+    }
+
     #[test]
-    fn board_tracks_cells_workers_and_degradation() {
+    fn progress_and_health_read_the_log_and_the_supervisor() {
         signals::reset_for_test();
-        let board = OpsBoard::new(Some(4));
-        assert!(!board.is_degraded());
-        board.cell_done("table4.1", true, 1);
-        board.cell_done("table4.1", true, 3);
-        assert!(!board.is_degraded());
-        board.worker_spawned(0, false);
-        board.worker_beat(0, Duration::from_millis(40));
-        let json = board.progress_json();
+        let sup = supervisor();
+        let log = TelemetryLog::in_memory()
+            .with_expected(Some(4))
+            .with_supervisor(Some(Arc::clone(&sup)));
+        assert_eq!(log.degradation(), None);
+        log.record(cell("table4.1", "6 sec", true, 1));
+        log.record(cell("table4.1", "9 sec", true, 3));
+        assert_eq!(log.degradation(), None);
+        sup.worker_spawned(false);
+        sup.worker_beat(Duration::from_millis(40));
+        let json = log.progress_json();
         assert!(json.contains("\"done\":2"), "{json}");
         assert!(json.contains("\"retried\":1"), "{json}");
         assert!(json.contains("\"expected\":4"), "{json}");
         assert!(json.contains("\"eta_s\":"), "{json}");
         assert!(json.contains("\"table4.1\":{\"done\":2"), "{json}");
         assert!(json.contains("\"slot\":0,\"state\":\"live\""), "{json}");
-        let ticker = board.ticker_fragment().expect("worker fragment");
+        let ticker = sup.live().ticker_fragment().expect("worker fragment");
         assert!(ticker.contains("1 worker(s) live"), "{ticker}");
         assert!(ticker.contains("oldest hb"), "{ticker}");
 
-        board.cell_done("table4.2b", false, 2);
-        board.breaker_tripped("table4.2b");
-        assert!(board.is_degraded());
-        let health = board.health_body();
+        log.record(cell("table4.2b", "Figure 1", false, 2));
+        for _ in 0..DEFAULT_BREAKER_THRESHOLD {
+            if sup.hard_failure("table4.2b") {
+                let detail = "circuit breaker for table4.2b opened";
+                log.log_event(SupervisorEvent::new("breaker", None, detail));
+            }
+        }
+        let health = log.degradation().expect("degraded");
         assert!(health.contains("1 cell(s) failed"), "{health}");
         assert!(
             health.contains("circuit breaker open for table4.2b"),
             "{health}"
         );
-        board.worker_exited(0);
-        assert_eq!(board.ticker_fragment().unwrap(), "0 worker(s) live");
+        sup.worker_exited();
+        assert_eq!(sup.live().ticker_fragment().unwrap(), "0 worker(s) live");
         // The whole document, with its two clock-dependent lexemes masked.
-        let json = board.progress_json();
+        let json = log.progress_json();
         let masked = mask_seconds(&mask_seconds(&json, "elapsed_s"), "eta_s");
         assert_eq!(
             masked,
@@ -657,11 +367,12 @@ mod tests {
 
     #[test]
     fn ticker_fragment_is_absent_without_workers() {
-        let board = OpsBoard::new(None);
-        board.cell_done("table4.1", true, 1);
-        assert_eq!(board.ticker_fragment(), None);
+        let sup = supervisor();
+        let log = TelemetryLog::in_memory().with_supervisor(Some(Arc::clone(&sup)));
+        log.record(cell("table4.1", "6 sec", true, 1));
+        assert_eq!(sup.live().ticker_fragment(), None);
         // No expected total: no ETA, expected is null.
-        let json = board.progress_json();
+        let json = log.progress_json();
         assert!(json.contains("\"expected\":null"), "{json}");
         assert!(json.contains("\"eta_s\":null"), "{json}");
     }
@@ -669,9 +380,9 @@ mod tests {
     #[test]
     fn server_serves_all_three_endpoints() {
         signals::reset_for_test();
-        let board = OpsBoard::new(Some(2));
-        board.cell_done("table4.1", true, 1);
-        let server = OpsServer::start("127.0.0.1:0", Arc::clone(&board)).expect("bind");
+        let log = Arc::new(TelemetryLog::in_memory().with_expected(Some(2)));
+        log.record(cell("table4.1", "6 sec", true, 1));
+        let server = OpsServer::start("127.0.0.1:0", Arc::clone(&log), None).expect("bind");
         let addr = server.local_addr();
 
         let (status, body) = get(addr, "/healthz");
@@ -689,16 +400,19 @@ mod tests {
         let (status, _) = get(addr, "/nope");
         assert_eq!(status, "HTTP/1.1 404 Not Found");
 
-        board.cell_done("table4.1", false, 1);
+        log.record(cell("table4.1", "9 sec", false, 1));
         let (status, body) = get(addr, "/healthz");
         assert_eq!(status, "HTTP/1.1 503 Service Unavailable");
-        assert!(body.starts_with("degraded:"), "{body}");
+        assert_eq!(body, "degraded: 1 cell(s) failed\n");
+    }
+
+    fn empty_log() -> Arc<TelemetryLog> {
+        Arc::new(TelemetryLog::in_memory())
     }
 
     #[test]
     fn jobs_paths_answer_404_without_a_job_server() {
-        let board = OpsBoard::new(None);
-        let server = OpsServer::start("127.0.0.1:0", board).expect("bind");
+        let server = OpsServer::start("127.0.0.1:0", empty_log(), None).expect("bind");
         let addr = server.local_addr();
         for (method, path) in [
             ("POST", "/jobs"),
@@ -717,7 +431,7 @@ mod tests {
 
     #[test]
     fn oversized_requests_get_a_json_error_body() {
-        let server = OpsServer::start("127.0.0.1:0", OpsBoard::new(None)).expect("bind");
+        let server = OpsServer::start("127.0.0.1:0", empty_log(), None).expect("bind");
         let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
         let length = MAX_BODY + 1;
         let head = format!("POST /jobs HTTP/1.1\r\nContent-Length: {length}\r\n\r\n");
@@ -730,9 +444,8 @@ mod tests {
 
     #[test]
     fn jobs_api_routes_end_to_end_over_http() {
-        let board = OpsBoard::new(None);
         let jobs = Arc::new(crate::jobs::JobServer::start(1, 4, None).expect("jobs"));
-        let server = OpsServer::start_with_jobs("127.0.0.1:0", board, Some(jobs)).expect("bind");
+        let server = OpsServer::start("127.0.0.1:0", empty_log(), Some(jobs)).expect("bind");
         let addr = server.local_addr();
 
         let spec = "{\"problem\":\"gola\",\"instances\":1,\"scale\":2000}";

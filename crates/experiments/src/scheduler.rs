@@ -1,5 +1,5 @@
-//! Deterministic work-stealing fan-out for per-instance work, plus the
-//! bounded task queue behind the job server.
+//! Deterministic work-stealing fan-out for a table cell's instances, plus
+//! the bounded task queue behind the job server.
 //!
 //! [`run_indexed`]: one shared atomic cursor hands out task indices to
 //! worker threads as they free up, so a single slow task (a straggler)
@@ -14,9 +14,10 @@
 //! bounded multi-producer/multi-consumer queue whose `push` never blocks
 //! (a full queue is the caller's backpressure signal — the job server
 //! turns it into HTTP 429) and whose `pop` parks consumers until work or
-//! shutdown arrives. Inside each job the instances still fan out through
-//! [`run_indexed`], so the two layers compose: the queue spreads *jobs*
-//! across workers, the cursor spreads *instances* inside one job.
+//! shutdown arrives. The queue spreads *jobs* across the server's
+//! workers; each job runs its instances one after another on its worker
+//! ([`JobSpec::execute`](crate::jobs::JobSpec::execute)), without
+//! [`run_indexed`].
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -37,15 +37,22 @@
 //! and records it like the in-process runner would. The record's `f64`s
 //! survive the JSON round trip exactly, which is what keeps process
 //! isolation and `--resume` bit-identical to a thread-isolated run.
+//!
+//! Besides the breakers' failure streaks, the supervisor's state holds
+//! what the live views (`--progress`, `/progress`, `/healthz`) show of it:
+//! its one worker slot (cells run one at a time) with the last heartbeat
+//! age, the respawn count, and the open breakers in trip order. The
+//! `workers.live`, `worker_heartbeat_age_ms` and `breaker_open` gauges and
+//! the `supervisor.respawns` counter are set where those events happen.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use anneal_core::json::Json;
-use anneal_core::{Budget, Strategy};
+use anneal_core::{json_object, metrics, Budget, Strategy};
 
 use crate::checkpoint::record_from_json;
 use crate::config::SuiteConfig;
@@ -138,8 +145,8 @@ pub const CELL_FIELD_SEP: char = '\x1f';
 /// deadline and the heartbeat age.
 const WAIT_TICK: Duration = Duration::from_millis(50);
 
-/// The worker's slot on the ops board. Cells run one at a time, so the
-/// supervisor has a single slot.
+/// The worker's slot number in `/progress` and the heartbeat gauge's
+/// label. Cells run one at a time, so the supervisor has a single slot.
 const WORKER_SLOT: usize = 0;
 
 /// What killed a worker, when the supervisor had to.
@@ -154,8 +161,74 @@ enum KillReason {
 struct State {
     /// Consecutive hard process failures per table (reset by any success).
     consecutive: HashMap<String, u32>,
-    /// Tables whose circuit breaker has tripped.
-    open: HashSet<String>,
+    /// The worker slot, the respawns and the open breakers.
+    live: Live,
+}
+
+/// What `/progress`, `/healthz` and the `--progress` ticker show of the
+/// supervisor; all empty for a run without one.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Live {
+    /// The worker slot (cells run one at a time, so there is one); `None`
+    /// before the first spawn.
+    worker: Option<Worker>,
+    /// Workers spawned to replace one that died.
+    pub(crate) respawns: u64,
+    /// Tables whose circuit breaker has tripped, in trip order: their
+    /// remaining cells are skipped.
+    pub(crate) breakers: Vec<String>,
+}
+
+/// The worker slot as the wait loop last reported it.
+#[derive(Debug, Clone, Copy)]
+struct Worker {
+    /// `"live"`, `"respawning"` (spawned after a death, not yet beating)
+    /// or `"idle"` (exited).
+    state: &'static str,
+    /// The heartbeat age at the last report, and when that was.
+    beat_age: Duration,
+    reported: Instant,
+}
+
+impl Worker {
+    /// The heartbeat age now: a running worker's keeps growing between
+    /// reports.
+    fn age(&self) -> Duration {
+        match self.state {
+            "idle" => self.beat_age,
+            _ => self.beat_age + self.reported.elapsed(),
+        }
+    }
+}
+
+impl Live {
+    /// The ticker's worker fragment, e.g. `1 worker(s) live, oldest hb
+    /// 40ms`; `None` before the first spawn.
+    pub(crate) fn ticker_fragment(&self) -> Option<String> {
+        let worker = self.worker?;
+        let live = worker.state != "idle";
+        let mut s = format!("{} worker(s) live", usize::from(live));
+        if worker.state == "respawning" {
+            s.push_str(", 1 respawning");
+        }
+        if signals::draining() {
+            s.push_str(", draining");
+        }
+        if live {
+            let age_ms = worker.age().as_secs_f64() * 1e3;
+            s.push_str(&format!(", oldest hb {age_ms:.0}ms"));
+        }
+        Some(s)
+    }
+
+    /// The `/progress` member listing the worker slot.
+    pub(crate) fn workers_json(&self) -> Json {
+        let slots = self.worker.map(|w| {
+            let age_ms = Json::Num(format!("{:.0}", w.age().as_secs_f64() * 1e3));
+            json_object! { "slot": WORKER_SLOT, "state": w.state, "heartbeat_age_ms": age_ms }
+        });
+        Json::Arr(slots.into_iter().collect())
+    }
 }
 
 /// The process supervisor: spawns one worker per table cell, enforces
@@ -177,10 +250,6 @@ pub struct Supervisor {
     /// Per-instance watchdog deadline, used to derive the wall-clock
     /// deadline for a whole worker.
     watchdog: Option<Duration>,
-    /// Live ops board: worker spawn/beat/exit, respawns and breaker
-    /// trips are mirrored there for `--serve` and the `--progress`
-    /// ticker. `None` keeps the supervisor observability-free.
-    ops: Option<std::sync::Arc<crate::ops::OpsBoard>>,
     state: Mutex<State>,
 }
 
@@ -253,20 +322,79 @@ impl Supervisor {
             breaker_threshold: breaker_threshold.max(1),
             seed: config.seed,
             watchdog: config.watchdog,
-            ops: None,
             state: Mutex::new(State::default()),
         })
     }
 
-    /// Attaches a live ops board (builder style): worker lifecycle and
-    /// breaker state feed the `--serve` endpoints. `None` clears it.
-    pub fn with_ops(mut self, ops: Option<std::sync::Arc<crate::ops::OpsBoard>>) -> Self {
-        self.ops = ops;
-        self
-    }
-
     fn lock(&self) -> MutexGuard<'_, State> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The worker slot, respawn count and open breakers as of now.
+    pub(crate) fn live(&self) -> Live {
+        self.lock().live.clone()
+    }
+
+    /// Notes a worker spawned into the slot; `respawn` when it replaces
+    /// one that died.
+    pub(crate) fn worker_spawned(&self, respawn: bool) {
+        let mut state = self.lock();
+        state.live.worker = Some(Worker {
+            state: if respawn { "respawning" } else { "live" },
+            beat_age: Duration::ZERO,
+            reported: Instant::now(),
+        });
+        state.live.respawns += u64::from(respawn);
+        drop(state);
+        metrics::global().gauge("workers.live").set(1.0);
+        if respawn {
+            metrics::global().counter("supervisor.respawns").inc();
+        }
+    }
+
+    /// Notes the worker's heartbeat age at a wait-loop tick: a beating
+    /// worker is live, whatever it was.
+    pub(crate) fn worker_beat(&self, beat_age: Duration) {
+        if let Some(w) = self.lock().live.worker.as_mut() {
+            *w = Worker {
+                state: "live",
+                beat_age,
+                reported: Instant::now(),
+            };
+        }
+        metrics::global()
+            .gauge_with(
+                "worker_heartbeat_age_ms",
+                &[("slot", &WORKER_SLOT.to_string())],
+            )
+            .set(beat_age.as_secs_f64() * 1e3);
+    }
+
+    /// Notes the worker exited, cleanly or not.
+    pub(crate) fn worker_exited(&self) {
+        if let Some(w) = self.lock().live.worker.as_mut() {
+            w.state = "idle";
+            w.reported = Instant::now();
+        }
+        metrics::global().gauge("workers.live").set(0.0);
+    }
+
+    /// Counts a hard process failure in `table` (every attempt at a cell
+    /// died) and returns whether it tripped the table's breaker.
+    pub(crate) fn hard_failure(&self, table: &str) -> bool {
+        let mut state = self.lock();
+        let count = state.consecutive.entry(table.to_string()).or_insert(0);
+        *count += 1;
+        // Once open, the table runs no more cells, so this trips once.
+        let trips = *count == self.breaker_threshold;
+        if trips {
+            state.live.breakers.push(table.to_string());
+            drop(state);
+            metrics::global()
+                .gauge_with("breaker_open", &[("table", table)])
+                .set(1.0);
+        }
+        trips
     }
 
     /// Wall-clock deadline for one worker running `n_instances` instances
@@ -303,7 +431,7 @@ impl Supervisor {
         n_instances: usize,
         log: &TelemetryLog,
     ) -> f64 {
-        if self.lock().open.contains(&key.table) {
+        if self.lock().live.breakers.contains(&key.table) {
             let mut record =
                 CellRecord::empty(key.clone(), strategy_name.to_string(), budget, self.seed);
             record.instances = n_instances;
@@ -352,25 +480,15 @@ impl Supervisor {
         }
 
         // Hard process failure: every attempt died abnormally.
-        {
-            let mut state = self.lock();
-            let count = state.consecutive.entry(key.table.clone()).or_insert(0);
-            *count += 1;
-            if *count >= self.breaker_threshold {
-                state.open.insert(key.table.clone());
-                drop(state);
-                if let Some(board) = &self.ops {
-                    board.breaker_tripped(&key.table);
-                }
-                log.log_event(SupervisorEvent::new(
-                    "breaker",
-                    Some(key.clone()),
-                    format!(
-                        "circuit breaker for {} opened after {} consecutive hard failures",
-                        key.table, self.breaker_threshold
-                    ),
-                ));
-            }
+        if self.hard_failure(&key.table) {
+            log.log_event(SupervisorEvent::new(
+                "breaker",
+                Some(key.clone()),
+                format!(
+                    "circuit breaker for {} opened after {} consecutive hard failures",
+                    key.table, self.breaker_threshold
+                ),
+            ));
         }
         let mut record =
             CellRecord::empty(key.clone(), strategy_name.to_string(), budget, self.seed);
@@ -421,9 +539,7 @@ impl Supervisor {
             .stderr(std::process::Stdio::inherit())
             .spawn()
             .map_err(|e| format!("cannot spawn worker: {e}"))?;
-        if let Some(board) = &self.ops {
-            board.worker_spawned(WORKER_SLOT, attempt > 0);
-        }
+        self.worker_spawned(attempt > 0);
 
         // Stdout reader: forwards every line (heartbeat or record) to the
         // wait loop, and hangs up when the pipe closes (child exit or
@@ -463,9 +579,7 @@ impl Supervisor {
             }
             if killed.is_none() {
                 let beat_age = last_beat.elapsed();
-                if let Some(board) = &self.ops {
-                    board.worker_beat(WORKER_SLOT, beat_age);
-                }
+                self.worker_beat(beat_age);
                 if deadline.is_some_and(|d| started.elapsed() > d) {
                     killed = Some(KillReason::Deadline);
                 } else if beat_age > staleness {
@@ -478,9 +592,7 @@ impl Supervisor {
         };
         // The loop ends only once the reader has hung up.
         reader.join().expect("the stdout reader does not panic");
-        if let Some(board) = &self.ops {
-            board.worker_exited(WORKER_SLOT);
-        }
+        self.worker_exited();
         let status = status?;
 
         match killed {
@@ -648,16 +760,12 @@ mod tests {
     fn breaker_opens_after_threshold_and_skips_cells() {
         let config = SuiteConfig::paper();
         let sup = supervisor(&config);
-        // Trip the breaker by hand (the integration tests exercise the
-        // real spawn path).
-        for _ in 0..DEFAULT_BREAKER_THRESHOLD {
-            let mut state = sup.lock();
-            *state.consecutive.entry("table4.1".into()).or_insert(0) += 1;
-            let tripped = state.consecutive["table4.1"] >= sup.breaker_threshold;
-            if tripped {
-                state.open.insert("table4.1".into());
-            }
-        }
+        // Count the hard failures by hand (the integration tests exercise
+        // the real spawn path): only the last one trips the breaker.
+        let trips: Vec<bool> = (0..DEFAULT_BREAKER_THRESHOLD)
+            .map(|_| sup.hard_failure("table4.1"))
+            .collect();
+        assert_eq!(trips, [false, false, true]);
         let log = TelemetryLog::in_memory();
         let key = CellKey::new("table4.1", "g = 1", "6 sec");
         let total = sup.run_cell(
@@ -677,7 +785,7 @@ mod tests {
             record.failures[0].message
         );
         // Other tables are unaffected by this table's breaker.
-        assert!(!sup.lock().open.contains("table4.2a"));
+        assert_eq!(sup.live().breakers, ["table4.1"]);
     }
 
     fn worker_record(key: CellKey) -> CellRecord {

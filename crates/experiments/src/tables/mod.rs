@@ -5,7 +5,7 @@
 //! Each table that records cells has one definition: its instance set and
 //! its grid of cells, run row by row. The table's `run_logged` runs them
 //! all, a `repro --worker-cell` process runs only its own ([`run_cell`]),
-//! and [`expected_cells`](crate::progress::expected_cells) counts them.
+//! and [`expected_cells`] counts them.
 
 use anneal_core::{AdaptiveMode, Budget, Strategy};
 
@@ -149,6 +149,17 @@ pub(crate) fn spec(table: &str, config: &SuiteConfig) -> Option<TableSpec> {
     })
 }
 
+/// The number of cells the given experiment selection will record: the
+/// length of each table's cell list. Any experiment that records no cells
+/// (tuning sweeps, extensions, diagnostics) makes the total unknown, and
+/// the `--progress` ticker then shows a bare counter.
+pub fn expected_cells(experiments: &[String], config: &SuiteConfig) -> Option<usize> {
+    experiments
+        .iter()
+        .map(|exp| spec(exp, config).map(|spec| spec.rows.len() * spec.columns.len()))
+        .sum()
+}
+
 /// Runs the one cell `key` names, as a process-isolation worker does: finds
 /// its row and column in its table's definition, builds that table's
 /// instance set and records the cell into `log`. Returns its total
@@ -189,11 +200,6 @@ fn run_table(name: &str, config: &SuiteConfig, log: &TelemetryLog) -> Table {
 }
 
 impl TableSpec {
-    /// The number of cells.
-    pub(crate) fn cell_count(&self) -> usize {
-        self.rows.len() * self.columns.len()
-    }
-
     /// The keys of the cells of table `table`, in run order.
     #[cfg(test)]
     pub(crate) fn keys(&self, table: &str) -> Vec<CellKey> {
@@ -236,7 +242,6 @@ fn paper_columns(family: Family, config: &SuiteConfig) -> Vec<(String, Strategy,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::progress::expected_cells;
 
     #[test]
     fn each_table_records_its_unique_keys_in_run_order_and_progress_counts_them() {

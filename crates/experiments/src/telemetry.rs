@@ -11,18 +11,25 @@
 //!
 //! Records are built as [`anneal_core::json::Json`] values; the format is
 //! documented in EXPERIMENTS.md and exercised by tests below.
+//!
+//! The log is also the only count of a live run. The `--progress` ticker
+//! line, the `/progress` document and the `/healthz` answer are functions
+//! of its records, its lost-record list and, under process isolation, the
+//! [`Supervisor`]'s worker slot, respawns and open breakers. Each is read
+//! under one lock at a time: no path holds the log's lock and the
+//! supervisor's at once.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::io::Write;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use anneal_core::json::Json;
-use anneal_core::{json_object, AdvanceReason, Budget, RunResult, StopReason};
+use anneal_core::{json_object, metrics, AdvanceReason, Budget, RunResult, StopReason};
 
 use crate::faults::FaultPlan;
-use crate::progress::Progress;
+use crate::supervisor::{signals, Live, Supervisor};
 use crate::trace::TraceSink;
 
 /// Identity of one table cell.
@@ -401,14 +408,17 @@ pub struct TelemetryLog {
     faults: Option<FaultPlan>,
     resume: HashMap<CellKey, CellRecord>,
     trace: Option<TraceSink>,
-    progress: Option<Progress>,
     /// Process supervisor (`--isolation process`): when attached, the
     /// runner delegates each cell to a worker process instead of running
     /// it in-process.
-    supervisor: Option<Arc<crate::supervisor::Supervisor>>,
-    /// Live ops board (`--serve`, or `--progress` under process
-    /// isolation): notified at each cell boundary and on lost records.
-    ops: Option<Arc<crate::ops::OpsBoard>>,
+    supervisor: Option<Arc<Supervisor>>,
+    /// When the log was made: the clock behind the live views' elapsed
+    /// time and ETA.
+    started: Instant,
+    /// The number of cells the suite will record, when known.
+    expected: Option<usize>,
+    /// Whether each record redraws the `--progress` ticker line.
+    ticker: bool,
 }
 
 struct Inner {
@@ -422,6 +432,8 @@ struct Inner {
     next_seq: u64,
     /// Supervisor lifecycle events logged so far.
     events: Vec<SupervisorEvent>,
+    /// Length of the last ticker line drawn, for clean `\r` overwrites.
+    ticker_len: usize,
 }
 
 impl fmt::Debug for TelemetryLog {
@@ -443,13 +455,15 @@ impl TelemetryLog {
                 replayed: 0,
                 next_seq: 0,
                 events: Vec::new(),
+                ticker_len: 0,
             }),
             faults: None,
             resume: HashMap::new(),
             trace: None,
-            progress: None,
             supervisor: None,
-            ops: None,
+            started: Instant::now(),
+            expected: None,
+            ticker: false,
         }
     }
 
@@ -495,34 +509,41 @@ impl TelemetryLog {
         self
     }
 
-    /// Attaches a live progress ticker (builder style), notified once per
-    /// recorded cell. `None` clears it.
-    pub fn with_progress(mut self, progress: Option<Progress>) -> Self {
-        self.progress = progress;
-        self
-    }
-
     /// Attaches a process supervisor (builder style): the runner delegates
     /// each cell to a re-exec'd worker process. `None` clears it.
-    pub fn with_supervisor(
-        mut self,
-        supervisor: Option<Arc<crate::supervisor::Supervisor>>,
-    ) -> Self {
+    pub fn with_supervisor(mut self, supervisor: Option<Arc<Supervisor>>) -> Self {
         self.supervisor = supervisor;
         self
     }
 
-    /// Attaches a live ops board (builder style): each recorded cell and
-    /// each lost record updates it, feeding the `--serve` endpoints and
-    /// the `--progress` worker-liveness fragment. `None` clears it.
-    pub fn with_ops(mut self, ops: Option<Arc<crate::ops::OpsBoard>>) -> Self {
-        self.ops = ops;
+    /// Sets the number of cells the suite will record (builder style; see
+    /// [`tables::expected_cells`](crate::tables::expected_cells)): the
+    /// total behind the ticker's percentage and the ETA. `None` or zero
+    /// leaves it unknown, and the ticker then shows a bare counter.
+    pub fn with_expected(mut self, expected: Option<usize>) -> Self {
+        self.expected = expected.filter(|&n| n > 0);
+        self
+    }
+
+    /// Turns the `--progress` ticker on or off (builder style): when on,
+    /// each record redraws one stderr status line, rewritten in place with
+    /// `\r` so that stdout stays clean for the tables.
+    pub fn with_ticker(mut self, on: bool) -> Self {
+        self.ticker = on;
         self
     }
 
     /// The attached process supervisor, if any.
-    pub(crate) fn supervisor(&self) -> Option<Arc<crate::supervisor::Supervisor>> {
+    pub(crate) fn supervisor(&self) -> Option<Arc<Supervisor>> {
         self.supervisor.clone()
+    }
+
+    /// The supervisor's live state; all empty without one.
+    fn live(&self) -> Live {
+        self.supervisor
+            .as_deref()
+            .map(Supervisor::live)
+            .unwrap_or_default()
     }
 
     /// The chain-trace sink, if tracing is on.
@@ -530,22 +551,17 @@ impl TelemetryLog {
         self.trace.as_ref()
     }
 
-    /// Ends the progress ticker line, if one is active. Call before
-    /// printing the end-of-suite summary.
+    /// Ends the ticker line with a newline, if one was drawn, so the
+    /// end-of-suite summary starts clean.
     pub fn finish_progress(&self) {
-        if let Some(p) = &self.progress {
-            p.finish();
+        if self.lock().ticker_len > 0 {
+            eprintln!();
         }
     }
 
     /// The active fault plan, if any.
     pub fn faults(&self) -> Option<&FaultPlan> {
         self.faults.as_ref()
-    }
-
-    /// Number of cells in the `--resume` replay cache.
-    pub fn resume_cached(&self) -> usize {
-        self.resume.len()
     }
 
     /// The cached record for `key` if it can stand in for a fresh run:
@@ -578,34 +594,41 @@ impl TelemetryLog {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Records one cell. No-op when disabled.
+    /// Records one cell and, with the ticker on, redraws it. No-op when
+    /// disabled.
     pub fn record(&self, record: CellRecord) {
         if !self.enabled {
             return;
         }
-        if let Some(p) = &self.progress {
-            p.cell_done(record.ok(), record.attempts);
-        }
-        if let Some(board) = &self.ops {
-            board.cell_done(&record.key.table, record.ok(), record.attempts);
-        }
-        // Labeled completion counters for the ops plane. Cell-boundary
+        // Labeled completion counters and the suite gauges. Cell-boundary
         // only (a few dozen updates per suite), never per proposal.
-        {
-            let registry = anneal_core::metrics::global();
-            let labels = [
-                ("table", record.key.table.as_str()),
-                ("method", record.key.method.as_str()),
-            ];
-            registry.counter_with("cells_completed", &labels).inc();
-            if !record.ok() {
-                registry.counter_with("cells_failed", &labels).inc();
-            }
-            if record.attempts > 1 {
-                registry.counter_with("cells_retried", &labels).inc();
-            }
+        let registry = metrics::global();
+        let labels = [
+            ("table", record.key.table.as_str()),
+            ("method", record.key.method.as_str()),
+        ];
+        registry.counter_with("cells_completed", &labels).inc();
+        if !record.ok() {
+            registry.counter_with("cells_failed", &labels).inc();
+            registry.gauge("suite.degraded").set(1.0);
         }
+        if record.attempts > 1 {
+            registry.counter_with("cells_retried", &labels).inc();
+        }
+        // Read before taking the log's lock, never under it.
+        let live = self.ticker.then(|| self.live());
         let mut inner = self.lock();
+        if let Some(live) = live {
+            // Drawn before the WAL append reports any write error, with
+            // this record counted.
+            let line = self.ticker_line(inner.records.iter().chain([&record]), &live);
+            // Pad with spaces to erase any longer previous line.
+            let pad = inner.ticker_len.saturating_sub(line.len());
+            let mut err = std::io::stderr().lock();
+            let _ = write!(err, "\r{line}{}", " ".repeat(pad));
+            let _ = err.flush();
+            inner.ticker_len = line.len();
+        }
         // Every record consumes one sequence number, whether or not a
         // writer is attached.
         let seq = inner.next_seq;
@@ -619,12 +642,112 @@ impl TelemetryLog {
                 eprintln!("telemetry: write failed for cell {}: {e}", record.key);
                 let key = record.key.clone();
                 inner.lost.push(key);
-                if let Some(board) = &self.ops {
-                    board.note_lost();
-                }
+                registry.gauge("suite.degraded").set(1.0);
             }
         }
         inner.records.push(record);
+        registry
+            .gauge("suite.cells_done")
+            .set(inner.records.len() as f64);
+    }
+
+    /// The ticker line: cells done (against the expected total when it is
+    /// known), percent, ETA, elapsed time, retried and failed cells, and
+    /// the supervisor's worker fragment.
+    fn ticker_line<'a>(
+        &self,
+        records: impl IntoIterator<Item = &'a CellRecord>,
+        live: &Live,
+    ) -> String {
+        let [done, failed, retried] = tally(records);
+        let elapsed = self.started.elapsed().as_secs_f64();
+        let mut line = match self.expected {
+            Some(total) => {
+                let pct = 100.0 * done as f64 / total as f64;
+                let mut l = format!("cells {done}/{total} ({pct:.0}%)");
+                if let Some(eta) = self.eta(done, elapsed) {
+                    l.push_str(&format!(", eta {}", fmt_secs(eta)));
+                }
+                l
+            }
+            None => format!("cells {done}"),
+        };
+        line.push_str(&format!(", elapsed {}", fmt_secs(elapsed)));
+        if retried > 0 {
+            line.push_str(&format!(", {retried} retried"));
+        }
+        if failed > 0 {
+            line.push_str(&format!(", {failed} FAILED"));
+        }
+        if let Some(fragment) = live.ticker_fragment() {
+            line.push_str(&format!(", {fragment}"));
+        }
+        line
+    }
+
+    /// A naive ETA in seconds: the mean time per cell so far times the
+    /// cells left. `None` before the first cell, after the last, or when
+    /// the total is unknown.
+    fn eta(&self, done: usize, elapsed: f64) -> Option<f64> {
+        let total = self.expected?;
+        (done > 0 && done < total).then(|| elapsed / done as f64 * (total - done) as f64)
+    }
+
+    /// The `/progress` document: cells done, failed and retried in total
+    /// and per table, the ETA, lost records, and the supervisor's worker
+    /// slot, respawns and open breakers. Seconds print with three
+    /// decimals and heartbeat ages in whole milliseconds.
+    pub(crate) fn progress_json(&self) -> String {
+        let live = self.live();
+        let elapsed = self.started.elapsed().as_secs_f64();
+        let inner = self.lock();
+        let [done, failed, retried] = tally(&inner.records);
+        let mut tables: BTreeMap<&str, Vec<&CellRecord>> = BTreeMap::new();
+        for r in &inner.records {
+            tables.entry(&r.key.table).or_default().push(r);
+        }
+        let tables = tables.into_iter().map(|(table, records)| {
+            let [done, failed, retried] = tally(records);
+            let counts = json_object! { "done": done, "failed": failed, "retried": retried };
+            (table.to_string(), counts)
+        });
+        let lost = inner.lost.len();
+        // The predicate of `SuiteSummary::degraded`, on the same records.
+        let degraded = failed > 0 || lost > 0;
+        let seconds = |s: f64| Json::Num(format!("{s:.3}"));
+        let breakers = live.breakers.iter().map(|t| Json::from(t.as_str()));
+        json_object! {
+            "elapsed_s": seconds(elapsed), "expected": self.expected.map_or(Json::Null, Json::from),
+            "done": done, "failed": failed, "retried": retried,
+            "eta_s": self.eta(done, elapsed).map_or(Json::Null, seconds), "degraded": degraded,
+            "draining": signals::draining(), "lost": lost, "respawns": live.respawns,
+            "tables": Json::Obj(tables.collect()), "workers": live.workers_json(),
+            "breakers": Json::Arr(breakers.collect()),
+        }
+        .to_string()
+    }
+
+    /// Why the suite is degraded, or `None` while it is not: the
+    /// `/healthz` answer. The suite degrades on
+    /// [`SuiteSummary::degraded`], the predicate behind exit status 2, and
+    /// the reasons also name the open circuit breakers.
+    pub(crate) fn degradation(&self) -> Option<String> {
+        let breakers = self.live().breakers;
+        let summary = self.summary();
+        if !summary.degraded() {
+            return None;
+        }
+        let mut reasons = Vec::new();
+        if !summary.failed.is_empty() {
+            reasons.push(format!("{} cell(s) failed", summary.failed.len()));
+        }
+        if !summary.lost.is_empty() {
+            reasons.push(format!("{} telemetry record(s) lost", summary.lost.len()));
+        }
+        for table in breakers {
+            reasons.push(format!("circuit breaker open for {table}"));
+        }
+        Some(reasons.join("; "))
     }
 
     /// Records one supervisor lifecycle event. Event lines share the WAL
@@ -691,6 +814,26 @@ impl TelemetryLog {
             replayed: inner.replayed,
             events: inner.events.clone(),
         }
+    }
+}
+
+/// The cells done, failed and retried among `records`.
+fn tally<'a>(records: impl IntoIterator<Item = &'a CellRecord>) -> [usize; 3] {
+    let mut counts = [0; 3];
+    for r in records {
+        counts[0] += 1;
+        counts[1] += usize::from(!r.ok());
+        counts[2] += usize::from(r.attempts > 1);
+    }
+    counts
+}
+
+/// Whole seconds, or minutes and seconds from one minute on.
+fn fmt_secs(secs: f64) -> String {
+    if secs >= 60.0 {
+        format!("{}m{:02}s", (secs / 60.0) as u64, (secs % 60.0) as u64)
+    } else {
+        format!("{secs:.0}s")
     }
 }
 
@@ -979,7 +1122,6 @@ mod tests {
         let cached = record("t", 3.0, false);
         let key = cached.key.clone();
         let log = TelemetryLog::in_memory().with_resume(vec![cached]);
-        assert_eq!(log.resume_cached(), 1);
         let hit = log.replay(&key, "Figure1", "1500 evals", 1985);
         assert_eq!(hit.as_ref().map(|r| r.key.clone()), Some(key.clone()));
         assert!(log.replay(&key, "Figure2", "1500 evals", 1985).is_none());
@@ -994,8 +1136,62 @@ mod tests {
         let bad = record("t", 3.0, true);
         let key = bad.key.clone();
         let log = TelemetryLog::in_memory().with_resume(vec![bad]);
-        assert_eq!(log.resume_cached(), 0);
         assert!(log.replay(&key, "Figure1", "1500 evals", 1985).is_none());
+    }
+
+    /// `record("t", ..)` with `attempts` tries.
+    fn attempted(failed: bool, attempts: u32) -> CellRecord {
+        CellRecord {
+            attempts,
+            ..record("t", 1.0, failed)
+        }
+    }
+
+    #[test]
+    fn ticker_renders_counts_eta_and_flags() {
+        let log = TelemetryLog::in_memory()
+            .with_expected(Some(4))
+            .with_ticker(true);
+        log.record(attempted(false, 2));
+        log.record(attempted(true, 1));
+        let line = log.ticker_line(&log.records(), &Live::default());
+        assert!(line.contains("cells 2/4 (50%)"), "{line}");
+        assert!(line.contains("eta"), "{line}");
+        assert!(line.contains("1 retried"), "{line}");
+        assert!(line.contains("1 FAILED"), "{line}");
+        log.finish_progress();
+    }
+
+    #[test]
+    fn ticker_with_an_unknown_total_is_a_bare_counter() {
+        let log = TelemetryLog::in_memory();
+        let records = vec![attempted(false, 1); 7];
+        let line = log.ticker_line(&records, &Live::default());
+        assert!(line.starts_with("cells 7,"), "{line}");
+        assert!(!line.contains('%'));
+    }
+
+    #[test]
+    fn a_zero_total_is_unknown() {
+        let log = TelemetryLog::in_memory().with_expected(Some(0));
+        assert!(log.expected.is_none());
+    }
+
+    #[test]
+    fn ticker_appends_worker_liveness_from_the_supervisor() {
+        let config = crate::config::SuiteConfig::paper();
+        let sup = Supervisor::new(&config, None, None, Duration::from_millis(250), 3).unwrap();
+        sup.worker_spawned(false);
+        let log = TelemetryLog::in_memory().with_expected(Some(4));
+        let line = log.ticker_line(&[], &sup.live());
+        assert!(line.contains("1 worker(s) live"), "{line}");
+        assert!(line.contains("oldest hb"), "{line}");
+    }
+
+    #[test]
+    fn fmt_secs_switches_to_minutes() {
+        assert_eq!(fmt_secs(5.4), "5s");
+        assert_eq!(fmt_secs(125.0), "2m05s");
     }
 
     #[test]

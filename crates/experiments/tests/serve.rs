@@ -2,7 +2,8 @@
 //! binary with `--serve 127.0.0.1:0` and scraping the HTTP endpoints
 //! mid-run via the shared `common::http` helpers: `/metrics` serves
 //! Prometheus text exposition, `/healthz` answers 200 on a healthy run
-//! and flips to 503 once a fault degrades the suite, and `/progress`
+//! and flips to 503 once a fault degrades the suite (a failed cell or a
+//! lost telemetry record), and `/progress`
 //! reports cell counts and — under process isolation — per-worker
 //! heartbeat ages.
 
@@ -91,6 +92,26 @@ fn healthz_flips_to_503_when_faults_degrade_the_suite() {
     assert!(body.contains("degraded"), "{body}");
     assert!(body.contains("cell(s) failed"), "{body}");
     finish(child);
+}
+
+#[test]
+fn healthz_names_lost_telemetry_records() {
+    // Every WAL append fails: no cell fails, yet each record is lost, and
+    // a lost record degrades the suite just as it makes `repro` exit 2.
+    let wal = std::env::temp_dir().join(format!("anneal-serve-lost-{}.jsonl", std::process::id()));
+    let wal_arg = wal.to_str().expect("utf-8 temp path");
+    let (child, addr) = spawn_serving(&[
+        "--telemetry",
+        wal_arg,
+        "--faults",
+        "seed=7,io=1,delay=1,delay_ms=50",
+    ]);
+    let (status, body) = poll_until(&addr, "/healthz", |s, _| s == 503);
+    assert_eq!(status, 503);
+    assert!(body.contains("telemetry record(s) lost"), "{body}");
+    assert!(!body.contains("cell(s) failed"), "{body}");
+    finish(child);
+    let _ = std::fs::remove_file(&wal);
 }
 
 #[test]
