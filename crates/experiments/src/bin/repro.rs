@@ -65,11 +65,10 @@
 //!   --isolation MODE  thread (default: in-process catch_unwind + watchdog)
 //!                     or process: run every table cell in a supervised
 //!                     child process — survives aborts, OOM kills and true
-//!                     hangs, retries dead workers under the --retries
-//!                     backoff, and trips a per-table circuit breaker
-//!   --heartbeat-ms N  process isolation: worker heartbeat interval
-//!                     (default 250); a silent worker is presumed wedged
-//!                     and killed
+//!                     hangs (a worker silent for 2 s is presumed wedged
+//!                     and killed), retries dead workers under the
+//!                     --retries backoff, and trips a per-table circuit
+//!                     breaker
 //!   --breaker-threshold N
 //!                     process isolation: consecutive hard process failures
 //!                     in one table before the rest of that table is
@@ -225,7 +224,6 @@ fn run(parsed: cli::Cli) -> Result<ExitCode, String> {
                 &config,
                 faults.as_ref(),
                 parsed.trace.as_deref(),
-                parsed.heartbeat,
                 parsed.breaker_threshold,
             )?;
             // The supervisor records every worker's cell into the log, so
@@ -383,13 +381,12 @@ fn run_worker(parsed: &cli::Cli, faults: Option<FaultPlan>) -> Result<ExitCode, 
     // not kill workers mid-record.
     supervisor::signals::ignore();
 
-    let heartbeat = parsed.heartbeat;
-    std::thread::spawn(move || {
+    std::thread::spawn(|| {
         let mut beats = 0u64;
         // A failed beat means the parent is gone; its deadline owns us now.
         while emit_line(Json::obj([("hb", beats.into())]).to_string(), false).is_ok() {
             beats += 1;
-            std::thread::sleep(heartbeat);
+            std::thread::sleep(supervisor::HEARTBEAT);
         }
     });
 

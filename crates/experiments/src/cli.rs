@@ -37,8 +37,8 @@ pub const USAGE: &str = "usage: repro [--scale N] [--seed N] [--csv] [--threads 
      [--strategy NAME] [--schedule MODE] [--replicas K] [--exchange-interval N] \
      [--telemetry PATH] [--resume WAL] [--trace DIR] [--metrics PATH] \
      [--progress] [--faults SPEC] [--retries N] [--backoff-ms N] \
-     [--watchdog-ms N] [--isolation thread|process] [--heartbeat-ms N] \
-     [--breaker-threshold N] [--serve ADDR] <experiment>...\n       \
+     [--watchdog-ms N] [--isolation thread|process] [--breaker-threshold N] \
+     [--serve ADDR] <experiment>...\n       \
      repro serve ADDR [--queue N] [--job-threads N] [--journal PATH]\n       \
      repro job SPEC.json";
 
@@ -136,9 +136,6 @@ pub struct Cli {
     pub faults: Option<FaultPlan>,
     /// Cell isolation model (`--isolation`, default thread).
     pub isolation: Isolation,
-    /// Worker heartbeat interval under process isolation
-    /// (`--heartbeat-ms`, default 250).
-    pub heartbeat: Duration,
     /// Consecutive hard process failures per table before its circuit
     /// breaker opens (`--breaker-threshold`, default 3).
     pub breaker_threshold: u32,
@@ -165,7 +162,6 @@ fn command_cli(command: Command) -> Cli {
         serve: None,
         faults: None,
         isolation: Isolation::default(),
-        heartbeat: supervisor::DEFAULT_HEARTBEAT,
         breaker_threshold: supervisor::DEFAULT_BREAKER_THRESHOLD,
         worker: None,
         experiments: Vec::new(),
@@ -258,8 +254,6 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
     let mut faults: Option<FaultPlan> = None;
     let mut isolation = Isolation::default();
     let mut isolation_set = false;
-    let mut heartbeat = supervisor::DEFAULT_HEARTBEAT;
-    let mut heartbeat_set = false;
     let mut breaker_threshold = supervisor::DEFAULT_BREAKER_THRESHOLD;
     let mut breaker_set = false;
     let mut worker_cell: Option<CellKey> = None;
@@ -388,17 +382,6 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
                 };
                 isolation_set = true;
             }
-            "--heartbeat-ms" => {
-                let v = value_of("--heartbeat-ms")?;
-                let ms: u64 = v
-                    .parse()
-                    .map_err(|_| format!("bad --heartbeat-ms value `{v}`"))?;
-                if ms == 0 {
-                    return Err("--heartbeat-ms must be positive".into());
-                }
-                heartbeat = Duration::from_millis(ms);
-                heartbeat_set = true;
-            }
             "--breaker-threshold" => {
                 let v = value_of("--breaker-threshold")?;
                 let n: u32 = v
@@ -490,8 +473,8 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
             })
         }
     };
-    if (heartbeat_set || breaker_set) && isolation != Isolation::Process && worker.is_none() {
-        return Err("--heartbeat-ms and --breaker-threshold require --isolation process".into());
+    if breaker_set && isolation != Isolation::Process {
+        return Err("--breaker-threshold requires --isolation process".into());
     }
 
     if let (Some(resume), Some(telemetry)) = (&resume, &telemetry) {
@@ -527,7 +510,6 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
         serve,
         faults,
         isolation,
-        heartbeat,
         breaker_threshold,
         worker,
         experiments,
@@ -688,16 +670,11 @@ mod tests {
     fn isolation_flags_parse_with_defaults() {
         let cli = parse(&args("table4.1")).unwrap();
         assert_eq!(cli.isolation, Isolation::Thread);
-        assert_eq!(cli.heartbeat, supervisor::DEFAULT_HEARTBEAT);
         assert_eq!(cli.breaker_threshold, supervisor::DEFAULT_BREAKER_THRESHOLD);
         assert!(cli.worker.is_none());
 
-        let cli = parse(&args(
-            "--isolation process --heartbeat-ms 100 --breaker-threshold 2 table4.1",
-        ))
-        .unwrap();
+        let cli = parse(&args("--isolation process --breaker-threshold 2 table4.1")).unwrap();
         assert_eq!(cli.isolation, Isolation::Process);
-        assert_eq!(cli.heartbeat, Duration::from_millis(100));
         assert_eq!(cli.breaker_threshold, 2);
 
         let cli = parse(&args("--isolation thread table4.1")).unwrap();
@@ -709,18 +686,16 @@ mod tests {
         let err = parse(&args("--isolation container table4.1")).unwrap_err();
         assert!(err.contains("unknown --isolation"), "{err}");
         assert!(err.contains("thread, process"), "{err}");
-        let err = parse(&args("--isolation process --heartbeat-ms 0 table4.1")).unwrap_err();
-        assert!(err.contains("--heartbeat-ms must be positive"), "{err}");
+        let err = parse(&args("--isolation process --heartbeat-ms 100 table4.1")).unwrap_err();
+        assert!(err.contains("unknown option `--heartbeat-ms`"), "{err}");
         let err = parse(&args("--isolation process --breaker-threshold 0 table4.1")).unwrap_err();
         assert!(
             err.contains("--breaker-threshold must be positive"),
             "{err}"
         );
-        // The supervisor tuning flags are meaningless without a supervisor.
-        let err = parse(&args("--heartbeat-ms 100 table4.1")).unwrap_err();
-        assert!(err.contains("require --isolation process"), "{err}");
+        // The breaker is meaningless without a supervisor.
         let err = parse(&args("--breaker-threshold 2 table4.1")).unwrap_err();
-        assert!(err.contains("require --isolation process"), "{err}");
+        assert!(err.contains("requires --isolation process"), "{err}");
     }
 
     #[test]
@@ -731,8 +706,6 @@ mod tests {
             format!("table4.1{sep}g = 1{sep}6 sec"),
             "--worker-attempt".into(),
             "3".into(),
-            "--heartbeat-ms".into(),
-            "50".into(),
             "table4.1".into(),
         ]
         .to_vec();
@@ -740,7 +713,6 @@ mod tests {
         let worker = cli.worker.unwrap();
         assert_eq!(worker.cell, CellKey::new("table4.1", "g = 1", "6 sec"));
         assert_eq!(worker.attempt, 3);
-        assert_eq!(cli.heartbeat, Duration::from_millis(50));
     }
 
     #[test]

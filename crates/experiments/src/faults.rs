@@ -10,7 +10,7 @@
 //! `--faults` CLI flag or the `ANNEAL_FAULTS` environment variable:
 //!
 //! ```text
-//! seed=7,panic=0.25,io=0.1,delay=0.5,delay_ms=200,abort=0.01,hang=0.01,oom=0.01
+//! seed=7,panic=0.25,io=0.1,delay=0.5,delay_ms=200,abort=0.01,hang=0.01
 //! ```
 //!
 //! | key | meaning | default |
@@ -23,15 +23,13 @@
 //! | `abort` | probability an instance run calls `std::process::abort()` | 0 |
 //! | `hang` | probability an instance run hangs without polling its budget | 0 |
 //! | `hang_ms` | hang length in milliseconds | 60000 |
-//! | `oom` | probability an instance run allocates until a cap, then aborts | 0 |
-//! | `oom_mb` | allocation cap in MiB for `oom` faults | 256 |
 //!
 //! Each fault path exercises a distinct containment mechanism: `panic` the
 //! `catch_unwind` isolation in the runner, `io` the telemetry
 //! write-error accounting, and `delay` (together with `--watchdog-ms`) the
 //! [`anneal_core::watchdog`] deadline. The process-fatal kinds target the
-//! [`supervisor`](crate::supervisor): `abort` and `oom` kill the worker
-//! process outright (`catch_unwind` cannot contain them), and `hang` sleeps
+//! [`supervisor`](crate::supervisor): `abort` kills the worker process
+//! outright (`catch_unwind` cannot contain it), and `hang` sleeps
 //! without ever polling a `Meter`, which the in-process watchdog cannot
 //! interrupt — only the supervisor's wall-clock SIGKILL can.
 
@@ -63,11 +61,6 @@ pub struct FaultPlan {
     /// Injected hang length (bounded so a run without a supervisor still
     /// terminates eventually).
     pub hang: Duration,
-    /// Probability an instance run allocates up to [`oom_mb`](Self::oom_mb)
-    /// MiB and then aborts (a safe stand-in for an OOM kill).
-    pub oom_p: f64,
-    /// Allocation cap for `oom` faults, in MiB.
-    pub oom_mb: usize,
     /// Attempt-number offset folded into every decision. The supervisor
     /// sets this (via the hidden `--worker-attempt` flag) when it re-spawns
     /// a worker after a process death, so fault decisions roll
@@ -87,8 +80,6 @@ pub struct InstanceFault {
     pub abort: bool,
     /// Hang this long without polling the budget (supervisor fodder).
     pub hang: Option<Duration>,
-    /// Allocate up to this many MiB, then abort.
-    pub oom: Option<usize>,
 }
 
 impl Default for FaultPlan {
@@ -103,8 +94,6 @@ impl Default for FaultPlan {
             abort_p: 0.0,
             hang_p: 0.0,
             hang: Duration::from_millis(60_000),
-            oom_p: 0.0,
-            oom_mb: 256,
             attempt_base: 0,
         }
     }
@@ -151,10 +140,6 @@ impl FaultPlan {
                         .map_err(|_| format!("bad hang_ms `{value}`"))?;
                     plan.hang = Duration::from_millis(ms);
                 }
-                "oom" => plan.oom_p = prob(value)?,
-                "oom_mb" => {
-                    plan.oom_mb = value.parse().map_err(|_| format!("bad oom_mb `{value}`"))?;
-                }
                 other => return Err(format!("unknown fault key `{other}`")),
             }
         }
@@ -167,8 +152,7 @@ impl FaultPlan {
     /// it travels on the hidden `--worker-attempt` flag instead.
     pub fn to_spec(&self) -> String {
         format!(
-            "seed={},panic={},io={},delay={},delay_ms={},abort={},hang={},hang_ms={},\
-             oom={},oom_mb={}",
+            "seed={},panic={},io={},delay={},delay_ms={},abort={},hang={},hang_ms={}",
             self.seed,
             self.panic_p,
             self.io_p,
@@ -176,9 +160,7 @@ impl FaultPlan {
             self.delay.as_millis(),
             self.abort_p,
             self.hang_p,
-            self.hang.as_millis(),
-            self.oom_p,
-            self.oom_mb
+            self.hang.as_millis()
         )
     }
 
@@ -204,7 +186,6 @@ impl FaultPlan {
             || self.delay_p > 0.0
             || self.abort_p > 0.0
             || self.hang_p > 0.0
-            || self.oom_p > 0.0
     }
 
     /// The faults (if any) for one `(cell, instance, attempt)` run. Pure:
@@ -218,7 +199,6 @@ impl FaultPlan {
             delay: decide(site("delay"), self.delay_p).then_some(self.delay),
             abort: decide(site("abort"), self.abort_p),
             hang: decide(site("hang"), self.hang_p).then_some(self.hang),
-            oom: decide(site("oom"), self.oom_p).then_some(self.oom_mb),
         }
     }
 
@@ -272,27 +252,6 @@ fn decide(hash: u64, p: f64) -> bool {
         return true;
     }
     ((hash >> 11) as f64 / (1u64 << 53) as f64) < p
-}
-
-/// Carries out an injected OOM: allocates touched memory up to `cap_mb`
-/// MiB, then aborts the process — a contained, deterministic stand-in for a
-/// runaway allocation that the kernel would OOM-kill. Never returns.
-pub(crate) fn simulate_oom(cap_mb: usize, instance: usize) -> ! {
-    eprintln!("fault injection: simulated OOM (instance {instance}, cap {cap_mb} MiB); aborting");
-    let cap = cap_mb.saturating_mul(1024 * 1024);
-    let mut hoard: Vec<Vec<u8>> = Vec::new();
-    let mut total = 0usize;
-    while total < cap {
-        let len = (16 * 1024 * 1024).min(cap - total);
-        let mut block = vec![0u8; len];
-        // Touch one byte per page so the pages are actually committed.
-        for i in (0..block.len()).step_by(4096) {
-            block[i] = 1;
-        }
-        total += block.len();
-        hoard.push(block);
-    }
-    std::process::abort();
 }
 
 /// A telemetry sink wrapper that fails writes according to a [`FaultPlan`]
@@ -358,6 +317,7 @@ mod tests {
         assert!(FaultPlan::parse("bogus=1").is_err());
         assert!(FaultPlan::parse("seed=notanumber").is_err());
         assert!(FaultPlan::parse("delay_ms=abc").is_err());
+        assert!(FaultPlan::parse("oom=0.1").is_err());
     }
 
     #[test]
@@ -419,27 +379,22 @@ mod tests {
 
     #[test]
     fn process_fatal_kinds_parse_and_round_trip_as_a_spec() {
-        let plan =
-            FaultPlan::parse("seed=5,abort=0.25,hang=0.5,hang_ms=1234,oom=0.125,oom_mb=8").unwrap();
+        let plan = FaultPlan::parse("seed=5,abort=0.25,hang=0.5,hang_ms=1234").unwrap();
         assert_eq!(plan.abort_p, 0.25);
         assert_eq!(plan.hang_p, 0.5);
         assert_eq!(plan.hang, Duration::from_millis(1234));
-        assert_eq!(plan.oom_p, 0.125);
-        assert_eq!(plan.oom_mb, 8);
         assert!(plan.is_active());
         assert_eq!(FaultPlan::parse(&plan.to_spec()).unwrap(), plan);
         assert!(FaultPlan::parse("abort=2").is_err());
         assert!(FaultPlan::parse("hang_ms=abc").is_err());
-        assert!(FaultPlan::parse("oom_mb=-1").is_err());
     }
 
     #[test]
     fn certain_process_fatal_faults_fire() {
-        let plan = FaultPlan::parse("abort=1,hang=1,hang_ms=7,oom=1,oom_mb=4").unwrap();
+        let plan = FaultPlan::parse("abort=1,hang=1,hang_ms=7").unwrap();
         let f = plan.instance_fault(&key(), 0, 0);
         assert!(f.abort);
         assert_eq!(f.hang, Some(Duration::from_millis(7)));
-        assert_eq!(f.oom, Some(4));
     }
 
     #[test]

@@ -252,7 +252,7 @@ fn respond(stream: &mut TcpStream, status: &str, content_type: &str, body: &str)
 mod tests {
     use super::*;
     use crate::config::SuiteConfig;
-    use crate::supervisor::{signals, Supervisor, DEFAULT_BREAKER_THRESHOLD, DEFAULT_HEARTBEAT};
+    use crate::supervisor::{signals, Supervisor, DEFAULT_BREAKER_THRESHOLD};
     use crate::telemetry::{CellFailure, CellKey, CellRecord, SupervisorEvent};
     use anneal_core::Budget;
 
@@ -297,13 +297,7 @@ mod tests {
 
     fn supervisor() -> Arc<Supervisor> {
         let config = SuiteConfig::paper();
-        let sup = Supervisor::new(
-            &config,
-            None,
-            None,
-            DEFAULT_HEARTBEAT,
-            DEFAULT_BREAKER_THRESHOLD,
-        );
+        let sup = Supervisor::new(&config, None, None, DEFAULT_BREAKER_THRESHOLD);
         Arc::new(sup.expect("supervisor"))
     }
 

@@ -505,9 +505,6 @@ impl ArrangementSet {
                 eprintln!("fault injection: forced abort (instance {idx})");
                 std::process::abort();
             }
-            if let Some(cap_mb) = fault.oom {
-                crate::faults::simulate_oom(cap_mb, idx);
-            }
             if fault.panic {
                 panic!("fault injection: forced panic (instance {idx})");
             }

@@ -128,8 +128,12 @@ pub mod signals {
     }
 }
 
-/// Default heartbeat interval for worker processes (`--heartbeat-ms`).
-pub const DEFAULT_HEARTBEAT: Duration = Duration::from_millis(250);
+/// Heartbeat interval for worker processes.
+pub const HEARTBEAT: Duration = Duration::from_millis(250);
+
+/// How stale the last heartbeat may grow before the worker is presumed
+/// wedged: eight intervals, generous because a missed beat means SIGKILL.
+const STALENESS_LIMIT: Duration = HEARTBEAT.saturating_mul(8);
 
 /// Default circuit-breaker threshold (`--breaker-threshold`): consecutive
 /// hard process failures in one table before the rest of that table is
@@ -241,8 +245,6 @@ pub struct Supervisor {
     exe: std::path::PathBuf,
     /// Flags every worker invocation shares (suite configuration).
     base_args: Vec<String>,
-    /// Worker heartbeat interval.
-    heartbeat: Duration,
     /// Circuit-breaker threshold (consecutive hard failures per table).
     breaker_threshold: u32,
     /// Suite base seed (validates worker records).
@@ -256,7 +258,6 @@ pub struct Supervisor {
 impl std::fmt::Debug for Supervisor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Supervisor")
-            .field("heartbeat", &self.heartbeat)
             .field("breaker_threshold", &self.breaker_threshold)
             .finish()
     }
@@ -269,7 +270,6 @@ impl Supervisor {
         config: &SuiteConfig,
         faults: Option<&FaultPlan>,
         trace: Option<&str>,
-        heartbeat: Duration,
         breaker_threshold: u32,
     ) -> Result<Self, String> {
         let exe = std::env::current_exe()
@@ -285,8 +285,6 @@ impl Supervisor {
             config.retry.attempts.to_string(),
             "--backoff-ms".into(),
             config.retry.backoff.as_millis().to_string(),
-            "--heartbeat-ms".into(),
-            heartbeat.as_millis().max(1).to_string(),
         ];
         if let Some(w) = config.watchdog {
             base_args.push("--watchdog-ms".into());
@@ -318,7 +316,6 @@ impl Supervisor {
         Ok(Supervisor {
             exe,
             base_args,
-            heartbeat,
             breaker_threshold: breaker_threshold.max(1),
             seed: config.seed,
             watchdog: config.watchdog,
@@ -412,13 +409,6 @@ impl Supervisor {
         Some(deadline + Duration::from_secs(1))
     }
 
-    /// How stale the last heartbeat may grow before the worker is
-    /// presumed wedged: generous (8 intervals, at least 2 s) because a
-    /// missed beat means SIGKILL.
-    fn staleness_limit(&self) -> Duration {
-        (self.heartbeat * 8).max(Duration::from_secs(2))
-    }
-
     /// Runs one table cell in a worker process, recording the outcome
     /// into `log` exactly as the in-process runner would. Returns the
     /// cell's total reduction (0.0 for a failed or skipped cell).
@@ -462,7 +452,15 @@ impl Supervisor {
                     std::thread::sleep(backoff);
                 }
             }
-            match self.spawn_and_wait(key, strategy_name, budget, policy, n_instances, attempt) {
+            match self.spawn_and_wait(
+                key,
+                strategy_name,
+                budget,
+                policy,
+                n_instances,
+                attempt,
+                log,
+            ) {
                 Ok(record) => {
                     self.lock().consecutive.remove(&key.table);
                     let total = record.reduction;
@@ -505,7 +503,9 @@ impl Supervisor {
 
     /// Spawns one worker for `key`, supervises it to completion, and
     /// returns the record it printed. Any abnormal outcome is returned as
-    /// an error for the retry loop.
+    /// an error for the retry loop. `log`'s ticker shows the worker at
+    /// every wait-loop tick.
+    #[allow(clippy::too_many_arguments)]
     fn spawn_and_wait(
         &self,
         key: &CellKey,
@@ -514,6 +514,7 @@ impl Supervisor {
         policy: &CellPolicy,
         n_instances: usize,
         attempt: u32,
+        log: &TelemetryLog,
     ) -> Result<CellRecord, String> {
         // Fault decisions in the child start where this process attempt's
         // in-child retries live: process attempt k covers attempt numbers
@@ -556,7 +557,6 @@ impl Supervisor {
 
         let started = Instant::now();
         let deadline = self.worker_deadline(n_instances, policy);
-        let staleness = self.staleness_limit();
         let mut last_beat = started;
         let mut lines = Vec::new();
         let mut killed: Option<KillReason> = None;
@@ -580,9 +580,10 @@ impl Supervisor {
             if killed.is_none() {
                 let beat_age = last_beat.elapsed();
                 self.worker_beat(beat_age);
+                log.redraw_ticker();
                 if deadline.is_some_and(|d| started.elapsed() > d) {
                     killed = Some(KillReason::Deadline);
-                } else if beat_age > staleness {
+                } else if beat_age > STALENESS_LIMIT {
                     killed = Some(KillReason::Heartbeat);
                 }
                 if killed.is_some() {
@@ -608,7 +609,7 @@ impl Supervisor {
             Some(KillReason::Heartbeat) => {
                 return Err(format!(
                     "worker killed: no heartbeat for {:.0} ms",
-                    staleness.as_secs_f64() * 1e3
+                    STALENESS_LIMIT.as_secs_f64() * 1e3
                 ));
             }
             None => {}
@@ -672,14 +673,7 @@ mod tests {
     use crate::runner::RetryPolicy;
 
     fn supervisor(config: &SuiteConfig) -> Supervisor {
-        Supervisor::new(
-            config,
-            None,
-            None,
-            DEFAULT_HEARTBEAT,
-            DEFAULT_BREAKER_THRESHOLD,
-        )
-        .unwrap()
+        Supervisor::new(config, None, None, DEFAULT_BREAKER_THRESHOLD).unwrap()
     }
 
     #[test]
@@ -705,7 +699,6 @@ mod tests {
             "--strategy replica-exchange",
             "--exchange-interval 32",
             "--replicas 4",
-            "--heartbeat-ms 250",
         ] {
             assert!(args.contains(expected), "`{expected}` missing from {args}");
         }
@@ -744,16 +737,6 @@ mod tests {
         );
         let unbounded = supervisor(&SuiteConfig::paper());
         assert_eq!(unbounded.worker_deadline(4, &policy), None);
-    }
-
-    #[test]
-    fn staleness_limit_has_a_floor() {
-        let config = SuiteConfig::paper();
-        let mut sup = supervisor(&config);
-        sup.heartbeat = Duration::from_millis(10);
-        assert_eq!(sup.staleness_limit(), Duration::from_secs(2));
-        sup.heartbeat = Duration::from_secs(1);
-        assert_eq!(sup.staleness_limit(), Duration::from_secs(8));
     }
 
     #[test]

@@ -621,13 +621,7 @@ impl TelemetryLog {
         if let Some(live) = live {
             // Drawn before the WAL append reports any write error, with
             // this record counted.
-            let line = self.ticker_line(inner.records.iter().chain([&record]), &live);
-            // Pad with spaces to erase any longer previous line.
-            let pad = inner.ticker_len.saturating_sub(line.len());
-            let mut err = std::io::stderr().lock();
-            let _ = write!(err, "\r{line}{}", " ".repeat(pad));
-            let _ = err.flush();
-            inner.ticker_len = line.len();
+            self.draw_ticker(&mut inner, Some(&record), &live);
         }
         // Every record consumes one sequence number, whether or not a
         // writer is attached.
@@ -649,6 +643,29 @@ impl TelemetryLog {
         registry
             .gauge("suite.cells_done")
             .set(inner.records.len() as f64);
+    }
+
+    /// Redraws the ticker line with the supervisor's worker slot as it is
+    /// now: the supervisor's wait loop calls this at every tick, so a
+    /// running worker shows between records. No-op with the ticker off.
+    pub(crate) fn redraw_ticker(&self) {
+        if !self.ticker {
+            return;
+        }
+        let live = self.live();
+        self.draw_ticker(&mut self.lock(), None, &live);
+    }
+
+    /// Draws the ticker line over the last one on stderr, counting the
+    /// records so far and `pending`.
+    fn draw_ticker(&self, inner: &mut Inner, pending: Option<&CellRecord>, live: &Live) {
+        let line = self.ticker_line(inner.records.iter().chain(pending), live);
+        // Pad with spaces to erase any longer previous line.
+        let pad = inner.ticker_len.saturating_sub(line.len());
+        let mut err = std::io::stderr().lock();
+        let _ = write!(err, "\r{line}{}", " ".repeat(pad));
+        let _ = err.flush();
+        inner.ticker_len = line.len();
     }
 
     /// The ticker line: cells done (against the expected total when it is
@@ -794,7 +811,8 @@ impl TelemetryLog {
             .iter()
             .map(|r| (r.key.clone(), r.wall_ms, r.evals))
             .collect();
-        slowest.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite wall times"));
+        // A WAL record's `wall_ms` may be null, which loads as NaN.
+        slowest.sort_by(|a, b| b.1.total_cmp(&a.1));
         slowest.truncate(5);
         SuiteSummary {
             cells: records.len(),
@@ -1180,7 +1198,7 @@ mod tests {
     #[test]
     fn ticker_appends_worker_liveness_from_the_supervisor() {
         let config = crate::config::SuiteConfig::paper();
-        let sup = Supervisor::new(&config, None, None, Duration::from_millis(250), 3).unwrap();
+        let sup = Supervisor::new(&config, None, None, 3).unwrap();
         sup.worker_spawned(false);
         let log = TelemetryLog::in_memory().with_expected(Some(4));
         let line = log.ticker_line(&[], &sup.live());

@@ -233,3 +233,43 @@ fn report_refuses_an_older_wal_without_the_usage_text() {
     assert!(stderr.contains("version 3"), "{stderr}");
     assert!(!stderr.contains("usage:"), "{stderr}");
 }
+
+/// A WAL record whose `wall_ms` is `null` (it loads as NaN) resumes like
+/// any other: the summary still ranks the slowest cells, and the run exits
+/// 0 with the clean tables.
+#[test]
+fn a_null_wall_time_in_the_wal_resumes_cleanly() {
+    let wal = std::env::temp_dir().join(format!("anneal-resume-null-{}", std::process::id()));
+    let repro = || std::process::Command::new(env!("CARGO_BIN_EXE_repro"));
+    let workload = ["--scale", "2000", "--seed", "7", "table4.2b"];
+    let clean = repro()
+        .args(workload)
+        .arg("--telemetry")
+        .arg(&wal)
+        .output()
+        .expect("run repro");
+    assert!(clean.status.success(), "{clean:?}");
+
+    let text = std::fs::read_to_string(&wal).expect("WAL written");
+    let mut lines: Vec<String> = text.lines().map(String::from).collect();
+    let record = &lines[1];
+    let start = record.find("\"wall_ms\":").expect("a wall time") + "\"wall_ms\":".len();
+    let end = start + record[start..].find(',').expect("more members follow");
+    lines[1] = format!("{}null{}", &record[..start], &record[end..]);
+    std::fs::write(&wal, lines.join("\n") + "\n").unwrap();
+
+    let resumed = repro()
+        .args(workload)
+        .arg("--resume")
+        .arg(&wal)
+        .output()
+        .expect("run repro");
+    std::fs::remove_file(&wal).ok();
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    assert_eq!(resumed.status.code(), Some(0), "{stderr}");
+    assert_eq!(resumed.stdout, clean.stdout);
+    assert!(
+        stderr.contains("26 cells replayed from the WAL"),
+        "{stderr}"
+    );
+}

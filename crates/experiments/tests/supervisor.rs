@@ -127,6 +127,24 @@ fn process_isolation_matches_thread_isolation_bitwise() {
 }
 
 #[test]
+fn progress_ticker_shows_the_running_worker() {
+    let out = repro()
+        .args(WORKLOAD)
+        .args(["--isolation", "process", "--progress"])
+        .output()
+        .expect("spawn repro");
+    assert!(out.status.success(), "{out:?}");
+    // The ticker is redrawn in place: each `\r` starts a new line.
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr
+            .split('\r')
+            .any(|line| line.contains("1 worker(s) live, oldest hb")),
+        "no ticker line showed a live worker: {stderr}"
+    );
+}
+
+#[test]
 fn aborting_worker_does_not_take_the_suite_down() {
     let wal = temp("abort.jsonl");
     let clean = clean_run();

@@ -2,9 +2,11 @@
 //! load-bearing component, so it is checked against full recomputation under
 //! arbitrary move sequences.
 
+use std::collections::HashSet;
+
 use anneal_core::Problem;
 use anneal_linarr::{
-    goto_arrangement, ArrangedState, Arrangement, LinearArrangementProblem, Neighborhood,
+    goto_arrangement, ArrMove, ArrangedState, Arrangement, LinearArrangementProblem, Neighborhood,
 };
 use anneal_netlist::{generator, Netlist};
 use proptest::prelude::*;
@@ -71,6 +73,39 @@ proptest! {
                 p.undo(&mut s, mv);
             }
             prop_assert_eq!(&s, &before);
+        }
+    }
+
+    #[test]
+    fn all_moves_lists_every_neighbour_once((nl, seed) in arb_instance()) {
+        let n = nl.n_elements();
+        // Swaps as unordered pairs: `propose` may draw `Swap(q, p)`.
+        let key = |mv: &ArrMove| match *mv {
+            ArrMove::Swap(p, q) => (p.min(q), p.max(q), false),
+            ArrMove::Relocate { from, to } => (from, to, true),
+        };
+        // The buffer holds a stale entry and then the previous
+        // neighbourhood's moves: each call must clear it.
+        let mut buf = vec![ArrMove::Swap(0, 0)];
+        for (neighborhood, size) in [
+            (Neighborhood::PairwiseInterchange, n * (n - 1) / 2),
+            (Neighborhood::SingleExchange, n * (n - 1)),
+        ] {
+            let p = LinearArrangementProblem::new(nl.clone()).with_neighborhood(neighborhood);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let s = p.random_state(&mut rng);
+            p.all_moves_into(&s, &mut buf);
+            let listed: HashSet<_> = buf.iter().map(key).collect();
+            prop_assert_eq!(buf.len(), size, "{:?}", neighborhood);
+            prop_assert_eq!(listed.len(), size, "{:?} lists a move twice", neighborhood);
+            prop_assert!(listed.iter().all(|&(a, b, _)| a != b && a.max(b) < n));
+            for _ in 0..50 {
+                let mv = p.propose(&s, &mut rng);
+                prop_assert!(listed.contains(&key(&mv)), "{:?} not listed", mv);
+            }
+            if let Some(mv) = p.improving_move(&s, &mut 0) {
+                prop_assert!(listed.contains(&key(&mv)), "{:?} not listed", mv);
+            }
         }
     }
 

@@ -4,7 +4,7 @@
 //!
 //! The circuit substrate for the DAC 1985 reproduction: elements connected
 //! by multi-pin nets, random instance generators matching the paper's test
-//! sets, a plain-text interchange format, and summary statistics.
+//! sets, and summary statistics.
 //!
 //! # Examples
 //!
@@ -19,7 +19,6 @@
 //! assert_eq!(stats.mean_degree, 20.0);
 //! ```
 
-pub mod format;
 pub mod generator;
 mod model;
 mod stats;

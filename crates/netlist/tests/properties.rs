@@ -1,6 +1,6 @@
 //! Property-based tests for the netlist substrate.
 
-use anneal_netlist::{format, generator, Netlist, NetlistStats};
+use anneal_netlist::{generator, Netlist, NetlistStats};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -47,13 +47,6 @@ proptest! {
                 prop_assert_eq!(nl.joint_nets(a, b), nl.joint_nets(b, a));
             }
         }
-    }
-
-    #[test]
-    fn format_round_trips(nl in arb_netlist()) {
-        let text = format::render(&nl);
-        let back = format::parse(&text).expect("rendered netlists parse");
-        prop_assert_eq!(nl, back);
     }
 
     #[test]

@@ -1,8 +1,12 @@
 //! Property-based tests for the partition substrate.
 
+use std::collections::HashSet;
+
 use anneal_core::Problem;
 use anneal_netlist::{generator, Netlist};
-use anneal_partition::{fiduccia_mattheyses, kernighan_lin, PartitionProblem, PartitionState};
+use anneal_partition::{
+    fiduccia_mattheyses, kernighan_lin, PartitionProblem, PartitionState, SwapMove,
+};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -52,6 +56,28 @@ proptest! {
         p.apply(&mut s, &mv);
         p.undo(&mut s, &mv);
         prop_assert_eq!(s, before);
+    }
+
+    #[test]
+    fn all_moves_lists_every_neighbour_once(nl in arb_netlist(), seed in any::<u64>()) {
+        let p = PartitionProblem::new(nl);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let s = p.random_state(&mut rng);
+        let (a, b) = (s.members(0).len(), s.members(1).len());
+        // A reused buffer holds stale moves: the call must clear it.
+        let mut buf = vec![SwapMove { i0: a, i1: b }];
+        p.all_moves_into(&s, &mut buf);
+        let listed: HashSet<_> = buf.iter().map(|mv| (mv.i0, mv.i1)).collect();
+        prop_assert_eq!(buf.len(), a * b);
+        prop_assert_eq!(listed.len(), a * b, "a swap is listed twice");
+        prop_assert!(listed.iter().all(|&(i0, i1)| i0 < a && i1 < b));
+        for _ in 0..50 {
+            let mv = p.propose(&s, &mut rng);
+            prop_assert!(listed.contains(&(mv.i0, mv.i1)), "{:?} not listed", mv);
+        }
+        if let Some(mv) = p.improving_move(&s, &mut 0) {
+            prop_assert!(listed.contains(&(mv.i0, mv.i1)), "{:?} not listed", mv);
+        }
     }
 
     #[test]

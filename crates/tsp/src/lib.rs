@@ -8,7 +8,7 @@
 //! \[NAHA84\] technical report it summarizes).
 //!
 //! Provides instances with precomputed distance matrices ([`TspInstance`]),
-//! tours with O(1) 2-opt/or-opt deltas ([`Tour`]), the
+//! tours with O(1) 2-opt deltas ([`Tour`]), the
 //! [`anneal_core::Problem`] implementation ([`TspProblem`]), and the
 //! classical baselines: [`nearest_neighbor`], Stewart-style
 //! [`hull_cheapest_insertion`], and [`two_opt_descent`] (combine with
@@ -44,5 +44,5 @@ mod tour;
 
 pub use construct::{hull_cheapest_insertion, nearest_neighbor, two_opt_descent};
 pub use instance::TspInstance;
-pub use problem::{TourMove, TourNeighborhood, TspProblem};
+pub use problem::{TourMove, TspProblem};
 pub use tour::Tour;

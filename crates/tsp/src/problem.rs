@@ -8,32 +8,13 @@ use crate::tour::Tour;
 /// A tour perturbation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TourMove {
-    /// Reverse tour positions `i..=j` (2-opt).
+    /// Reverse tour positions `i..=j` (2-opt, the move of \[LIN73\]).
     TwoOpt {
         /// First position of the reversed segment.
         i: usize,
         /// Last position of the reversed segment.
         j: usize,
     },
-    /// Relocate the city at `from` to (reduced-tour) position `to` (or-opt).
-    OrOpt {
-        /// Position of the city to move.
-        from: usize,
-        /// Insertion index after removal.
-        to: usize,
-    },
-}
-
-/// The perturbation neighborhood for [`TspProblem`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TourNeighborhood {
-    /// Random segment reversals — the 2-opt moves of \[LIN73\].
-    #[default]
-    TwoOpt,
-    /// Random single-city relocations.
-    OrOpt,
-    /// Alternate between both uniformly.
-    Mixed,
 }
 
 /// Euclidean TSP minimization over an owned instance.
@@ -55,51 +36,17 @@ pub enum TourNeighborhood {
 #[derive(Debug, Clone)]
 pub struct TspProblem {
     instance: TspInstance,
-    neighborhood: TourNeighborhood,
 }
 
 impl TspProblem {
     /// A TSP problem with the 2-opt neighborhood.
     pub fn new(instance: TspInstance) -> Self {
-        TspProblem {
-            instance,
-            neighborhood: TourNeighborhood::TwoOpt,
-        }
-    }
-
-    /// Selects the perturbation neighborhood.
-    pub fn with_neighborhood(mut self, neighborhood: TourNeighborhood) -> Self {
-        self.neighborhood = neighborhood;
-        self
+        TspProblem { instance }
     }
 
     /// The underlying instance.
     pub fn instance(&self) -> &TspInstance {
         &self.instance
-    }
-
-    fn random_two_opt(&self, rng: &mut dyn Rng) -> TourMove {
-        let n = self.instance.n_cities();
-        loop {
-            let a = rng.random_range(0..n);
-            let b = rng.random_range(0..n);
-            let (i, j) = (a.min(b), a.max(b));
-            // Skip no-ops: empty segments and whole-tour reversals.
-            if i != j && !(i == 0 && j == n - 1) {
-                return TourMove::TwoOpt { i, j };
-            }
-        }
-    }
-
-    fn random_or_opt(&self, rng: &mut dyn Rng) -> TourMove {
-        let n = self.instance.n_cities();
-        loop {
-            let from = rng.random_range(0..n);
-            let to = rng.random_range(0..n);
-            if from != to {
-                return TourMove::OrOpt { from, to };
-            }
-        }
     }
 }
 
@@ -116,32 +63,23 @@ impl Problem for TspProblem {
     }
 
     fn propose(&self, _state: &Tour, rng: &mut dyn Rng) -> TourMove {
-        match self.neighborhood {
-            TourNeighborhood::TwoOpt => self.random_two_opt(rng),
-            TourNeighborhood::OrOpt => self.random_or_opt(rng),
-            TourNeighborhood::Mixed => {
-                if rng.random_bool(0.5) {
-                    self.random_two_opt(rng)
-                } else {
-                    self.random_or_opt(rng)
-                }
+        let n = self.instance.n_cities();
+        loop {
+            let a = rng.random_range(0..n);
+            let b = rng.random_range(0..n);
+            let (i, j) = (a.min(b), a.max(b));
+            // Skip no-ops: empty segments and whole-tour reversals.
+            if i != j && !(i == 0 && j == n - 1) {
+                return TourMove::TwoOpt { i, j };
             }
         }
     }
 
+    // A segment reversal is its own inverse, so the default `undo` (apply
+    // again) rolls it back.
     fn apply(&self, state: &mut Tour, mv: &TourMove) {
-        match *mv {
-            TourMove::TwoOpt { i, j } => state.apply_two_opt(&self.instance, i, j),
-            TourMove::OrOpt { from, to } => state.apply_or_opt(&self.instance, from, to),
-        }
-    }
-
-    fn undo(&self, state: &mut Tour, mv: &TourMove) {
-        match *mv {
-            // Segment reversal is involutive.
-            TourMove::TwoOpt { i, j } => state.apply_two_opt(&self.instance, i, j),
-            TourMove::OrOpt { from, to } => state.apply_or_opt(&self.instance, to, from),
-        }
+        let TourMove::TwoOpt { i, j } = *mv;
+        state.apply_two_opt(&self.instance, i, j);
     }
 
     fn all_moves_into(&self, _state: &Tour, buf: &mut Vec<TourMove>) {
@@ -244,22 +182,15 @@ mod tests {
     #[test]
     fn moves_round_trip() {
         let mut rng = StdRng::seed_from_u64(4);
-        let inst = TspInstance::random_euclidean(15, &mut rng);
-        for nh in [
-            TourNeighborhood::TwoOpt,
-            TourNeighborhood::OrOpt,
-            TourNeighborhood::Mixed,
-        ] {
-            let p = TspProblem::new(inst.clone()).with_neighborhood(nh);
-            let mut t = p.random_state(&mut rng);
-            let before = t.clone();
-            for _ in 0..50 {
-                let mv = p.propose(&t, &mut rng);
-                p.apply(&mut t, &mv);
-                p.undo(&mut t, &mv);
-                assert_eq!(t.order(), before.order(), "{nh:?}");
-                assert!((t.length() - before.length()).abs() < 1e-6);
-            }
+        let p = TspProblem::new(TspInstance::random_euclidean(15, &mut rng));
+        let mut t = p.random_state(&mut rng);
+        let before = t.clone();
+        for _ in 0..50 {
+            let mv = p.propose(&t, &mut rng);
+            p.apply(&mut t, &mv);
+            p.undo(&mut t, &mv);
+            assert_eq!(t.order(), before.order());
+            assert!((t.length() - before.length()).abs() < 1e-6);
         }
     }
 
@@ -270,13 +201,9 @@ mod tests {
         let p = TspProblem::new(inst);
         let t = p.random_state(&mut rng);
         for _ in 0..500 {
-            match p.propose(&t, &mut rng) {
-                TourMove::TwoOpt { i, j } => {
-                    assert!(i < j);
-                    assert!(!(i == 0 && j == 5));
-                }
-                TourMove::OrOpt { .. } => unreachable!("default neighborhood is 2-opt"),
-            }
+            let TourMove::TwoOpt { i, j } = p.propose(&t, &mut rng);
+            assert!(i < j);
+            assert!(!(i == 0 && j == 5));
         }
     }
 }

@@ -3,7 +3,7 @@
 use crate::instance::TspInstance;
 
 /// A closed tour: a cyclic visiting order with its length maintained
-/// incrementally under 2-opt reversals and or-opt relocations.
+/// incrementally under 2-opt reversals.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tour {
     order: Vec<u32>,
@@ -58,15 +58,6 @@ impl Tour {
         self.length
     }
 
-    /// The city at tour position `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is out of range.
-    pub fn city_at(&self, p: usize) -> u32 {
-        self.order[p]
-    }
-
     /// Length change of reversing positions `i..=j` (a 2-opt move), in O(1).
     ///
     /// Reversing the whole tour (`i == 0 && j == n-1`) has delta 0.
@@ -97,54 +88,6 @@ impl Tour {
     pub fn apply_two_opt(&mut self, instance: &TspInstance, i: usize, j: usize) {
         self.length += self.two_opt_delta(instance, i, j);
         self.order[i..=j].reverse();
-    }
-
-    /// Length change of moving the city at position `from` to position `to`
-    /// (an or-opt relocation), in O(1). Positions are interpreted on the
-    /// tour *after removal* for `to`, matching [`apply_or_opt`](Self::apply_or_opt).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either position is out of range.
-    pub fn or_opt_delta(&self, instance: &TspInstance, from: usize, to: usize) -> f64 {
-        let n = self.order.len();
-        assert!(from < n && to < n, "positions out of range");
-        if from == to {
-            return 0.0;
-        }
-        let city = self.order[from] as usize;
-        let prev = self.order[(from + n - 1) % n] as usize;
-        let next = self.order[(from + 1) % n] as usize;
-        // Removal closes (prev, next).
-        let removal = instance.distance(prev, next)
-            - instance.distance(prev, city)
-            - instance.distance(city, next);
-        // Insertion opens the edge that will precede the new position. After
-        // removal, the tour has n-1 cities; inserting at index `to` places
-        // the city between the (to-1)-th and to-th of the reduced tour.
-        let reduced = |idx: usize| -> usize {
-            // City at index `idx` of the tour with `from` removed.
-            let i = if idx >= from { idx + 1 } else { idx };
-            self.order[i % n] as usize
-        };
-        let before = reduced((to + (n - 1) - 1) % (n - 1));
-        let after = reduced(to % (n - 1));
-        let insertion = instance.distance(before, city) + instance.distance(city, after)
-            - instance.distance(before, after);
-        removal + insertion
-    }
-
-    /// Moves the city at position `from` to position `to` (indices on the
-    /// reduced tour, see [`or_opt_delta`](Self::or_opt_delta)), updating the
-    /// length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either position is out of range.
-    pub fn apply_or_opt(&mut self, instance: &TspInstance, from: usize, to: usize) {
-        self.length += self.or_opt_delta(instance, from, to);
-        let city = self.order.remove(from);
-        self.order.insert(to, city);
     }
 
     /// Recomputes the length from scratch and checks it against the
@@ -216,31 +159,6 @@ mod tests {
             t.apply_two_opt(&inst, i, j);
             assert!(t.verify(&inst), "after reversing {i}..={j}");
         }
-    }
-
-    #[test]
-    fn or_opt_deltas_match_recomputation() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let inst = TspInstance::random_euclidean(12, &mut rng);
-        let mut t = Tour::random(&inst, &mut rng);
-        for _ in 0..300 {
-            let from = rng.random_range(0..12);
-            let to = rng.random_range(0..12);
-            t.apply_or_opt(&inst, from, to);
-            assert!(t.verify(&inst), "after relocating {from} → {to}");
-        }
-    }
-
-    #[test]
-    fn or_opt_undo_restores() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let inst = TspInstance::random_euclidean(10, &mut rng);
-        let mut t = Tour::random(&inst, &mut rng);
-        let before = t.clone();
-        t.apply_or_opt(&inst, 2, 7);
-        t.apply_or_opt(&inst, 7, 2);
-        assert_eq!(t.order(), before.order());
-        assert!((t.length() - before.length()).abs() < 1e-9);
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Property-based tests for the TSP substrate.
 
+use std::collections::HashSet;
+
 use anneal_core::Problem;
 use anneal_tsp::{
-    hull_cheapest_insertion, nearest_neighbor, two_opt_descent, Tour, TourNeighborhood,
-    TspInstance, TspProblem,
+    hull_cheapest_insertion, nearest_neighbor, two_opt_descent, Tour, TourMove, TspInstance,
+    TspProblem,
 };
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
@@ -20,7 +22,7 @@ proptest! {
 
     #[test]
     fn incremental_length_matches_recompute(inst in arb_instance(), seed in any::<u64>(), n_moves in 1usize..80) {
-        let p = TspProblem::new(inst.clone()).with_neighborhood(TourNeighborhood::Mixed);
+        let p = TspProblem::new(inst.clone());
         let mut rng = StdRng::seed_from_u64(seed);
         let mut t = p.random_state(&mut rng);
         for _ in 0..n_moves {
@@ -36,7 +38,7 @@ proptest! {
 
     #[test]
     fn undo_inverts_apply(inst in arb_instance(), seed in any::<u64>()) {
-        let p = TspProblem::new(inst.clone()).with_neighborhood(TourNeighborhood::Mixed);
+        let p = TspProblem::new(inst.clone());
         let mut rng = StdRng::seed_from_u64(seed);
         let mut t = p.random_state(&mut rng);
         let before = t.clone();
@@ -51,6 +53,32 @@ proptest! {
         }
         prop_assert_eq!(t.order(), before.order());
         prop_assert!((t.length() - before.length()).abs() < 1e-6);
+    }
+
+    #[test]
+    fn all_moves_lists_every_reversal_once(inst in arb_instance(), seed in any::<u64>()) {
+        let n = inst.n_cities();
+        let p = TspProblem::new(inst);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let s = p.random_state(&mut rng);
+        let key = |mv: &TourMove| match *mv {
+            TourMove::TwoOpt { i, j } => (i, j),
+        };
+        // A reused buffer holds stale moves: the call must clear it.
+        let mut buf = vec![TourMove::TwoOpt { i: 0, j: n - 1 }];
+        p.all_moves_into(&s, &mut buf);
+        let listed: HashSet<_> = buf.iter().map(key).collect();
+        prop_assert_eq!(buf.len(), n * (n - 1) / 2 - 1);
+        prop_assert_eq!(listed.len(), buf.len(), "a reversal is listed twice");
+        // No whole-tour reversal: it leaves the tour as it was.
+        prop_assert!(listed.iter().all(|&(i, j)| i < j && j < n && !(i == 0 && j == n - 1)));
+        for _ in 0..50 {
+            let mv = p.propose(&s, &mut rng);
+            prop_assert!(listed.contains(&key(&mv)), "{:?} not listed", mv);
+        }
+        if let Some(mv) = p.improving_move(&s, &mut 0) {
+            prop_assert!(listed.contains(&key(&mv)), "{:?} not listed", mv);
+        }
     }
 
     #[test]

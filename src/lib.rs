@@ -19,7 +19,7 @@
 //!   evaluation and the Goto constructive heuristic.
 //! * [`partition`] — balanced two-way partitioning with a Kernighan–Lin
 //!   baseline.
-//! * [`tsp`] — Euclidean TSP with 2-opt/or-opt moves and classical
+//! * [`tsp`] — Euclidean TSP with 2-opt moves and classical
 //!   constructives.
 //! * [`experiments`] — runners regenerating every table in the paper.
 //!
