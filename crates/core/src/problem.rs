@@ -12,12 +12,20 @@
 //!
 //! # Move model
 //!
-//! Moves follow an **apply/undo** protocol: [`Problem::apply`] mutates the
-//! state in place (so implementations can keep incremental bookkeeping such
-//! as cut-density histograms inside the state), and a rejected move is rolled
-//! back with [`Problem::undo`]. For involutive moves — pairwise swaps, 2-opt
-//! segment reversals, partition exchanges — applying the move a second time
-//! *is* the undo, which is what the default implementation does.
+//! Every chain evaluates a move through [`Problem::try_move`]: it returns
+//! the cost the move leads to and makes the move only when the caller's
+//! acceptance decision says yes. The default implementation applies the
+//! move in place with [`Problem::apply`] (so implementations can keep
+//! incremental bookkeeping, such as per-gap cut counts, inside the state),
+//! reads [`Problem::cost`], and rolls a rejected move back with
+//! [`Problem::undo`]. For involutive moves — pairwise swaps, 2-opt segment
+//! reversals, partition exchanges — applying the move a second time *is* the
+//! undo, which is what `undo`'s default does.
+//!
+//! A problem that can score a move without making it overrides `try_move`
+//! (and [`Problem::improving_move`]), so a rejected proposal never touches
+//! the state. The linear-arrangement problem does; the others keep the
+//! default.
 //!
 //! [Figure 1]: crate::strategy::fig1
 //! [Figure 2]: crate::strategy::fig2
@@ -28,7 +36,8 @@ use rand::Rng;
 ///
 /// Implementations should make [`cost`](Problem::cost) cheap (ideally O(1)
 /// reading a value maintained incrementally by [`apply`](Problem::apply)):
-/// the strategies call it after every perturbation.
+/// the default [`try_move`](Problem::try_move) calls it after every
+/// perturbation.
 ///
 /// # Examples
 ///
@@ -94,6 +103,33 @@ pub trait Problem {
     /// override this.
     fn undo(&self, state: &mut Self::State, mv: &Self::Move) {
         self.apply(state, mv);
+    }
+
+    /// Evaluates `mv` on `state` and makes it only if `accept` says so.
+    ///
+    /// `accept` is called exactly once, with the cost the move leads to.
+    /// Returns that cost and `accept`'s answer. Afterwards `state` equals
+    /// `apply(state, mv)` when the move was accepted, and is unchanged
+    /// otherwise. Every chain and the adaptive probe evaluate their moves
+    /// through this method; the rejectionless strategy and the probe pass
+    /// `|_| false` to score a neighbour without keeping it.
+    ///
+    /// The default applies the move, reads the cost, and undoes the move
+    /// when `accept` says no. Override it when a move can be scored without
+    /// making it; the override must return the same cost, bit for bit.
+    fn try_move(
+        &self,
+        state: &mut Self::State,
+        mv: &Self::Move,
+        accept: impl FnOnce(f64) -> bool,
+    ) -> (f64, bool) {
+        self.apply(state, mv);
+        let cost = self.cost(state);
+        let accepted = accept(cost);
+        if !accepted {
+            self.undo(state, mv);
+        }
+        (cost, accepted)
     }
 
     /// Returns a cost-reducing move from `state`, or `None` if `state` is
@@ -179,6 +215,61 @@ mod tests {
         assert_ne!(s, orig, "flip must change the state");
         p.undo(&mut s, &mv);
         assert_eq!(s, orig, "default undo must invert involutive moves");
+    }
+
+    /// [`BitCount`] with every call logged, so the order of the default
+    /// `try_move`'s steps can be read back.
+    struct Logged {
+        inner: BitCount,
+        calls: std::cell::RefCell<Vec<&'static str>>,
+    }
+
+    impl Problem for Logged {
+        type State = u64;
+        type Move = u32;
+
+        fn random_state(&self, rng: &mut dyn Rng) -> u64 {
+            self.inner.random_state(rng)
+        }
+        fn cost(&self, s: &u64) -> f64 {
+            self.calls.borrow_mut().push("cost");
+            self.inner.cost(s)
+        }
+        fn propose(&self, s: &u64, rng: &mut dyn Rng) -> u32 {
+            self.inner.propose(s, rng)
+        }
+        fn apply(&self, s: &mut u64, m: &u32) {
+            self.calls.borrow_mut().push("apply");
+            self.inner.apply(s, m);
+        }
+        fn undo(&self, s: &mut u64, m: &u32) {
+            self.calls.borrow_mut().push("undo");
+            self.inner.apply(s, m);
+        }
+    }
+
+    #[test]
+    fn default_try_move_is_apply_cost_then_undo_on_rejection() {
+        let p = Logged {
+            inner: BitCount { bits: 8 },
+            calls: Default::default(),
+        };
+        let mut s = 0b0000_0110u64;
+        let mut seen = Vec::new();
+        let (cost, accepted) = p.try_move(&mut s, &0, |c| {
+            seen.push(c);
+            false
+        });
+        assert_eq!((cost, accepted), (3.0, false));
+        assert_eq!(seen, [3.0], "accept sees the moved-to cost once");
+        assert_eq!(s, 0b0000_0110, "a rejected move leaves the state");
+        assert_eq!(*p.calls.borrow(), ["apply", "cost", "undo"]);
+
+        p.calls.borrow_mut().clear();
+        let (cost, accepted) = p.try_move(&mut s, &1, |c| c < 2.0);
+        assert_eq!((cost, accepted), (1.0, true));
+        assert_eq!(s, 0b0000_0100, "an accepted move is kept");
+        assert_eq!(*p.calls.borrow(), ["apply", "cost"]);
     }
 
     #[test]

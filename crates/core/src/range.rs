@@ -53,9 +53,7 @@ pub fn estimate_delta_stats<P: Problem>(
             cost = problem.cost(&state);
         }
         let mv = problem.propose(&state, rng);
-        problem.apply(&mut state, &mv);
-        let new_cost = problem.cost(&state);
-        problem.undo(&mut state, &mv);
+        let (new_cost, _) = problem.try_move(&mut state, &mv, |_| false);
         let delta = new_cost - cost;
         sum += delta;
         sum_sq += delta * delta;

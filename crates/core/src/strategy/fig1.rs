@@ -64,11 +64,13 @@ pub(crate) fn run<P: Problem, O: ChainObserver>(
             continue;
         }
 
-        // Step 2: random perturbation.
+        // Step 2: random perturbation, kept only if Step 3 or 4 accepts it.
         let mv = problem.propose(&state, rng);
         run.stats.proposals += 1;
-        problem.apply(&mut state, &mv);
-        let new_cost = problem.cost(&state);
+        let at_equilibrium = run.counter >= equilibrium;
+        let (new_cost, accepted) = problem.try_move(&mut state, &mv, |new_cost| {
+            new_cost < cost || (!at_equilibrium && g.decide_figure1(run.temp, cost, new_cost, rng))
+        });
         run.charge(1);
 
         if new_cost < cost {
@@ -78,24 +80,20 @@ pub(crate) fn run<P: Problem, O: ChainObserver>(
             run.stats.accepted_downhill += 1;
             g.note_downhill();
             run.observe(&state, cost, obs);
-        } else {
-            // Step 4: uphill or flat.
-            if run.counter >= equilibrium {
-                // Equilibrium reached: drop j, advance or stop.
-                problem.undo(&mut state, &mv);
-                if !run.advance_temp(false, obs) {
-                    break StopReason::Equilibrium;
-                }
-                run.enter_stage(g, controller);
-            } else if g.decide_figure1(run.temp, cost, new_cost, rng) {
-                cost = new_cost;
-                run.counter = 0;
-                run.stats.accepted_uphill += 1;
-            } else {
-                problem.undo(&mut state, &mv);
-                run.counter += 1;
-                run.stats.rejected_uphill += 1;
+        } else if at_equilibrium {
+            // Step 4, equilibrium reached: j was dropped; advance or stop.
+            if !run.advance_temp(false, obs) {
+                break StopReason::Equilibrium;
             }
+            run.enter_stage(g, controller);
+        } else if accepted {
+            // Step 4: uphill or flat, accepted with probability g.
+            cost = new_cost;
+            run.counter = 0;
+            run.stats.accepted_uphill += 1;
+        } else {
+            run.counter += 1;
+            run.stats.rejected_uphill += 1;
         }
         if O::ENABLED {
             obs.on_energy(run.total_evals, cost);

@@ -104,14 +104,15 @@ pub(crate) fn run<P: Problem, O: ChainObserver>(
             run.counter += 1;
             let mv = problem.propose(&state, rng);
             run.stats.proposals += 1;
-            problem.apply(&mut state, &mv);
-            let new_cost = problem.cost(&state);
-            run.charge(1);
             // From a local optimum every in-neighborhood move satisfies
             // h(j) >= h(i); a strictly downhill proposal (possible when
             // `propose` samples outside the enumerated neighborhood) is
             // accepted unconditionally.
-            if new_cost < cost || g.decide_figure2(run.temp, cost, new_cost, rng) {
+            let (new_cost, accepted) = problem.try_move(&mut state, &mv, |new_cost| {
+                new_cost < cost || g.decide_figure2(run.temp, cost, new_cost, rng)
+            });
+            run.charge(1);
+            if accepted {
                 if new_cost < cost {
                     run.stats.accepted_downhill += 1;
                 } else {
@@ -123,7 +124,6 @@ pub(crate) fn run<P: Problem, O: ChainObserver>(
                 }
                 continue 'run; // back to Step 2
             }
-            problem.undo(&mut state, &mv);
             run.stats.rejected_uphill += 1;
             if O::ENABLED {
                 obs.on_energy(run.total_evals, cost);

@@ -145,7 +145,7 @@ impl<P: Problem> Run<P> {
     pub fn observe<O: ChainObserver>(&mut self, state: &P::State, cost: f64, obs: &mut O) {
         if cost < self.best_cost {
             self.best_cost = cost;
-            self.best_state = state.clone();
+            self.best_state.clone_from(state);
             if O::ENABLED {
                 obs.on_best(self.total_evals, cost);
             }

@@ -74,9 +74,7 @@ pub(crate) fn run<P: Problem, O: ChainObserver>(
         weights.clear();
         let mut total = 0.0;
         for mv in &moves {
-            problem.apply(&mut state, mv);
-            let neighbor_cost = problem.cost(&state);
-            problem.undo(&mut state, mv);
+            let (neighbor_cost, _) = problem.try_move(&mut state, mv, |_| false);
             let p = if neighbor_cost < cost {
                 1.0
             } else {
@@ -107,8 +105,7 @@ pub(crate) fn run<P: Problem, O: ChainObserver>(
             }
             r -= w;
         }
-        problem.apply(&mut state, &moves[chosen]);
-        let new_cost = problem.cost(&state);
+        let (new_cost, _) = problem.try_move(&mut state, &moves[chosen], |_| true);
         if new_cost < cost {
             run.stats.accepted_downhill += 1;
             g.note_downhill();

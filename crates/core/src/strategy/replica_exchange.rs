@@ -173,30 +173,26 @@ pub(crate) fn run<P: Problem, O: ChainObserver>(
                 }
                 let mv = problem.propose(&replica.state, &mut replica.rng);
                 replica.stats.proposals += 1;
-                problem.apply(&mut replica.state, &mv);
-                let new_cost = problem.cost(&replica.state);
+                let (here, rung) = (replica.cost, replica.stats.temp);
+                let (new_cost, accepted) = problem.try_move(&mut replica.state, &mv, |new_cost| {
+                    new_cost < here || g.decide_figure2(rung, here, new_cost, &mut replica.rng)
+                });
                 meter.charge(1);
                 replica.stats.evals += 1;
                 total_evals += 1;
 
-                if new_cost < replica.cost {
+                if new_cost < here {
                     replica.cost = new_cost;
                     replica.stats.accepted_downhill += 1;
-                } else if g.decide_figure2(
-                    replica.stats.temp,
-                    replica.cost,
-                    new_cost,
-                    &mut replica.rng,
-                ) {
+                } else if accepted {
                     replica.cost = new_cost;
                     replica.stats.accepted_uphill += 1;
                 } else {
-                    problem.undo(&mut replica.state, &mv);
                     replica.stats.rejected_uphill += 1;
                 }
                 if replica.cost < best_cost {
                     best_cost = replica.cost;
-                    best_state = replica.state.clone();
+                    best_state.clone_from(&replica.state);
                     if O::ENABLED {
                         obs.on_best(total_evals, best_cost);
                     }

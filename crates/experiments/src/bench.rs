@@ -6,9 +6,9 @@
 //! criterion substitute's [`criterion::measure`] API and renders the results
 //! with [`render_report`]. The kernel set covers the hot paths the paper's
 //! equal-budget comparisons spend their time in: the linarr swap/relocate
-//! delta + `CutProfile` update, the NOLA multi-pin cost, the TSP 2-opt
-//! delta, the partition gain update, the Figure-1/Figure-2 decision path,
-//! and full chains at a fixed seed and budget.
+//! score and commit on the position-mask profile, the NOLA multi-pin cost,
+//! the TSP 2-opt delta, the partition gain update, the Figure-1/Figure-2
+//! decision path, and full chains at a fixed seed and budget.
 //!
 //! Methodology, schema, and cross-commit comparison workflow are documented
 //! in `BENCHMARKS.md` at the repository root.
@@ -74,8 +74,8 @@ fn nola(index: u64) -> LinearArrangementProblem {
     LinearArrangementProblem::new(random_multi_pin(15, 150, 2, 10, &mut rng))
 }
 
-/// One propose/apply/cost/undo round trip — the Figure-1 inner loop minus
-/// the acceptance decision.
+/// One propose/apply/cost/undo round trip: a proposal made and unmade, as
+/// the default `Problem::try_move` runs a rejected one.
 fn cycle<P: Problem>(p: &P, state: &mut P::State, rng: &mut dyn Rng) -> f64 {
     let mv = p.propose(state, rng);
     p.apply(state, &mv);

@@ -807,17 +807,18 @@ impl TelemetryLog {
     pub fn summary(&self) -> SuiteSummary {
         let inner = self.lock();
         let records = &inner.records;
-        let mut slowest: Vec<(CellKey, f64, u64)> = records
-            .iter()
+        // A WAL record's `wall_ms` may be null, which loads as NaN: such a
+        // cell has no time to add or to rank.
+        let timed = || records.iter().filter(|r| !r.wall_ms.is_nan());
+        let mut slowest: Vec<(CellKey, f64, u64)> = timed()
             .map(|r| (r.key.clone(), r.wall_ms, r.evals))
             .collect();
-        // A WAL record's `wall_ms` may be null, which loads as NaN.
         slowest.sort_by(|a, b| b.1.total_cmp(&a.1));
         slowest.truncate(5);
         SuiteSummary {
             cells: records.len(),
             total_evals: records.iter().map(|r| r.evals).sum(),
-            total_wall_ms: records.iter().map(|r| r.wall_ms).sum(),
+            total_wall_ms: timed().map(|r| r.wall_ms).sum(),
             failed: records
                 .iter()
                 .filter(|r| !r.ok())
@@ -1054,6 +1055,22 @@ mod tests {
         let shown = summary.to_string();
         assert!(shown.contains("FAILED"));
         assert!(shown.contains("instance 1"));
+    }
+
+    #[test]
+    fn summary_leaves_out_cells_without_a_wall_time() {
+        let log = TelemetryLog::in_memory();
+        log.record(record("t1", 5.0, false));
+        log.record(record("resumed", f64::NAN, false));
+        log.record(record("t2", 20.0, false));
+        let summary = log.summary();
+        assert_eq!(summary.cells, 3);
+        assert_eq!(summary.total_evals, 3 * 3000);
+        assert_eq!(summary.total_wall_ms, 25.0);
+        let ranked: Vec<&str> = summary.slowest.iter().map(|s| s.0.table.as_str()).collect();
+        assert_eq!(ranked, ["t2", "t1"]);
+        let shown = summary.to_string();
+        assert!(!shown.contains("NaN"), "{shown}");
     }
 
     #[test]

@@ -329,6 +329,60 @@ fn served_record_is_byte_identical_to_offline_repro_job() {
 }
 
 #[test]
+fn two_hundred_element_job_records_are_pinned() {
+    // 200 positions take four mask words per net. The bytes were produced
+    // by the apply/cost/undo chains that evaluate-first scoring replaced.
+    let jobs = [
+        (
+            "{\"problem\":\"gola\",\"instances\":1,\"elements\":200,\"nets\":2000,\
+             \"seconds\":600,\"scale\":10,\"seed\":7}",
+            concat!(
+                r#"{"schema":"anneal-job-record","version":1,"spec":{"problem":"gola","#,
+                r#""instances":1,"elements":200,"nets":2000,"method":"sta","#,
+                r#""strategy":"figure1","seconds":600,"scale":10,"seed":7},"#,
+                r#""budget":"15000 evals","reduction":132,"evals":15000,"#,
+                r#""per_instance":[{"instance":0,"seed":8720256995075900482,"#,
+                r#""initial":1031,"best":899,"final":933,"reduction":132,"evals":15000,"#,
+                r#""stop":"budget","accepted_downhill":2525,"accepted_uphill":10118,"#,
+                r#""rejected_uphill":2357}]}"#,
+            ),
+        ),
+        (
+            "{\"problem\":\"nola\",\"instances\":1,\"elements\":200,\"nets\":2000,\
+             \"seconds\":600,\"scale\":10,\"seed\":7}",
+            concat!(
+                r#"{"schema":"anneal-job-record","version":1,"spec":{"problem":"nola","#,
+                r#""instances":1,"elements":200,"nets":2000,"method":"sta","#,
+                r#""strategy":"figure1","seconds":600,"scale":10,"seed":7},"#,
+                r#""budget":"15000 evals","reduction":71,"evals":15000,"#,
+                r#""per_instance":[{"instance":0,"seed":8720256995075900482,"#,
+                r#""initial":1805,"best":1734,"final":1776,"reduction":71,"evals":15000,"#,
+                r#""stop":"budget","accepted_downhill":2717,"accepted_uphill":10864,"#,
+                r#""rejected_uphill":1419}]}"#,
+            ),
+        ),
+    ];
+    for (i, (spec, expected)) in jobs.into_iter().enumerate() {
+        let spec_path = temp_path(&format!("pin200-{i}"));
+        std::fs::write(&spec_path, spec).unwrap();
+        let out = repro()
+            .args(["job", spec_path.to_str().unwrap()])
+            .output()
+            .expect("run repro job");
+        let _ = std::fs::remove_file(&spec_path);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(
+            String::from_utf8(out.stdout).unwrap(),
+            format!("{expected}\n")
+        );
+    }
+}
+
+#[test]
 fn invalid_specs_get_precise_400_bodies_over_http() {
     let (child, addr) = spawn_server(&[]);
     for (spec, needle) in [

@@ -4,7 +4,7 @@ use anneal_core::{Problem, Rng, RngExt};
 use anneal_netlist::Netlist;
 
 use crate::arrangement::Arrangement;
-use crate::state::ArrangedState;
+use crate::state::{ArrangedState, Scratch};
 
 /// What the arrangement minimizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -129,6 +129,23 @@ impl LinearArrangementProblem {
             Objective::TotalSpan => state.total_span() as f64,
         }
     }
+
+    /// The whole neighbourhood of an `n`-element arrangement, in the order
+    /// [`Problem::all_moves_into`] lists it and
+    /// [`Problem::improving_move`] scans it.
+    fn neighbourhood(&self, n: usize) -> impl Iterator<Item = ArrMove> {
+        let swaps = self.neighborhood == Neighborhood::PairwiseInterchange;
+        (0..n).flat_map(move |p| {
+            let first = if swaps { p + 1 } else { 0 };
+            (first..n).filter(move |&q| q != p).map(move |q| {
+                if swaps {
+                    ArrMove::Swap(p, q)
+                } else {
+                    ArrMove::Relocate { from: p, to: q }
+                }
+            })
+        })
+    }
 }
 
 impl Problem for LinearArrangementProblem {
@@ -172,69 +189,30 @@ impl Problem for LinearArrangementProblem {
         }
     }
 
+    fn try_move(
+        &self,
+        state: &mut ArrangedState,
+        mv: &ArrMove,
+        accept: impl FnOnce(f64) -> bool,
+    ) -> (f64, bool) {
+        state.try_move(&self.netlist, *mv, self.objective, accept)
+    }
+
     fn all_moves_into(&self, state: &ArrangedState, buf: &mut Vec<ArrMove>) {
         buf.clear();
-        let n = state.arrangement().len();
-        match self.neighborhood {
-            Neighborhood::PairwiseInterchange => {
-                buf.reserve(n * (n - 1) / 2);
-                for p in 0..n {
-                    for q in p + 1..n {
-                        buf.push(ArrMove::Swap(p, q));
-                    }
-                }
-            }
-            Neighborhood::SingleExchange => {
-                buf.reserve(n * (n - 1));
-                for from in 0..n {
-                    for to in 0..n {
-                        if from != to {
-                            buf.push(ArrMove::Relocate { from, to });
-                        }
-                    }
-                }
-            }
-        }
+        buf.extend(self.neighbourhood(state.arrangement().len()));
     }
 
     fn improving_move(&self, state: &ArrangedState, probes: &mut u64) -> Option<ArrMove> {
-        // First-improvement scan of the full neighborhood, probing each
-        // candidate by apply/undo on a scratch clone.
+        // First-improvement scan of the full neighbourhood, scoring each
+        // candidate without making it.
         let n = state.arrangement().len();
         let here = self.objective_value(state);
-        let mut scratch = state.clone();
-        match self.neighborhood {
-            Neighborhood::PairwiseInterchange => {
-                for p in 0..n {
-                    for q in p + 1..n {
-                        *probes += 1;
-                        scratch.swap(&self.netlist, p, q);
-                        let cost = self.objective_value(&scratch);
-                        scratch.swap(&self.netlist, p, q);
-                        if cost < here {
-                            return Some(ArrMove::Swap(p, q));
-                        }
-                    }
-                }
-            }
-            Neighborhood::SingleExchange => {
-                for from in 0..n {
-                    for to in 0..n {
-                        if from == to {
-                            continue;
-                        }
-                        *probes += 1;
-                        scratch.relocate(&self.netlist, from, to);
-                        let cost = self.objective_value(&scratch);
-                        scratch.relocate(&self.netlist, to, from);
-                        if cost < here {
-                            return Some(ArrMove::Relocate { from, to });
-                        }
-                    }
-                }
-            }
-        }
-        None
+        let mut scratch = Scratch::new(n);
+        self.neighbourhood(n).find(|&mv| {
+            *probes += 1;
+            state.cost_after(&self.netlist, mv, self.objective, &mut scratch) < here
+        })
     }
 }
 

@@ -1,28 +1,78 @@
 //! Property-based tests: the incremental density evaluator is the crate's
 //! load-bearing component, so it is checked against full recomputation under
-//! arbitrary move sequences.
+//! arbitrary move sequences, and its evaluate-first path against making the
+//! move.
 
 use std::collections::HashSet;
 
 use anneal_core::Problem;
 use anneal_linarr::{
-    goto_arrangement, ArrMove, ArrangedState, Arrangement, LinearArrangementProblem, Neighborhood,
+    goto_arrangement, ArrMove, ArrangedState, Arrangement, CutProfile, LinearArrangementProblem,
+    Neighborhood, Objective,
 };
 use anneal_netlist::{generator, Netlist};
+use proptest::collection::vec;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 
-/// An arbitrary netlist plus a seed for the starting arrangement.
+/// An arbitrary netlist plus a seed for the starting arrangement. Element
+/// counts fall within one 64-position mask word, across the first word
+/// boundary, or across the second.
 fn arb_instance() -> impl Strategy<Value = (Netlist, u64)> {
-    (2usize..16, 1usize..60, any::<u64>(), any::<bool>()).prop_map(|(n, m, seed, multi)| {
+    let n = prop_oneof![2usize..16, 60usize..70, 124usize..136];
+    (n, 0usize..480, any::<u64>(), any::<bool>()).prop_map(|(n, m, seed, multi)| {
         let mut rng = StdRng::seed_from_u64(seed);
+        let m = 1 + m % (4 * n);
         let nl = if multi && n >= 4 {
-            generator::random_multi_pin(n, m, 2, 4.min(n), &mut rng)
+            generator::random_multi_pin(n, m, 2, (n / 12).clamp(4, 10), &mut rng)
         } else {
             generator::random_two_pin(n, m, &mut rng)
         };
         (nl, seed)
     })
+}
+
+/// Positions to reduce modulo the element count: any of them, at every
+/// size `arb_instance` draws.
+fn arb_positions() -> impl Strategy<Value = Vec<(usize, usize)>> {
+    vec((0usize..1 << 16, 0usize..1 << 16), 1..60)
+}
+
+/// The problem over `nl` under both neighbourhoods and both objectives.
+fn variants(nl: &Netlist) -> Vec<LinearArrangementProblem> {
+    let mut out = Vec::new();
+    for neighborhood in [
+        Neighborhood::PairwiseInterchange,
+        Neighborhood::SingleExchange,
+    ] {
+        for objective in [Objective::Density, Objective::TotalSpan] {
+            let p = LinearArrangementProblem::new(nl.clone())
+                .with_neighborhood(neighborhood)
+                .with_objective(objective);
+            out.push(p);
+        }
+    }
+    out
+}
+
+/// `s` after `mv`, built from scratch on the moved arrangement.
+fn rebuilt_after(p: &LinearArrangementProblem, s: &ArrangedState, mv: ArrMove) -> ArrangedState {
+    let mut arr = s.arrangement().clone();
+    match mv {
+        ArrMove::Swap(a, b) => arr.swap_positions(a, b),
+        ArrMove::Relocate { from, to } => arr.relocate(from, to),
+    }
+    p.state_from(arr)
+}
+
+/// The state's profile equals a from-scratch [`CutProfile::build`].
+fn matches_a_rebuild(nl: &Netlist, s: &ArrangedState) -> Result<(), TestCaseError> {
+    let oracle = CutProfile::build(nl, s.arrangement());
+    prop_assert_eq!(s.cuts(), oracle.cuts());
+    prop_assert_eq!(s.density(), oracle.density());
+    prop_assert_eq!(s.total_span(), oracle.total_span());
+    prop_assert!(s.verify(nl), "pin masks differ from a rebuild");
+    Ok(())
 }
 
 proptest! {
@@ -31,28 +81,96 @@ proptest! {
     #[test]
     fn incremental_density_matches_rebuild_under_swaps(
         (nl, seed) in arb_instance(),
-        moves in proptest::collection::vec((0usize..16, 0usize..16), 1..60),
+        moves in arb_positions(),
     ) {
         let n = nl.n_elements();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut s = ArrangedState::new(&nl, Arrangement::random(n, &mut rng));
         for (p, q) in moves {
             s.swap(&nl, p % n, q % n);
-            prop_assert!(s.verify(&nl));
+            matches_a_rebuild(&nl, &s)?;
         }
     }
 
     #[test]
     fn incremental_density_matches_rebuild_under_relocates(
         (nl, seed) in arb_instance(),
-        moves in proptest::collection::vec((0usize..16, 0usize..16), 1..60),
+        moves in arb_positions(),
     ) {
         let n = nl.n_elements();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut s = ArrangedState::new(&nl, Arrangement::random(n, &mut rng));
         for (f, t) in moves {
             s.relocate(&nl, f % n, t % n);
-            prop_assert!(s.verify(&nl));
+            matches_a_rebuild(&nl, &s)?;
+        }
+    }
+
+    #[test]
+    fn try_move_scores_the_move_and_makes_it_only_on_acceptance(
+        (nl, seed) in arb_instance(),
+        answers in vec(any::<bool>(), 1..40),
+    ) {
+        for p in variants(&nl) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut s = p.random_state(&mut rng);
+            for &answer in &answers {
+                let mv = p.propose(&s, &mut rng);
+                let expected = rebuilt_after(&p, &s, mv);
+                let mut applied = s.clone();
+                p.apply(&mut applied, &mv);
+                prop_assert_eq!(&applied, &expected, "apply {:?}", mv);
+                let before = s.clone();
+                let mut asked = Vec::new();
+                let (cost, accepted) = p.try_move(&mut s, &mv, |c| {
+                    asked.push(c.to_bits());
+                    answer
+                });
+                prop_assert_eq!(cost.to_bits(), p.cost(&applied).to_bits(), "{:?}", mv);
+                prop_assert_eq!(asked, vec![cost.to_bits()]);
+                prop_assert_eq!(accepted, answer);
+                prop_assert_eq!(&s, if answer { &applied } else { &before });
+                matches_a_rebuild(&nl, &s)?;
+            }
+        }
+    }
+
+    #[test]
+    fn improving_move_matches_a_brute_force_scan((nl, seed) in arb_instance()) {
+        let n = nl.n_elements();
+        for p in variants(&nl) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let s = p.random_state(&mut rng);
+            let here = p.cost(&s);
+            // Every neighbour in (p, q) order, each probed by apply/undo.
+            let candidates: Vec<ArrMove> = match p.neighborhood() {
+                Neighborhood::PairwiseInterchange => (0..n)
+                    .flat_map(|a| (a + 1..n).map(move |b| ArrMove::Swap(a, b)))
+                    .collect(),
+                Neighborhood::SingleExchange => (0..n)
+                    .flat_map(|from| {
+                        (0..n)
+                            .filter(move |&to| to != from)
+                            .map(move |to| ArrMove::Relocate { from, to })
+                    })
+                    .collect(),
+            };
+            let mut probe = s.clone();
+            let mut expected = (None, 0u64);
+            for &mv in &candidates {
+                expected.1 += 1;
+                p.apply(&mut probe, &mv);
+                let cost = p.cost(&probe);
+                p.undo(&mut probe, &mv);
+                if cost < here {
+                    expected.0 = Some(mv);
+                    break;
+                }
+            }
+            prop_assert_eq!(&probe, &s);
+            let mut probes = 0;
+            let found = p.improving_move(&s, &mut probes);
+            prop_assert_eq!((found, probes), expected, "{:?}", p.objective());
         }
     }
 
