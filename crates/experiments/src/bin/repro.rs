@@ -63,12 +63,12 @@
 //!   --backoff-ms N    base delay before a retry, doubled per attempt
 //!   --watchdog-ms N   per-instance wall-clock deadline; see EXPERIMENTS.md
 //!   --isolation MODE  thread (default: in-process catch_unwind + watchdog)
-//!                     or process: run every table cell in a supervised
-//!                     child process — survives aborts, OOM kills and true
-//!                     hangs (a worker silent for 2 s is presumed wedged
-//!                     and killed), retries dead workers under the
-//!                     --retries backoff, and trips a per-table circuit
-//!                     breaker
+//!                     or process: run the table cells in a supervised
+//!                     worker process, one for the run — survives aborts,
+//!                     OOM kills and true hangs (a worker silent for 2 s is
+//!                     presumed wedged and killed), replaces a dead worker
+//!                     and retries its cell under the --retries backoff,
+//!                     and trips a per-table circuit breaker
 //!   --breaker-threshold N
 //!                     process isolation: consecutive hard process failures
 //!                     in one table before the rest of that table is
@@ -103,12 +103,14 @@
 //!                     job ends failed or cancelled
 //! ```
 
+use std::io::BufRead;
 use std::process::ExitCode;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 
 use anneal_core::json::Json;
+use anneal_experiments::supervisor::CellRequest;
 use anneal_experiments::{
     ablation, checkpoint, cli, diagnostics, exit_codes, ext_partition, ext_tsp, jsonl, supervisor,
     tables, trajectory, tuning, ChaosWriter, FaultPlan, JobOutcome, JobServer, JobSpec, OpsServer,
@@ -146,7 +148,7 @@ fn run(parsed: cli::Cli) -> Result<ExitCode, String> {
         None => FaultPlan::from_env()?,
     };
 
-    if parsed.worker.is_some() {
+    if parsed.worker {
         return run_worker(&parsed, faults);
     }
     // From here on this is the supervising (or plain) process: wind down
@@ -217,25 +219,22 @@ fn run(parsed: cli::Cli) -> Result<ExitCode, String> {
         .with_trace(trace)
         .with_expected(tables::expected_cells(&parsed.experiments, &config))
         .with_ticker(parsed.progress);
-    let log = match parsed.isolation {
-        cli::Isolation::Thread => log,
-        cli::Isolation::Process => {
-            let sup = Supervisor::new(
-                &config,
-                faults.as_ref(),
-                parsed.trace.as_deref(),
-                parsed.breaker_threshold,
-            )?;
-            // The supervisor records every worker's cell into the log, so
-            // process isolation needs a live one even without a WAL.
-            let log = if log.is_enabled() {
-                log
-            } else {
-                TelemetryLog::in_memory()
-            };
-            log.with_supervisor(Some(Arc::new(sup)))
-        }
+    let sup = match parsed.isolation {
+        cli::Isolation::Thread => None,
+        cli::Isolation::Process => Some(Arc::new(Supervisor::new(
+            &config,
+            faults.as_ref(),
+            parsed.trace.as_deref(),
+            parsed.breaker_threshold,
+        )?)),
     };
+    // The supervisor records every worker's cell into the log, so process
+    // isolation needs a live one even without a WAL.
+    let log = match &sup {
+        Some(_) if !log.is_enabled() => TelemetryLog::in_memory(),
+        _ => log,
+    };
+    let log = log.with_supervisor(sup.clone());
     // The live ops plane serves views of the log, which is the only count
     // of the run. Without --serve nothing binds.
     let log = Arc::new(log);
@@ -264,6 +263,11 @@ fn run(parsed: cli::Cli) -> Result<ExitCode, String> {
                 println!("{table}");
             }
         }
+    }
+    // The worker is idle now: close its stdin and reap it (an early
+    // return does the same when the supervisor is dropped).
+    if let Some(sup) = &sup {
+        sup.shutdown();
     }
 
     log.finish_progress();
@@ -369,48 +373,57 @@ fn run_job(path: &str) -> Result<ExitCode, String> {
     }
 }
 
-/// The hidden `--worker-cell` mode: this process is a supervisor child.
-/// It builds its table's instance set, runs its one cell, and talks to the
-/// parent over stdout: `{"hb":k}` heartbeat lines while it runs, then the
-/// cell's record as one JSON line. Exit code [`exit_codes::OK`] means "the
-/// record is on stdout"; anything else is a retryable process failure.
+/// The hidden `--worker` mode: this process is a supervisor's child. It
+/// reads one [`CellRequest`] line at a time from stdin, runs that cell on
+/// the instance set of the table it last served, and talks to the parent
+/// over stdout: `{"hb":k}` heartbeat lines all its life, and each cell's
+/// record as one JSON line. It exits [`exit_codes::OK`] at stdin EOF, and
+/// [`exit_codes::WORKER_NO_RECORD`] when it cannot hand back a record; any
+/// exit before a record is a retryable process failure.
 fn run_worker(parsed: &cli::Cli, faults: Option<FaultPlan>) -> Result<ExitCode, String> {
-    let worker = parsed.worker.as_ref().expect("worker mode");
-    let config = &parsed.config;
     // The parent drains us deliberately; a Ctrl-C aimed at the group must
     // not kill workers mid-record.
     supervisor::signals::ignore();
 
     std::thread::spawn(|| {
         let mut beats = 0u64;
-        // A failed beat means the parent is gone; its deadline owns us now.
         while emit_line(Json::obj([("hb", beats.into())]).to_string(), false).is_ok() {
             beats += 1;
             std::thread::sleep(supervisor::HEARTBEAT);
         }
+        // A failed beat means the parent is gone: nobody will read a
+        // record, so stop now instead of at the end of the cell.
+        std::process::exit(i32::from(exit_codes::WORKER_NO_RECORD));
     });
 
-    // Respawned workers roll fresh fault decisions: the supervisor folds
-    // this process attempt into every instance's attempt number.
-    let faults = faults.map(|plan| plan.with_attempt_base(worker.attempt));
-    let trace = match &parsed.trace {
-        Some(dir) => Some(TraceSink::new(dir, faults)?),
-        None => None,
-    };
-    let log = TelemetryLog::in_memory()
-        .with_faults(faults)
-        .with_trace(trace);
+    let mut tables = tables::TableCache::new(parsed.config);
+    for line in std::io::stdin().lock().lines() {
+        let line = line.map_err(|e| format!("worker: cannot read a cell request: {e}"))?;
+        let CellRequest { key, attempt_base } = CellRequest::parse(&line)?;
+        // Retried cells roll fresh fault decisions: the supervisor folds
+        // its process attempt into every instance's attempt number.
+        let faults = faults.map(|plan| plan.with_attempt_base(attempt_base));
+        let trace = match &parsed.trace {
+            Some(dir) => Some(TraceSink::new(dir, faults)?),
+            None => None,
+        };
+        let log = TelemetryLog::in_memory()
+            .with_faults(faults)
+            .with_trace(trace);
 
-    // A key its table does not list runs nothing and records nothing.
-    let record = tables::run_cell(&worker.cell, config, &log).and_then(|_| log.records().pop());
-    let Some(record) = record else {
-        return Ok(ExitCode::from(exit_codes::WORKER_NO_RECORD));
-    };
-    // With `--faults io=…` the record write can fail like a WAL append.
-    let fail = faults.is_some_and(|plan| plan.record_write_fails(&worker.cell));
-    if let Err(e) = emit_line(record.to_json().to_string(), fail) {
-        eprintln!("worker: record of {} lost: {e}", worker.cell);
-        return Ok(ExitCode::from(exit_codes::WORKER_NO_RECORD));
+        // A key its table does not list runs nothing and records nothing.
+        let record = tables
+            .run_cell(&key, &log)
+            .and_then(|_| log.records().pop());
+        let Some(record) = record else {
+            return Ok(ExitCode::from(exit_codes::WORKER_NO_RECORD));
+        };
+        // With `--faults io=…` the record write can fail like a WAL append.
+        let fail = faults.is_some_and(|plan| plan.record_write_fails(&key));
+        if let Err(e) = emit_line(record.to_json().to_string(), fail) {
+            eprintln!("worker: record of {key} lost: {e}");
+            return Ok(ExitCode::from(exit_codes::WORKER_NO_RECORD));
+        }
     }
     Ok(ExitCode::SUCCESS)
 }

@@ -13,7 +13,6 @@ use crate::config::SuiteConfig;
 use crate::faults::FaultPlan;
 use crate::runner::RetryPolicy;
 use crate::supervisor;
-use crate::telemetry::CellKey;
 use crate::Scale;
 
 /// Every experiment name `repro` accepts, in `all` order.
@@ -92,21 +91,11 @@ pub enum Isolation {
     /// In-process: `catch_unwind` + watchdog (the historical behavior).
     #[default]
     Thread,
-    /// One child process per cell under the
-    /// [`Supervisor`](crate::supervisor::Supervisor): survives aborts,
+    /// Every cell in a worker process under the
+    /// [`Supervisor`](crate::supervisor::Supervisor), which keeps one
+    /// worker for the run and replaces it when it dies: survives aborts,
     /// OOM kills and true hangs.
     Process,
-}
-
-/// The hidden `--worker-cell` mode: this invocation is a supervisor child
-/// running exactly one table cell.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkerSpec {
-    /// The one cell this worker runs, looked up in its table's cell list.
-    pub cell: CellKey,
-    /// Fault-injection attempt base (`--worker-attempt`), so respawned
-    /// workers roll fresh fault decisions.
-    pub attempt: u32,
 }
 
 /// Parsed `repro` invocation.
@@ -139,9 +128,9 @@ pub struct Cli {
     /// Consecutive hard process failures per table before its circuit
     /// breaker opens (`--breaker-threshold`, default 3).
     pub breaker_threshold: u32,
-    /// Hidden worker mode (`--worker-cell` et al.), set only when this
-    /// process is a supervisor child.
-    pub worker: Option<WorkerSpec>,
+    /// Hidden worker mode (`--worker`), set only when this process is a
+    /// supervisor's child: it runs the cells its stdin asks for.
+    pub worker: bool,
     /// Experiments to run, `all` already expanded (empty under a
     /// subcommand).
     pub experiments: Vec<String>,
@@ -163,7 +152,7 @@ fn command_cli(command: Command) -> Cli {
         faults: None,
         isolation: Isolation::default(),
         breaker_threshold: supervisor::DEFAULT_BREAKER_THRESHOLD,
-        worker: None,
+        worker: false,
         experiments: Vec::new(),
         command: Some(command),
     }
@@ -256,8 +245,7 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
     let mut isolation_set = false;
     let mut breaker_threshold = supervisor::DEFAULT_BREAKER_THRESHOLD;
     let mut breaker_set = false;
-    let mut worker_cell: Option<CellKey> = None;
-    let mut worker_attempt: Option<u32> = None;
+    let mut worker = false;
     let mut retries: u32 = 1;
     let mut backoff = Duration::from_millis(100);
     let mut strategy_name: Option<String> = None;
@@ -395,24 +383,7 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
                 breaker_threshold = n;
                 breaker_set = true;
             }
-            "--worker-cell" => {
-                let v = value_of("--worker-cell")?;
-                let fields: Vec<&str> = v.split(supervisor::CELL_FIELD_SEP).collect();
-                let [table, method, column] = fields.as_slice() else {
-                    return Err(format!(
-                        "bad --worker-cell value `{}` (expected table\\x1fmethod\\x1fcolumn)",
-                        v.escape_debug()
-                    ));
-                };
-                worker_cell = Some(CellKey::new(*table, *method, *column));
-            }
-            "--worker-attempt" => {
-                let v = value_of("--worker-attempt")?;
-                worker_attempt = Some(
-                    v.parse()
-                        .map_err(|_| format!("bad --worker-attempt value `{v}`"))?,
-                );
-            }
+            "--worker" => worker = true,
             "--csv" => csv = true,
             "--progress" => progress = true,
             other if other.starts_with('-') => {
@@ -449,30 +420,14 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
         config = config.with_replicas(k);
     }
 
-    let worker = match worker_cell {
-        None => {
-            if worker_attempt.is_some() {
-                return Err("--worker-attempt requires --worker-cell".into());
-            }
-            None
-        }
-        Some(cell) => {
-            if isolation_set && isolation == Isolation::Process {
-                return Err("--worker-cell is itself a worker: it cannot use \
-                     --isolation process"
-                    .into());
-            }
-            if serve.is_some() {
-                return Err("--worker-cell is itself a worker: it cannot use --serve \
-                     (only the supervising parent serves the ops endpoints)"
-                    .into());
-            }
-            Some(WorkerSpec {
-                cell,
-                attempt: worker_attempt.unwrap_or(0),
-            })
-        }
-    };
+    if worker && isolation_set && isolation == Isolation::Process {
+        return Err("--worker is itself a worker: it cannot use --isolation process".into());
+    }
+    if worker && serve.is_some() {
+        return Err("--worker is itself a worker: it cannot use --serve \
+             (only the supervising parent serves the ops endpoints)"
+            .into());
+    }
     if breaker_set && isolation != Isolation::Process {
         return Err("--breaker-threshold requires --isolation process".into());
     }
@@ -487,7 +442,8 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
         }
     }
 
-    if experiments.is_empty() {
+    // A worker runs the cells its requests name, from any table.
+    if experiments.is_empty() && !worker {
         return Err("no experiment given".into());
     }
     if experiments.iter().any(|e| e == "all") {
@@ -671,7 +627,7 @@ mod tests {
         let cli = parse(&args("table4.1")).unwrap();
         assert_eq!(cli.isolation, Isolation::Thread);
         assert_eq!(cli.breaker_threshold, supervisor::DEFAULT_BREAKER_THRESHOLD);
-        assert!(cli.worker.is_none());
+        assert!(!cli.worker);
 
         let cli = parse(&args("--isolation process --breaker-threshold 2 table4.1")).unwrap();
         assert_eq!(cli.isolation, Isolation::Process);
@@ -699,39 +655,25 @@ mod tests {
     }
 
     #[test]
-    fn worker_mode_parses_its_hidden_flags() {
-        let sep = supervisor::CELL_FIELD_SEP;
-        let argv: Vec<String> = [
-            "--worker-cell".into(),
-            format!("table4.1{sep}g = 1{sep}6 sec"),
-            "--worker-attempt".into(),
-            "3".into(),
-            "table4.1".into(),
-        ]
-        .to_vec();
-        let cli = parse(&argv).unwrap();
-        let worker = cli.worker.unwrap();
-        assert_eq!(worker.cell, CellKey::new("table4.1", "g = 1", "6 sec"));
-        assert_eq!(worker.attempt, 3);
+    fn worker_mode_needs_no_experiment() {
+        let cli = parse(&args("--scale 40 --seed 7 --worker")).unwrap();
+        assert!(cli.worker);
+        assert!(cli.experiments.is_empty());
+        assert_eq!(cli.config.seed, 7);
+        // Outside worker mode an experiment is still required.
+        assert!(parse(&args("--scale 40"))
+            .unwrap_err()
+            .contains("no experiment"));
     }
 
     #[test]
     fn worker_flag_misuse_is_rejected() {
-        let err = parse(&args("--worker-attempt 3 table4.1")).unwrap_err();
-        assert!(err.contains("requires --worker-cell"), "{err}");
-        let err = parse(&args("--worker-cell bad-cell table4.1")).unwrap_err();
-        assert!(err.contains("bad --worker-cell value"), "{err}");
-        let sep = supervisor::CELL_FIELD_SEP;
-        let argv: Vec<String> = [
-            "--worker-cell".into(),
-            format!("t{sep}m{sep}c"),
-            "--isolation".into(),
-            "process".into(),
-            "table4.1".into(),
-        ]
-        .to_vec();
-        let err = parse(&argv).unwrap_err();
-        assert!(err.contains("cannot use"), "{err}");
+        let err = parse(&args("--worker --isolation process")).unwrap_err();
+        assert!(err.contains("cannot use --isolation process"), "{err}");
+        for removed in ["--worker-cell", "--worker-attempt"] {
+            let err = parse(&args(&format!("{removed} 3 table4.1"))).unwrap_err();
+            assert!(err.contains("unknown option"), "{err}");
+        }
     }
 
     #[test]
@@ -751,16 +693,7 @@ mod tests {
 
     #[test]
     fn serve_is_rejected_in_worker_mode() {
-        let sep = supervisor::CELL_FIELD_SEP;
-        let argv: Vec<String> = [
-            "--worker-cell".into(),
-            format!("t{sep}m{sep}c"),
-            "--serve".into(),
-            "127.0.0.1:0".into(),
-            "table4.1".into(),
-        ]
-        .to_vec();
-        let err = parse(&argv).unwrap_err();
+        let err = parse(&args("--worker --serve 127.0.0.1:0")).unwrap_err();
         assert!(err.contains("cannot use --serve"), "{err}");
     }
 

@@ -19,9 +19,9 @@ pub const DEGRADED: u8 = 2;
 /// `report --compare --strict` found a regression beyond the threshold.
 pub const BENCH_REGRESSION: u8 = 3;
 
-/// A hidden `--worker-cell` child ran but could not hand back its target
-/// cell's record (the supervisor treats this as a retryable process
-/// failure).
+/// A hidden `--worker` child was asked for a cell that no table lists, or
+/// could not hand back a cell's record, and exited (the supervisor treats
+/// this as a retryable process failure of the cell in flight).
 pub const WORKER_NO_RECORD: u8 = 4;
 
 /// `repro job SPEC.json` executed the job but it ended failed or

@@ -62,10 +62,11 @@ pub struct FaultPlan {
     /// terminates eventually).
     pub hang: Duration,
     /// Attempt-number offset folded into every decision. The supervisor
-    /// sets this (via the hidden `--worker-attempt` flag) when it re-spawns
-    /// a worker after a process death, so fault decisions roll
-    /// independently across process-level retries exactly as they do
-    /// across in-process retries — deterministically either way.
+    /// sends it with each cell request
+    /// ([`CellRequest`](crate::supervisor::CellRequest)), raised for each
+    /// retry after a process death, so fault decisions roll independently
+    /// across process-level retries exactly as they do across in-process
+    /// retries — deterministically either way.
     pub attempt_base: u32,
 }
 
@@ -147,9 +148,9 @@ impl FaultPlan {
     }
 
     /// The plan as a `key=value,...` spec that [`parse`](Self::parse)
-    /// round-trips (used by the supervisor to forward its plan to worker
-    /// processes). `attempt_base` is intentionally not part of the spec —
-    /// it travels on the hidden `--worker-attempt` flag instead.
+    /// round-trips (used by the supervisor to forward its plan to its
+    /// worker process). `attempt_base` is intentionally not part of the
+    /// spec — it travels in each cell request instead.
     pub fn to_spec(&self) -> String {
         format!(
             "seed={},panic={},io={},delay={},delay_ms={},abort={},hang={},hang_ms={}",
@@ -209,8 +210,8 @@ impl FaultPlan {
 
     /// Whether a worker process's write of `key`'s record to its parent
     /// should fail (the `io` probability). Rolled per cell and per process
-    /// attempt ([`attempt_base`](Self::attempt_base)), so a respawned
-    /// worker rolls a fresh decision.
+    /// attempt ([`attempt_base`](Self::attempt_base)), so a cell retried
+    /// in a respawned worker rolls a fresh decision.
     pub fn record_write_fails(&self, key: &CellKey) -> bool {
         decide(self.site("record", key, 0, 0), self.io_p)
     }

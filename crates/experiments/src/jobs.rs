@@ -57,7 +57,7 @@ use crate::budgetmap::Scale;
 use crate::checkpoint::{field_str, field_u64};
 use crate::instances::{self, DEFAULT_SEED, NOLA_PIN_RANGE};
 use crate::jsonl::{self, JOURNAL};
-use crate::runner::{adapt_schedule_for, panic_message, PROBE_SALT, RUN_SALT};
+use crate::runner::{adapt_schedule_for, panic_message, probe, PROBE_SALT, RUN_SALT};
 use crate::scheduler::{PushError, TaskQueue};
 
 /// Schema tag of a job result record.
@@ -580,10 +580,10 @@ impl JobSpec {
         let mut start_rng = StdRng::seed_from_u64(derive_seed(self.seed, i));
         let start = p.random_state(&mut start_rng);
         let mut g = self.g_function();
+        let probe_seed = derive_seed(self.seed ^ PROBE_SALT, i);
         let (budget, controller) = adapt_schedule_for(
             self.schedule,
-            derive_seed(self.seed ^ PROBE_SALT, i),
-            p,
+            || probe(p, probe_seed),
             &mut g,
             self.budget(),
         );

@@ -347,7 +347,7 @@ mod tests {
             health.contains("circuit breaker open for table4.2b"),
             "{health}"
         );
-        sup.worker_exited();
+        sup.worker_idle();
         assert_eq!(sup.live().ticker_fragment().unwrap(), "0 worker(s) live");
         // The whole document, with its two clock-dependent lexemes masked.
         let json = log.progress_json();

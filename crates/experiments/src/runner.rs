@@ -19,12 +19,14 @@
 //! [`FaultPlan`](crate::faults::FaultPlan).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use anneal_core::schedule::adaptive::{self, AcceptanceController, AdaptiveMode};
 use anneal_core::{
     derive_seed, estimate_delta_stats, metrics, watchdog, Annealer, Budget, ChainObserver,
-    GFunction, NoopObserver, RunResult, Strategy, TraceCollector, DEFAULT_EQUILIBRIUM,
+    DeltaStats, GFunction, NoopObserver, Problem, RunResult, Strategy, TraceCollector,
+    DEFAULT_EQUILIBRIUM,
 };
 use anneal_linarr::{goto_arrangement, ArrangedState, LinearArrangementProblem};
 use rand::{rngs::StdRng, SeedableRng};
@@ -42,29 +44,36 @@ pub(crate) const RUN_SALT: u64 = 0x52554E;
 /// consumes exactly the stream a grid-swept run would.
 pub(crate) const PROBE_SALT: u64 = 0x50524F4245;
 
-/// Applies an adaptive-schedule override to one run: probes the problem's
-/// delta statistics on the dedicated `probe_seed` RNG stream (independent
-/// of the chain's), replaces `g`'s grid-swept schedule with a derived one
-/// of the same length, and charges the probe against an evaluation budget.
-/// Returns the (possibly reduced) budget and the feedback controller to
-/// attach. With `mode == None` this is a no-op.
+/// Probes `problem`'s delta statistics on the dedicated `probe_seed` RNG
+/// stream, independent of the chain's. The result is a pure function of
+/// the problem and the seed.
+pub(crate) fn probe<P: Problem>(problem: &P, probe_seed: u64) -> DeltaStats {
+    let _probe_span = metrics::span("probe");
+    let mut probe_rng = StdRng::seed_from_u64(probe_seed);
+    estimate_delta_stats(problem, adaptive::DEFAULT_PROBE_SAMPLES, &mut probe_rng)
+}
+
+/// Applies an adaptive-schedule override to one run: replaces `g`'s
+/// grid-swept schedule with one of the same length derived from the
+/// [`probe`]'s statistics that `stats` returns, and charges the probe
+/// against an evaluation budget, whether or not `stats` ran it. Returns
+/// the (possibly reduced) budget and the feedback controller to attach.
+/// With `mode == None` this is a no-op and `stats` is not called.
 ///
-/// Shared by the suite runner and the job server
-/// ([`crate::jobs`]) so both derive schedules — and charge probe costs —
-/// identically for the same seed.
-pub(crate) fn adapt_schedule_for<P: anneal_core::Problem>(
+/// Shared by the suite runner, which probes each instance once, and the
+/// job server ([`crate::jobs`]), which probes each job instance, so both
+/// derive schedules — and charge probe costs — identically for the same
+/// seed.
+pub(crate) fn adapt_schedule_for(
     mode: Option<AdaptiveMode>,
-    probe_seed: u64,
-    problem: &P,
+    stats: impl FnOnce() -> DeltaStats,
     g: &mut GFunction,
     budget: Budget,
 ) -> (Budget, Option<AcceptanceController>) {
     let Some(mode) = mode else {
         return (budget, None);
     };
-    let _probe_span = metrics::span("probe");
-    let mut probe_rng = StdRng::seed_from_u64(probe_seed);
-    let stats = estimate_delta_stats(problem, adaptive::DEFAULT_PROBE_SAMPLES, &mut probe_rng);
+    let stats = stats();
     let derived = adaptive::derive(
         &stats,
         mode,
@@ -183,6 +192,9 @@ pub struct ArrangementSet {
     problems: Vec<LinearArrangementProblem>,
     starts: Vec<ArrangedState>,
     seed: u64,
+    /// Each instance's adaptive-schedule [`probe`], run by the first cell
+    /// that needs it and reused by every later one.
+    probes: Vec<OnceLock<DeltaStats>>,
     /// Equilibrium counter limit `n` for both strategies.
     pub equilibrium: u64,
     /// Rung-count override for [`Strategy::ReplicaExchange`]: rebuild each
@@ -191,12 +203,12 @@ pub struct ArrangementSet {
     /// tempering. `None` keeps the method's own ladder.
     pub replicas: Option<usize>,
     /// Adaptive-schedule override (`--schedule`): before each instance runs,
-    /// probe its delta statistics and replace the method's grid-swept
-    /// schedule with a derived one of the same length (see
-    /// [`adaptive::derive`]). The probe's evaluations are charged against
-    /// the instance's evaluation budget, so adaptive cells stay equal-cost
-    /// with grid-swept cells *including* tuning. `None` keeps the method's
-    /// tuned schedule.
+    /// replace the method's grid-swept schedule with one of the same length
+    /// derived from the instance's delta statistics (see
+    /// [`adaptive::derive`]). Each instance is probed once per set, yet
+    /// every run is charged the probe's evaluations against its budget, so
+    /// adaptive cells stay equal-cost with grid-swept cells *including*
+    /// tuning. `None` keeps the method's tuned schedule.
     pub schedule: Option<AdaptiveMode>,
 }
 
@@ -204,7 +216,6 @@ impl ArrangementSet {
     /// Fixed random starting arrangements, derived from `seed` (Table 4.1,
     /// 4.2(b), 4.2(c) protocol).
     pub fn with_random_starts(problems: Vec<LinearArrangementProblem>, seed: u64) -> Self {
-        use anneal_core::Problem;
         let starts = problems
             .iter()
             .enumerate()
@@ -213,14 +224,7 @@ impl ArrangementSet {
                 p.random_state(&mut rng)
             })
             .collect();
-        ArrangementSet {
-            problems,
-            starts,
-            seed,
-            equilibrium: DEFAULT_EQUILIBRIUM,
-            replicas: None,
-            schedule: None,
-        }
+        Self::with_starts(problems, starts, seed)
     }
 
     /// Goto arrangements as starting states (Table 4.2(a)/(d) protocol).
@@ -229,7 +233,16 @@ impl ArrangementSet {
             .iter()
             .map(|p| p.state_from(goto_arrangement(p.netlist())))
             .collect();
+        Self::with_starts(problems, starts, seed)
+    }
+
+    fn with_starts(
+        problems: Vec<LinearArrangementProblem>,
+        starts: Vec<ArrangedState>,
+        seed: u64,
+    ) -> Self {
         ArrangementSet {
+            probes: problems.iter().map(|_| OnceLock::new()).collect(),
             problems,
             starts,
             seed,
@@ -331,10 +344,10 @@ impl ArrangementSet {
             log.record_replayed(cached);
             return total;
         }
-        // Under `--isolation process` the cell runs in a child process
-        // that runs only this cell (see `tables::run_cell`); the
-        // supervisor records the outcome (or the process failure) into
-        // `log` exactly as the code below would.
+        // Under `--isolation process` the cell runs in the supervisor's
+        // worker process (see `tables::TableCache`); the supervisor
+        // records the outcome (or the process failure) into `log` exactly
+        // as the code below would.
         if let Some(sup) = log.supervisor() {
             return sup.run_cell(
                 &key,
@@ -582,8 +595,8 @@ impl ArrangementSet {
         // The `--schedule` probe draws from its own salted stream, so the
         // chain's RNG stream is untouched.
         let probe_seed = derive_seed(self.seed ^ PROBE_SALT, idx as u64);
-        let (budget, controller) =
-            adapt_schedule_for(self.schedule, probe_seed, problem, &mut g, budget);
+        let stats = || *self.probes[idx].get_or_init(|| probe(problem, probe_seed));
+        let (budget, controller) = adapt_schedule_for(self.schedule, stats, &mut g, budget);
         Annealer::new(problem)
             .strategy(strategy)
             .equilibrium(self.equilibrium)
@@ -773,6 +786,41 @@ mod tests {
         // A derived schedule actually ran: the cell value moved off the
         // grid-swept one.
         assert_ne!(acc.reduction.to_bits(), tuned.reduction.to_bits());
+    }
+
+    #[test]
+    fn each_instance_is_probed_once_per_set_and_cells_do_not_notice() {
+        let roster = full_roster(TunedY::default());
+        let spec = &roster[2]; // Six Temperature Annealing
+        let budget = Budget::evaluations(2_000);
+        let cell = |set: &ArrangementSet| {
+            let log = TelemetryLog::in_memory();
+            let key = CellKey::new("test", spec.name(), "2000 evals");
+            let policy = CellPolicy::with_threads(2);
+            set.run_cell(key, spec, Strategy::Figure1, budget, &policy, &log);
+            let mut record = log.records().remove(0);
+            record.wall_ms = 0.0;
+            for row in &mut record.per_instance {
+                row.wall_ms = 0.0;
+            }
+            record
+        };
+        let mut set = tiny_set();
+        set.schedule = Some(AdaptiveMode::Acceptance);
+        assert!(set.probes.iter().all(|p| p.get().is_none()));
+        let first = cell(&set);
+        assert!(first.ok());
+        assert!(set.probes.iter().all(|p| p.get().is_some()));
+        let second = cell(&set);
+
+        let mut fresh = tiny_set();
+        fresh.schedule = Some(AdaptiveMode::Acceptance);
+        assert_eq!(first, cell(&fresh));
+        assert_eq!(second, first, "the memo changed the second cell");
+        for (i, memo) in set.probes.iter().enumerate() {
+            let probe_seed = derive_seed(set.seed ^ PROBE_SALT, i as u64);
+            assert_eq!(memo.get(), Some(&probe(&set.problems[i], probe_seed)));
+        }
     }
 
     #[test]

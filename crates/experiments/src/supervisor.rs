@@ -10,31 +10,38 @@
 //! "lessons learned"); one bad cell must not cost the other hundred.
 //!
 //! [`Supervisor`] closes that gap by re-execing the current binary in a
-//! hidden `--worker-cell` mode and running each table cell in a child
-//! process:
+//! hidden `--worker` mode and running the table cells in that child
+//! process, one at a time:
 //!
-//! * the child looks its cell up in its table's cell list, builds that
-//!   table's instance set and runs only that cell
-//!   ([`tables::run_cell`](crate::tables::run_cell)). It talks to the
-//!   parent over its stdout pipe: `{"hb":k}` heartbeat lines while it
-//!   runs, then the cell's [`CellRecord`] as one JSON line;
-//! * the parent enforces a **wall-clock deadline** (derived from
-//!   `--watchdog-ms`) and a **heartbeat staleness** bound with SIGKILL —
-//!   catching the hangs the in-process watchdog cannot;
-//! * abnormal exits are **retried** under the existing deterministic
-//!   [`RetryPolicy`](crate::runner::RetryPolicy) backoff, with the
-//!   attempt base forwarded so fault-injection decisions roll
-//!   independently across respawns;
+//! * the supervisor spawns the worker at the first cell it must run and
+//!   keeps it for the rest of the run. Each cell is one [`CellRequest`]
+//!   line on the worker's stdin. The worker looks the cell up in its
+//!   table's cell list, runs it on the instance set of the table it last
+//!   served ([`tables::TableCache`](crate::tables::TableCache)), and answers
+//!   on its stdout pipe: `{"hb":k}` heartbeat lines all its life, and the
+//!   cell's [`CellRecord`] as one JSON line. It exits at stdin EOF;
+//! * the supervisor enforces a per-cell **wall-clock deadline** (derived
+//!   from `--watchdog-ms`) and a **heartbeat staleness** bound, both
+//!   counted from the request, with SIGKILL — catching the hangs the
+//!   in-process watchdog cannot;
+//! * a worker that dies, is killed, exits or cannot take a request is
+//!   reaped and replaced, and only its in-flight cell is **retried**,
+//!   under the existing deterministic
+//!   [`RetryPolicy`](crate::runner::RetryPolicy) backoff, with the attempt
+//!   base sent along so fault-injection decisions roll independently
+//!   across respawns;
 //! * a per-problem-class **circuit breaker** skips a table after N
 //!   consecutive hard process failures (recorded in the failure manifest;
 //!   the suite completes degraded instead of dying);
-//! * [`signals`] drains on SIGINT/SIGTERM: the in-flight child finishes,
+//! * [`signals`] drains on SIGINT/SIGTERM: the in-flight cell finishes,
 //!   subsequent cells are skipped, and the WAL is left clean and
-//!   resumable.
+//!   resumable. [`Supervisor::shutdown`] (also run when the supervisor is
+//!   dropped) closes the worker's stdin and reaps it, so no exit path
+//!   leaves a worker behind.
 //!
-//! The parent stays the single writer of the main WAL: it accepts the
-//! record of a worker that exited 0, checks it is the cell it asked for,
-//! and records it like the in-process runner would. The record's `f64`s
+//! The parent stays the single writer of the main WAL: it accepts a
+//! worker's answer once it is the record of the cell it asked for, and
+//! records it like the in-process runner would. The record's `f64`s
 //! survive the JSON round trip exactly, which is what keeps process
 //! isolation and `--resume` bit-identical to a thread-isolated run.
 //!
@@ -43,18 +50,21 @@
 //! its one worker slot (cells run one at a time) with the last heartbeat
 //! age, the respawn count, and the open breakers in trip order. The
 //! `workers.live`, `worker_heartbeat_age_ms` and `breaker_open` gauges and
-//! the `supervisor.respawns` counter are set where those events happen.
+//! the `supervisor.spawns` and `supervisor.respawns` counters are set where
+//! those events happen.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader};
-use std::sync::mpsc::{self, RecvTimeoutError};
+use std::io::{BufRead, BufReader, Write};
+use std::process::{Child, ChildStdin, ExitStatus, Stdio};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use anneal_core::json::Json;
 use anneal_core::{json_object, metrics, Budget, Strategy};
 
-use crate::checkpoint::record_from_json;
+use crate::checkpoint::{field_u64, record_from_json};
 use crate::config::SuiteConfig;
 use crate::exit_codes;
 use crate::faults::FaultPlan;
@@ -140,11 +150,6 @@ const STALENESS_LIMIT: Duration = HEARTBEAT.saturating_mul(8);
 /// skipped.
 pub const DEFAULT_BREAKER_THRESHOLD: u32 = 3;
 
-/// Unit separator: joins the three [`CellKey`] fields into the single
-/// hidden `--worker-cell` argument (cell labels contain spaces and
-/// punctuation, but never control characters).
-pub const CELL_FIELD_SEP: char = '\x1f';
-
 /// How long the wait loop waits for a worker line before it re-checks the
 /// deadline and the heartbeat age.
 const WAIT_TICK: Duration = Duration::from_millis(50);
@@ -158,6 +163,103 @@ const WORKER_SLOT: usize = 0;
 enum KillReason {
     Deadline,
     Heartbeat,
+}
+
+/// One cell as the supervisor asks its worker for it: one JSON line on the
+/// worker's stdin, the cell's key and the fault-injection attempt base.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CellRequest {
+    /// The cell to run, looked up in its table's cell list.
+    pub key: CellKey,
+    /// Folded into every fault decision of this attempt (see
+    /// [`FaultPlan::attempt_base`]), so a retried cell rolls fresh faults.
+    pub attempt_base: u32,
+}
+
+impl CellRequest {
+    /// The request as one JSON line, without its newline.
+    pub fn to_line(&self) -> String {
+        json_object! { ..self.key.members(), "attempt": self.attempt_base }.to_string()
+    }
+
+    /// The request a [`to_line`](Self::to_line) line carries.
+    pub fn parse(line: &str) -> Result<Self, String> {
+        let v = Json::parse(line).map_err(|e| format!("bad cell request `{line}`: {e}"))?;
+        let attempt = field_u64(&v, "attempt")?;
+        Ok(CellRequest {
+            key: CellKey::from_json(&v)?,
+            attempt_base: u32::try_from(attempt)
+                .map_err(|_| format!("cell request attempt {attempt} out of range"))?,
+        })
+    }
+}
+
+/// The worker process: its stdin, which carries the requests, and the
+/// lines of its stdout, which a reader thread forwards until the pipe
+/// closes. Dropping it closes stdin and reaps the process.
+struct WorkerProcess {
+    child: Child,
+    stdin: Option<ChildStdin>,
+    lines: Receiver<String>,
+    reader: Option<JoinHandle<()>>,
+}
+
+impl WorkerProcess {
+    /// Spawns `exe base_args --worker`, its stdout piped to a reader
+    /// thread.
+    fn spawn(exe: &std::path::Path, base_args: &[String]) -> Result<Self, String> {
+        let mut child = std::process::Command::new(exe)
+            .args(base_args)
+            .arg("--worker")
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::inherit())
+            .spawn()
+            .map_err(|e| format!("cannot spawn worker: {e}"))?;
+        let stdout = child.stdout.take().expect("worker stdout is piped");
+        let (tx, lines) = mpsc::channel();
+        // Forwards every line (heartbeat or record) to the wait loop, and
+        // hangs up when the pipe closes (worker exit or SIGKILL).
+        let reader = std::thread::spawn(move || {
+            for line in BufReader::new(stdout).lines().map_while(Result::ok) {
+                if tx.send(line).is_err() {
+                    return;
+                }
+            }
+        });
+        Ok(WorkerProcess {
+            stdin: child.stdin.take(),
+            child,
+            lines,
+            reader: Some(reader),
+        })
+    }
+
+    /// Writes `request` and a newline to the worker's stdin.
+    fn send(&mut self, request: &CellRequest) -> std::io::Result<()> {
+        let stdin = self.stdin.as_mut().ok_or(std::io::ErrorKind::BrokenPipe)?;
+        stdin.write_all(format!("{}\n", request.to_line()).as_bytes())?;
+        stdin.flush()
+    }
+
+    /// Closes stdin, waits for the worker to exit and for its stdout to
+    /// close, and returns how it exited.
+    fn reap(&mut self) -> std::io::Result<ExitStatus> {
+        self.stdin = None;
+        let status = self.child.wait();
+        if let Some(reader) = self.reader.take() {
+            // The reader only forwards lines, and this also runs in `drop`,
+            // which must not panic.
+            reader.join().ok();
+        }
+        status
+    }
+}
+
+impl Drop for WorkerProcess {
+    fn drop(&mut self) {
+        let _ = self.reap();
+    }
 }
 
 /// Mutable supervisor state, per run.
@@ -186,8 +288,8 @@ pub(crate) struct Live {
 /// The worker slot as the wait loop last reported it.
 #[derive(Debug, Clone, Copy)]
 struct Worker {
-    /// `"live"`, `"respawning"` (spawned after a death, not yet beating)
-    /// or `"idle"` (exited).
+    /// `"live"` (running a cell), `"respawning"` (spawned after a death,
+    /// not yet beating) or `"idle"` (no cell in flight).
     state: &'static str,
     /// The heartbeat age at the last report, and when that was.
     beat_age: Duration,
@@ -235,11 +337,11 @@ impl Live {
     }
 }
 
-/// The process supervisor: spawns one worker per table cell, enforces
-/// deadlines, retries process deaths, and trips a per-table circuit
-/// breaker. Attach to a [`TelemetryLog`] via
-/// [`with_supervisor`](TelemetryLog::with_supervisor); the runner then
-/// delegates every non-replayed cell here.
+/// The process supervisor: sends every cell to one worker process,
+/// enforces per-cell deadlines, replaces dead workers and retries their
+/// cells, and trips a per-table circuit breaker. Attach to a
+/// [`TelemetryLog`] via [`with_supervisor`](TelemetryLog::with_supervisor);
+/// the runner then delegates every non-replayed cell here.
 pub struct Supervisor {
     /// Path of the current binary, re-exec'd for each worker.
     exe: std::path::PathBuf,
@@ -250,9 +352,12 @@ pub struct Supervisor {
     /// Suite base seed (validates worker records).
     seed: u64,
     /// Per-instance watchdog deadline, used to derive the wall-clock
-    /// deadline for a whole worker.
+    /// deadline for a whole cell.
     watchdog: Option<Duration>,
     state: Mutex<State>,
+    /// The worker process between cells; `None` before the first cell
+    /// and after a death.
+    worker: Mutex<Option<WorkerProcess>>,
 }
 
 impl std::fmt::Debug for Supervisor {
@@ -320,6 +425,7 @@ impl Supervisor {
             seed: config.seed,
             watchdog: config.watchdog,
             state: Mutex::new(State::default()),
+            worker: Mutex::new(None),
         })
     }
 
@@ -332,8 +438,8 @@ impl Supervisor {
         self.lock().live.clone()
     }
 
-    /// Notes a worker spawned into the slot; `respawn` when it replaces
-    /// one that died.
+    /// Notes a worker spawned into the slot for a cell; `respawn` when it
+    /// replaces one that died.
     pub(crate) fn worker_spawned(&self, respawn: bool) {
         let mut state = self.lock();
         state.live.worker = Some(Worker {
@@ -343,10 +449,20 @@ impl Supervisor {
         });
         state.live.respawns += u64::from(respawn);
         drop(state);
-        metrics::global().gauge("workers.live").set(1.0);
+        let reg = metrics::global();
+        reg.gauge("workers.live").set(1.0);
+        reg.counter("supervisor.spawns").inc();
+        // Created at zero, so a run without a death still reports it.
+        let respawns = reg.counter("supervisor.respawns");
         if respawn {
-            metrics::global().counter("supervisor.respawns").inc();
+            respawns.inc();
         }
+    }
+
+    /// Notes the idle worker took a cell.
+    fn worker_resumed(&self) {
+        self.worker_beat(Duration::ZERO);
+        metrics::global().gauge("workers.live").set(1.0);
     }
 
     /// Notes the worker's heartbeat age at a wait-loop tick: a beating
@@ -367,8 +483,8 @@ impl Supervisor {
             .set(beat_age.as_secs_f64() * 1e3);
     }
 
-    /// Notes the worker exited, cleanly or not.
-    pub(crate) fn worker_exited(&self) {
+    /// Notes the worker's cell ended, whether or not the worker lives on.
+    pub(crate) fn worker_idle(&self) {
         if let Some(w) = self.lock().live.worker.as_mut() {
             w.state = "idle";
             w.reported = Instant::now();
@@ -394,11 +510,12 @@ impl Supervisor {
         trips
     }
 
-    /// Wall-clock deadline for one worker running `n_instances` instances
-    /// under `policy`: the per-instance watchdog times the worst-case
-    /// instance count across in-child retries, plus the child's backoff
-    /// sleeps and one second of process overhead. `None` (no watchdog)
-    /// leaves only the heartbeat staleness bound.
+    /// Wall-clock deadline for one cell of `n_instances` instances under
+    /// `policy`, counted from its request: the per-instance watchdog times
+    /// the worst-case instance count across in-worker retries, plus the
+    /// worker's backoff sleeps and one second for a worker start and an
+    /// instance-set build. `None` (no watchdog) leaves only the heartbeat
+    /// staleness bound.
     fn worker_deadline(&self, n_instances: usize, policy: &CellPolicy) -> Option<Duration> {
         let per_instance = self.watchdog?;
         let attempts = policy.retry.attempts.max(1);
@@ -452,7 +569,7 @@ impl Supervisor {
                     std::thread::sleep(backoff);
                 }
             }
-            match self.spawn_and_wait(
+            match self.serve_cell(
                 key,
                 strategy_name,
                 budget,
@@ -501,12 +618,12 @@ impl Supervisor {
         0.0
     }
 
-    /// Spawns one worker for `key`, supervises it to completion, and
-    /// returns the record it printed. Any abnormal outcome is returned as
-    /// an error for the retry loop. `log`'s ticker shows the worker at
-    /// every wait-loop tick.
+    /// Sends `key` to the worker (spawning one if none is alive),
+    /// supervises the cell to its record, and returns it. Any other outcome
+    /// is returned as an error for the retry loop, after the worker is
+    /// reaped. `log`'s ticker shows the worker at every wait-loop tick.
     #[allow(clippy::too_many_arguments)]
-    fn spawn_and_wait(
+    fn serve_cell(
         &self,
         key: &CellKey,
         strategy_name: &str,
@@ -516,66 +633,60 @@ impl Supervisor {
         attempt: u32,
         log: &TelemetryLog,
     ) -> Result<CellRecord, String> {
-        // Fault decisions in the child start where this process attempt's
-        // in-child retries live: process attempt k covers attempt numbers
-        // [k*retries, (k+1)*retries), so respawns roll independently.
-        let attempt_base = attempt * policy.retry.attempts.max(1);
-
-        let cell_arg = format!(
-            "{}{sep}{}{sep}{}",
-            key.table,
-            key.method,
-            key.column,
-            sep = CELL_FIELD_SEP
-        );
-        let mut child = std::process::Command::new(&self.exe)
-            .args(&self.base_args)
-            .arg("--worker-cell")
-            .arg(&cell_arg)
-            .arg("--worker-attempt")
-            .arg(attempt_base.to_string())
-            .arg(&key.table)
-            .stdin(std::process::Stdio::null())
-            .stdout(std::process::Stdio::piped())
-            .stderr(std::process::Stdio::inherit())
-            .spawn()
-            .map_err(|e| format!("cannot spawn worker: {e}"))?;
-        self.worker_spawned(attempt > 0);
-
-        // Stdout reader: forwards every line (heartbeat or record) to the
-        // wait loop, and hangs up when the pipe closes (child exit or
-        // SIGKILL).
-        let stdout = child.stdout.take().expect("worker stdout is piped");
-        let (lines_tx, lines_rx) = mpsc::channel();
-        let reader = std::thread::spawn(move || {
-            for line in BufReader::new(stdout).lines().map_while(Result::ok) {
-                if lines_tx.send(line).is_err() {
-                    return;
-                }
+        let mut slot = self.worker.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut worker = match slot.take() {
+            Some(worker) => {
+                self.worker_resumed();
+                worker
             }
-        });
+            None => {
+                let respawn = self.lock().live.worker.is_some();
+                let worker = WorkerProcess::spawn(&self.exe, &self.base_args)?;
+                self.worker_spawned(respawn);
+                worker
+            }
+        };
 
+        // Fault decisions in the worker start where this process attempt's
+        // in-worker retries live: process attempt k covers attempt numbers
+        // [k*retries, (k+1)*retries), so retries roll independently.
+        let request = CellRequest {
+            key: key.clone(),
+            attempt_base: attempt * policy.retry.attempts.max(1),
+        };
+        let budget = budget.to_string();
         let started = Instant::now();
         let deadline = self.worker_deadline(n_instances, policy);
         let mut last_beat = started;
         let mut lines = Vec::new();
         let mut killed: Option<KillReason> = None;
-        let status = loop {
-            match lines_rx.recv_timeout(WAIT_TICK) {
+        if worker.send(&request).is_err() {
+            // Its stdin is closed, so the worker is dead or dying: make sure,
+            // and let its exit status say why.
+            worker.child.kill().ok();
+        }
+        loop {
+            match worker.lines.recv_timeout(WAIT_TICK) {
                 // Any stdout line counts as a beat; only the non-heartbeat
                 // ones can hold the record.
                 Ok(line) => {
                     last_beat = Instant::now();
                     if !line.starts_with("{\"hb\":") {
                         lines.push(line);
+                        if let Some(record) =
+                            pick_record(&lines, key, strategy_name, &budget, self.seed)
+                        {
+                            self.worker_idle();
+                            *slot = Some(worker);
+                            return Ok(record);
+                        }
+                        // An answer that is not the cell's record: hang up,
+                        // and let the worker's exit say what went wrong.
+                        worker.stdin = None;
                     }
                 }
                 Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => {
-                    break child
-                        .wait()
-                        .map_err(|e| format!("cannot wait for worker: {e}"));
-                }
+                Err(RecvTimeoutError::Disconnected) => break,
             }
             if killed.is_none() {
                 let beat_age = last_beat.elapsed();
@@ -587,14 +698,14 @@ impl Supervisor {
                     killed = Some(KillReason::Heartbeat);
                 }
                 if killed.is_some() {
-                    child.kill().ok();
+                    worker.child.kill().ok();
                 }
             }
-        };
+        }
         // The loop ends only once the reader has hung up.
-        reader.join().expect("the stdout reader does not panic");
-        self.worker_exited();
-        let status = status?;
+        let status = worker.reap();
+        self.worker_idle();
+        let status = status.map_err(|e| format!("cannot wait for worker: {e}"))?;
 
         match killed {
             Some(KillReason::Deadline) => {
@@ -617,8 +728,26 @@ impl Supervisor {
         if !status.success() {
             return Err(describe_exit(&status));
         }
-        pick_record(&lines, key, strategy_name, &budget.to_string(), self.seed)
-            .ok_or_else(|| "worker exited 0 without recording its cell".to_string())
+        Err("worker exited 0 without recording its cell".to_string())
+    }
+
+    /// Closes the worker's stdin and reaps it. Every way out of a
+    /// supervised run comes through here (it also runs when the supervisor
+    /// is dropped), so no worker outlives its supervisor. The next cell,
+    /// if any, spawns a new worker.
+    pub fn shutdown(&self) {
+        let worker = self
+            .worker
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        drop(worker);
+    }
+}
+
+impl Drop for Supervisor {
+    fn drop(&mut self) {
+        self.shutdown();
     }
 }
 
@@ -705,22 +834,54 @@ mod tests {
         // The forwarded args round-trip through the real CLI parser in
         // worker mode.
         let mut full: Vec<String> = sup.base_args.clone();
-        full.extend(
-            [
-                "--worker-cell",
-                "table4.1\u{1f}g = 1\u{1f}6 sec",
-                "--worker-attempt",
-                "2",
-                "table4.1",
-            ]
-            .map(String::from),
-        );
+        full.push("--worker".into());
         let parsed = crate::cli::parse(&full).expect("worker args parse");
-        let worker = parsed.worker.expect("worker mode");
-        assert_eq!(worker.cell, CellKey::new("table4.1", "g = 1", "6 sec"));
-        assert_eq!(worker.attempt, 2);
+        assert!(parsed.worker, "worker mode");
+        assert!(parsed.experiments.is_empty());
         assert_eq!(parsed.config.seed, 7);
         assert_eq!(parsed.config.scale.divisor, 40);
+        assert_eq!(parsed.config.replicas, Some(4));
+    }
+
+    #[test]
+    fn cell_requests_round_trip_every_key_of_the_cell_tables() {
+        let config = SuiteConfig::scaled(2000);
+        let tables = [
+            "table4.1",
+            "table4.2a",
+            "table4.2b",
+            "table4.2c",
+            "table4.2d",
+            "adaptive",
+        ];
+        let mut keys: Vec<CellKey> = tables
+            .iter()
+            .flat_map(|t| {
+                crate::tables::spec(t, &config)
+                    .expect("a cell table")
+                    .keys(t)
+            })
+            .collect();
+        assert_eq!(keys.len(), 215);
+        // The labels carry spaces, brackets and `=`.
+        for label in ["[COHO83a]", "g = 1", "6 Quadratic Diff", "12 sec"] {
+            let listed = |k: &CellKey| k.method == label || k.column == label;
+            assert!(keys.iter().any(listed), "no key carries `{label}`");
+        }
+        // And a key no table lists, with quotes, a backslash, control
+        // characters and non-ASCII text.
+        keys.push(CellKey::new("t\"1\\", "m\u{1f}\n", "Δ 9 sec"));
+        for (i, key) in keys.into_iter().enumerate() {
+            let request = CellRequest {
+                key,
+                attempt_base: i as u32 * 3,
+            };
+            let line = request.to_line();
+            assert!(!line.contains('\n'), "{line}");
+            assert_eq!(CellRequest::parse(&line), Ok(request));
+        }
+        assert!(CellRequest::parse("{\"table\":\"t\"}").is_err());
+        assert!(CellRequest::parse("not json").is_err());
     }
 
     #[test]

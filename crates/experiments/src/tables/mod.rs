@@ -4,8 +4,8 @@
 //!
 //! Each table that records cells has one definition: its instance set and
 //! its grid of cells, run row by row. The table's `run_logged` runs them
-//! all, a `repro --worker-cell` process runs only its own ([`run_cell`]),
-//! and [`expected_cells`] counts them.
+//! all, a `repro --worker` process runs the ones its supervisor sends it
+//! ([`TableCache`]), and [`expected_cells`] counts them.
 
 use anneal_core::{AdaptiveMode, Budget, Strategy};
 
@@ -160,18 +160,47 @@ pub fn expected_cells(experiments: &[String], config: &SuiteConfig) -> Option<us
         .sum()
 }
 
-/// Runs the one cell `key` names, as a process-isolation worker does: finds
-/// its row and column in its table's definition, builds that table's
-/// instance set and records the cell into `log`. Returns its total
-/// reduction, or `None` (nothing run) when no table lists `key`.
-pub fn run_cell(key: &CellKey, config: &SuiteConfig, log: &TelemetryLog) -> Option<f64> {
-    let spec = spec(&key.table, config)?;
-    let (_, method, schedule) = spec.rows.iter().find(|row| row.0 == key.method)?;
-    let (_, strategy, budget) = spec.columns.iter().find(|col| col.0 == key.column)?;
-    let mut set = spec.instance_set(config.seed);
-    set.schedule = *schedule;
-    let policy = config.cell_policy();
-    Some(set.run_cell(key.clone(), method, *strategy, *budget, &policy, log))
+/// The instance set of the table a process-isolation worker last served.
+/// Cells arrive table by table, so a worker builds each table's instances
+/// (and Goto starts) once, and the set's probe memo carries over from cell
+/// to cell.
+#[derive(Debug)]
+pub struct TableCache {
+    config: SuiteConfig,
+    /// The table's name, definition and instance set.
+    table: Option<(String, TableSpec, ArrangementSet)>,
+}
+
+impl TableCache {
+    /// An empty cache for a suite run under `config`.
+    pub fn new(config: SuiteConfig) -> Self {
+        TableCache {
+            config,
+            table: None,
+        }
+    }
+
+    /// Runs the one cell `key` names: finds its row and column in its
+    /// table's definition, builds that table's instance set unless it is
+    /// the one held, and records the cell into `log`. Returns its total
+    /// reduction, or `None` (nothing run) when no table lists `key`.
+    pub fn run_cell(&mut self, key: &CellKey, log: &TelemetryLog) -> Option<f64> {
+        if self
+            .table
+            .as_ref()
+            .is_none_or(|(name, ..)| *name != key.table)
+        {
+            let spec = spec(&key.table, &self.config)?;
+            let set = spec.instance_set(self.config.seed);
+            self.table = Some((key.table.clone(), spec, set));
+        }
+        let (_, spec, set) = self.table.as_mut().expect("the table is held");
+        let (_, method, schedule) = spec.rows.iter().find(|row| row.0 == key.method)?;
+        let (_, strategy, budget) = spec.columns.iter().find(|col| col.0 == key.column)?;
+        set.schedule = *schedule;
+        let policy = self.config.cell_policy();
+        Some(set.run_cell(key.clone(), method, *strategy, *budget, &policy, log))
+    }
 }
 
 /// Runs every cell of table `name` in run order and renders the table.
@@ -270,11 +299,43 @@ mod tests {
         }
         let tuning = ["table4.1".to_string(), "tuning".to_string()];
         assert_eq!(expected_cells(&tuning, &config), None);
+    }
 
-        // A worker given a key no table lists runs and records nothing.
+    /// `log`'s records with their wall-clock fields zeroed.
+    fn records_without_wall(log: &TelemetryLog) -> Vec<crate::CellRecord> {
+        let mut records = log.records();
+        for record in &mut records {
+            record.wall_ms = 0.0;
+            for row in &mut record.per_instance {
+                row.wall_ms = 0.0;
+            }
+        }
+        records
+    }
+
+    #[test]
+    fn a_table_cache_serves_cells_as_run_logged_records_them() {
+        let config = SuiteConfig::scaled(2000).with_seed(7);
+        let keys = |name| spec(name, &config).expect("a cell table").keys(name);
+        let (b, d) = (keys("table4.2b"), keys("table4.2d"));
+        let reference = TelemetryLog::in_memory();
+        table4_2b::run_logged(&config, &reference);
+        table4_2d::run_logged(&config, &reference);
+        table4_2b::run_logged(&config, &reference);
+
+        // Back to table 4.2(b) after 4.2(d): a change of table rebuilds
+        // the set it left.
+        let mut cache = TableCache::new(config);
+        let log = TelemetryLog::in_memory();
+        for key in b.iter().chain(&d).chain(&b) {
+            assert!(cache.run_cell(key, &log).is_some(), "{key}");
+        }
+        assert_eq!(records_without_wall(&log), records_without_wall(&reference));
+
+        // A key no table lists runs and records nothing.
         let log = TelemetryLog::in_memory();
         let unlisted = CellKey::new("table4.2a", "g = 1", "Figure 1");
-        assert_eq!(run_cell(&unlisted, &config, &log), None);
+        assert_eq!(cache.run_cell(&unlisted, &log), None);
         assert!(log.records().is_empty());
     }
 }

@@ -3,13 +3,17 @@
 //! worker cannot take the suite down, SIGTERM drains to a clean resumable
 //! WAL, and a true hang is deadline-killed with the circuit breaker
 //! skipping the rest of its table. Every degraded or interrupted run must
-//! `--resume` to output byte-identical to an uninterrupted one.
+//! `--resume` to output byte-identical to an uninterrupted one. One worker
+//! process serves a whole run, a new one replaces each that dies, and no
+//! worker outlives a drained or killed supervisor.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
-use anneal_experiments::{checkpoint, exit_codes, CellRecord};
+use anneal_experiments::checkpoint::Json;
+use anneal_experiments::supervisor::CellRequest;
+use anneal_experiments::{checkpoint, exit_codes, CellKey, CellRecord};
 
 fn repro() -> Command {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -320,4 +324,203 @@ fn hung_worker_is_deadline_killed_and_the_breaker_skips_its_table() {
         .expect("spawn repro");
     assert!(resumed.status.success(), "resume failed: {resumed:?}");
     assert_eq!(stdout_of(&clean), stdout_of(&resumed));
+}
+
+/// The value of counter `name` in the `--metrics` snapshot at `path` (0
+/// when the run never created it).
+fn counter(path: &Path, name: &str) -> u64 {
+    let text = std::fs::read_to_string(path).expect("metrics snapshot");
+    let snapshot = Json::parse(&text).expect("snapshot parses");
+    let counters = snapshot
+        .get("counters")
+        .and_then(Json::as_arr)
+        .expect("counters");
+    counters
+        .iter()
+        .find(|c| c.get("name").and_then(Json::as_str) == Some(name))
+        .map_or(0, |c| {
+            c.get("value").expect("value").as_u64_checked().unwrap()
+        })
+}
+
+#[test]
+fn one_worker_serves_a_clean_run() {
+    let metrics = temp("spawns.json");
+    let out = repro()
+        .args(["--scale", "2000", "--seed", "7", "--isolation", "process"])
+        .arg("--metrics")
+        .arg(&metrics)
+        .args(["table4.1", "table4.2b"])
+        .output()
+        .expect("spawn repro");
+    assert!(out.status.success(), "{out:?}");
+    // 89 cells over two tables: one worker, never replaced.
+    assert_eq!(counter(&metrics, "supervisor.spawns"), 1);
+    assert_eq!(counter(&metrics, "supervisor.respawns"), 0);
+}
+
+#[test]
+fn each_worker_death_costs_one_spawn() {
+    let (wal, metrics) = (temp("deaths.jsonl"), temp("deaths.json"));
+    let out = repro()
+        .args(WORKLOAD)
+        .args(["--isolation", "process", "--breaker-threshold", "10"])
+        .args(["--faults", "seed=11,abort=0.002", "--metrics"])
+        .arg(&metrics)
+        .arg("--telemetry")
+        .arg(&wal)
+        .output()
+        .expect("spawn repro");
+    assert_eq!(out.status.code(), Some(i32::from(exit_codes::DEGRADED)));
+    let cells = checkpoint::load(wal.to_str().unwrap()).unwrap().cells;
+    let died = |c: &CellRecord| {
+        c.failures
+            .iter()
+            .any(|f| f.message.contains("died on signal"))
+    };
+    let deaths = cells.iter().filter(|c| died(c)).count() as u64;
+    assert!(deaths > 0, "no worker died");
+    // A death on the last cell would need no replacement.
+    assert!(!died(cells.last().unwrap()));
+    assert_eq!(counter(&metrics, "supervisor.spawns"), 1 + deaths);
+    assert_eq!(counter(&metrics, "supervisor.respawns"), deaths);
+}
+
+#[test]
+fn a_worker_serves_requests_until_an_unlisted_key() {
+    use std::io::{BufRead, BufReader, Write};
+    let mut worker = repro()
+        .args(["--scale", "2000", "--seed", "7", "--worker"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn worker");
+    let mut stdin = worker.stdin.take().unwrap();
+    let mut stdout = BufReader::new(worker.stdout.take().unwrap()).lines();
+    let mut send = |key: CellKey| {
+        let request = CellRequest {
+            key,
+            attempt_base: 0,
+        };
+        writeln!(stdin, "{}", request.to_line()).expect("request written");
+    };
+    // A listed cell: heartbeats, then its record.
+    let listed = CellKey::new("table4.2b", "g = 1", "Figure 2");
+    send(listed.clone());
+    let answer = stdout
+        .by_ref()
+        .map(|line| line.expect("worker stdout"))
+        .find(|line| !line.starts_with("{\"hb\":"))
+        .expect("the worker answered");
+    let record = checkpoint::record_from_json(&Json::parse(&answer).unwrap()).unwrap();
+    assert_eq!(record.key, listed);
+    assert!(record.ok());
+
+    // A key no table lists: no record, and the worker exits saying so.
+    send(CellKey::new("table4.2a", "g = 1", "Figure 1"));
+    let rest: Vec<String> = stdout.map(|line| line.unwrap()).collect();
+    assert!(rest.iter().all(|l| l.starts_with("{\"hb\":")), "{rest:?}");
+    let status = worker.wait().unwrap();
+    assert_eq!(status.code(), Some(i32::from(exit_codes::WORKER_NO_RECORD)));
+}
+
+/// The state and parent pid of process `pid`, from `/proc/PID/stat`.
+#[cfg(target_os = "linux")]
+fn stat_of(pid: u32) -> Option<(char, u32)> {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).ok()?;
+    // The command name may hold spaces and parentheses; the fields after
+    // it start past the last `)`.
+    let mut fields = stat[stat.rfind(')')? + 1..].split_whitespace();
+    let state = fields.next()?.chars().next()?;
+    Some((state, fields.next()?.parse().ok()?))
+}
+
+/// The processes whose parent is `pid`, zombies included.
+#[cfg(target_os = "linux")]
+fn children_of(pid: u32) -> Vec<u32> {
+    std::fs::read_dir("/proc")
+        .expect("/proc")
+        .filter_map(|entry| entry.ok()?.file_name().to_str()?.parse().ok())
+        .filter(|&child| stat_of(child).is_some_and(|(_, parent)| parent == pid))
+        .collect()
+}
+
+/// Whether `pid` is a running (not zombie) `repro --worker` process.
+#[cfg(target_os = "linux")]
+fn running_worker(pid: u32) -> bool {
+    let cmdline = std::fs::read(format!("/proc/{pid}/cmdline")).unwrap_or_default();
+    let is_worker = cmdline.split(|&b| b == 0).any(|arg| arg == b"--worker");
+    is_worker && stat_of(pid).is_some_and(|(state, _)| !matches!(state, 'Z' | 'X'))
+}
+
+/// A process-isolated run of table 4.2(b) whose every instance sleeps
+/// 5 ms (cells of about 150 ms, seconds in all), returned once its first
+/// record is in `wal`, with its one worker.
+#[cfg(target_os = "linux")]
+fn slow_run_with_its_worker(wal: &Path) -> (std::process::Child, u32) {
+    let _ = std::fs::remove_file(wal);
+    let mut child = repro()
+        .args(WORKLOAD)
+        .args([
+            "--isolation",
+            "process",
+            "--faults",
+            "seed=7,delay=1,delay_ms=5",
+        ])
+        .arg("--telemetry")
+        .arg(wal)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn repro");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !std::fs::read_to_string(wal).is_ok_and(|t| t.contains("\"table\"")) {
+        assert!(Instant::now() < deadline, "no WAL records after 30 s");
+        assert!(child.try_wait().unwrap().is_none(), "the run ended early");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let workers = children_of(child.id());
+    assert_eq!(workers.len(), 1, "one worker serves the run: {workers:?}");
+    assert!(running_worker(workers[0]));
+    (child, workers[0])
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_killed_supervisor_leaves_no_worker_behind() {
+    let (mut child, worker) = slow_run_with_its_worker(&temp("sigkill.jsonl"));
+    child.kill().expect("SIGKILL the supervisor");
+    child.wait().unwrap();
+    // The orphan stops at its next heartbeat or at the end of its cell.
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while running_worker(worker) {
+        assert!(
+            Instant::now() < deadline,
+            "worker {worker} outlived its supervisor by 2 s"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_drained_supervisor_reaps_its_worker() {
+    let (child, worker) = slow_run_with_its_worker(&temp("drain-reap.jsonl"));
+    let pid = child.id();
+    let term = Command::new("kill")
+        .args(["-TERM", &pid.to_string()])
+        .status()
+        .expect("send SIGTERM");
+    assert!(term.success());
+    let out = child.wait_with_output().expect("wait repro");
+    assert_eq!(
+        out.status.code(),
+        Some(i32::from(exit_codes::for_signal(exit_codes::SIGTERM)))
+    );
+    // Reaped before the supervisor exited, not left to finish on its own.
+    assert!(
+        !running_worker(worker),
+        "worker {worker} outlived the drain"
+    );
 }
