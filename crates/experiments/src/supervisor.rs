@@ -54,7 +54,7 @@
 //! those events happen.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::process::{Child, ChildStdin, ExitStatus, Stdio};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -235,11 +235,10 @@ impl WorkerProcess {
         })
     }
 
-    /// Writes `request` and a newline to the worker's stdin.
+    /// Writes `request` as one line to the worker's stdin.
     fn send(&mut self, request: &CellRequest) -> std::io::Result<()> {
         let stdin = self.stdin.as_mut().ok_or(std::io::ErrorKind::BrokenPipe)?;
-        stdin.write_all(format!("{}\n", request.to_line()).as_bytes())?;
-        stdin.flush()
+        crate::jsonl::append(stdin, request.to_line())
     }
 
     /// Closes stdin, waits for the worker to exit and for its stdout to
