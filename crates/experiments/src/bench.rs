@@ -5,8 +5,8 @@
 //! bench`) times every kernel returned by [`kernels`] with the vendored
 //! criterion substitute's [`criterion::measure`] API and renders the results
 //! with [`render_report`]. The kernel set covers the hot paths the paper's
-//! equal-budget comparisons spend their time in: the linarr swap/relocate
-//! score and commit on the position-mask profile, the NOLA multi-pin cost,
+//! equal-budget comparisons spend their time in: the linarr swap score and
+//! commit on the position-mask profile, the NOLA multi-pin cost,
 //! the TSP 2-opt delta, the partition gain update, the Figure-1/Figure-2
 //! decision path, and full chains at a fixed seed and budget.
 //!
@@ -18,7 +18,7 @@ use anneal_core::{
     estimate_delta_stats, json::Json, Annealer, Budget, GFunction, NoopObserver, Problem, Rng,
     Strategy,
 };
-use anneal_linarr::{LinearArrangementProblem, Neighborhood};
+use anneal_linarr::LinearArrangementProblem;
 use anneal_netlist::generator::{random_multi_pin, random_two_pin};
 use anneal_partition::PartitionProblem;
 use anneal_tsp::{TspInstance, TspProblem};
@@ -141,11 +141,6 @@ pub fn kernels() -> Vec<Kernel> {
 
     // Move kernels: perturbation delta + incremental bookkeeping update.
     list.push(move_cycle_kernel("linarr/gola_swap_cycle", gola(0), 11));
-    list.push(move_cycle_kernel(
-        "linarr/gola_relocate_cycle",
-        gola(0).with_neighborhood(Neighborhood::SingleExchange),
-        12,
-    ));
     list.push(move_cycle_kernel("linarr/nola_swap_cycle", nola(0), 13));
     list.push(move_cycle_kernel(
         "partition/swap_cycle",

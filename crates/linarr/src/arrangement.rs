@@ -117,21 +117,6 @@ impl Arrangement {
         self.pos[b as usize] = p as u32;
     }
 
-    /// Moves the element at position `from` to position `to`, shifting the
-    /// elements in between (single exchange / insertion move).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either position is out of range.
-    pub fn relocate(&mut self, from: usize, to: usize) {
-        let e = self.perm.remove(from);
-        self.perm.insert(to, e);
-        let (lo, hi) = if from <= to { (from, to) } else { (to, from) };
-        for p in lo..=hi {
-            self.pos[self.perm[p] as usize] = p as u32;
-        }
-    }
-
     /// Checks the internal bijection invariant (test support).
     pub fn is_consistent(&self) -> bool {
         self.perm.len() == self.pos.len()
@@ -179,25 +164,6 @@ mod tests {
         a.swap_positions(1, 4);
         a.swap_positions(1, 4);
         assert_eq!(a, Arrangement::identity(6));
-    }
-
-    #[test]
-    fn relocate_shifts_between() {
-        let mut a = Arrangement::from_order(vec![0, 1, 2, 3, 4]);
-        a.relocate(0, 3);
-        assert_eq!(a.order(), &[1, 2, 3, 0, 4]);
-        assert!(a.is_consistent());
-        // Inverse relocate restores.
-        a.relocate(3, 0);
-        assert_eq!(a.order(), &[0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn relocate_backwards() {
-        let mut a = Arrangement::from_order(vec![0, 1, 2, 3, 4]);
-        a.relocate(4, 1);
-        assert_eq!(a.order(), &[0, 4, 1, 2, 3]);
-        assert!(a.is_consistent());
     }
 
     #[test]

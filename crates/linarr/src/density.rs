@@ -4,10 +4,9 @@
 //! positions. A net *crosses* gap `g` when it has pins on both sides, i.e.
 //! when its position span `[lo, hi]` satisfies `lo ≤ g < hi`. The **density**
 //! of the arrangement is the maximum crossing count over all gaps (§4.1) —
-//! the quantity NOLA/GOLA minimize. The total span length (the classic
-//! total-wirelength objective) is kept beside it as a secondary objective.
+//! the quantity NOLA/GOLA minimize.
 //!
-//! [`CutProfile::build`] computes all of it in O(total pins + total span),
+//! [`CutProfile::build`] computes it in O(total pins + total span),
 //! counting every net into every gap it crosses. It is the oracle that the
 //! incremental [`ArrangedState`](crate::ArrangedState) is built from and
 //! checked against ([`ArrangedState::verify`]); the search itself never
@@ -20,7 +19,7 @@ use anneal_netlist::Netlist;
 use crate::arrangement::Arrangement;
 
 /// The cut structure of an arrangement: per-net spans, per-gap crossing
-/// counts, the density and the total span.
+/// counts and the density.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CutProfile {
     /// Per net: its position span `(lo, hi)`, `lo < hi` (nets have ≥ 2
@@ -30,8 +29,6 @@ pub struct CutProfile {
     cut: Vec<u32>,
     /// `max_g cut[g]`, or 0 without gaps.
     density: u32,
-    /// Sum over nets of `hi - lo` (total wirelength).
-    total_span: u64,
 }
 
 impl CutProfile {
@@ -63,7 +60,6 @@ impl CutProfile {
         }
         CutProfile {
             density: cut.iter().copied().max().unwrap_or(0),
-            total_span: spans.iter().map(|&(lo, hi)| u64::from(hi - lo)).sum(),
             spans,
             cut,
         }
@@ -72,11 +68,6 @@ impl CutProfile {
     /// The density (maximum crossing count over all gaps).
     pub fn density(&self) -> u32 {
         self.density
-    }
-
-    /// Total span length over all nets (total wirelength).
-    pub fn total_span(&self) -> u64 {
-        self.total_span
     }
 
     /// The crossing count of every gap, left to right.
@@ -119,7 +110,6 @@ mod tests {
         let arr = Arrangement::identity(4);
         let p = CutProfile::build(&nl, &arr);
         assert_eq!(p.density(), 1);
-        assert_eq!(p.total_span(), 3);
         for g in 0..3 {
             assert_eq!(p.cut_at(g), 1);
         }
@@ -134,7 +124,6 @@ mod tests {
         let p = CutProfile::build(&nl, &arr);
         assert_eq!(p.cuts(), [1, 3, 1]);
         assert_eq!(p.density(), 3);
-        assert_eq!(p.total_span(), 5);
     }
 
     #[test]
@@ -144,7 +133,6 @@ mod tests {
         let p = CutProfile::build(&nl, &arr);
         assert_eq!(p.span(0), (0, 4));
         assert_eq!(p.density(), 1);
-        assert_eq!(p.total_span(), 4);
     }
 
     #[test]
@@ -158,7 +146,6 @@ mod tests {
         let arr1 = Arrangement::identity(1);
         let p1 = CutProfile::build(&nl1, &arr1);
         assert_eq!(p1.density(), 0);
-        assert_eq!(p1.total_span(), 0);
     }
 
     #[test]

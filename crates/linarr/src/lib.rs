@@ -12,9 +12,9 @@
 //!
 //! The crate provides the permutation state with **incremental** cut-density
 //! evaluation ([`ArrangedState`]), the [`anneal_core::Problem`]
-//! implementation with the paper's pairwise-interchange and \[COHO83a\]
-//! single-exchange neighborhoods ([`LinearArrangementProblem`]), and the
-//! constructive baseline of \[GOTO77\] ([`goto_arrangement`]).
+//! implementation with the paper's pairwise-interchange neighborhood
+//! ([`LinearArrangementProblem`]), and the constructive baseline of
+//! \[GOTO77\] ([`goto_arrangement`]).
 //!
 //! # Examples
 //!
@@ -47,5 +47,5 @@ mod state;
 pub use arrangement::Arrangement;
 pub use density::CutProfile;
 pub use goto::goto_arrangement;
-pub use problem::{ArrMove, LinearArrangementProblem, Neighborhood, Objective};
+pub use problem::{LinearArrangementProblem, Swap};
 pub use state::ArrangedState;

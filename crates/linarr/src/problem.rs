@@ -4,51 +4,16 @@ use anneal_core::{Problem, Rng, RngExt};
 use anneal_netlist::Netlist;
 
 use crate::arrangement::Arrangement;
-use crate::state::{ArrangedState, Scratch};
+use crate::state::ArrangedState;
 
-/// What the arrangement minimizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Objective {
-    /// Maximum number of nets crossing between any pair of adjacent elements
-    /// — the paper's NOLA/GOLA objective (§4.1).
-    #[default]
-    Density,
-    /// Sum of net spans (total wirelength) — the classic optimal linear
-    /// arrangement objective, offered as an extension.
-    TotalSpan,
-}
-
-/// The random-perturbation neighborhood.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Neighborhood {
-    /// Swap the elements at two random positions — the paper's primary
-    /// perturbation ("pairwise interchange").
-    #[default]
-    PairwiseInterchange,
-    /// Remove one element and reinsert it at another position — the "single
-    /// exchange" of \[COHO83a\].
-    SingleExchange,
-}
-
-/// A perturbation of an arrangement.
+/// A pairwise interchange: swap the elements at two positions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArrMove {
-    /// Swap the elements at two positions.
-    Swap(usize, usize),
-    /// Move the element at `from` to `to`, shifting the elements in between.
-    Relocate {
-        /// Source position.
-        from: usize,
-        /// Destination position.
-        to: usize,
-    },
-}
+pub struct Swap(pub usize, pub usize);
 
 /// The (net/graph) optimal linear arrangement problem over a netlist.
 ///
-/// With a two-pin netlist this is GOLA; with multi-pin nets, NOLA. The
-/// defaults match the paper: density objective, pairwise-interchange
-/// neighborhood.
+/// With a two-pin netlist this is GOLA; with multi-pin nets, NOLA. As in
+/// the paper, it minimizes the density under pairwise interchange.
 ///
 /// # Examples
 ///
@@ -70,46 +35,17 @@ pub enum ArrMove {
 #[derive(Debug, Clone)]
 pub struct LinearArrangementProblem {
     netlist: Netlist,
-    objective: Objective,
-    neighborhood: Neighborhood,
 }
 
 impl LinearArrangementProblem {
-    /// A problem over `netlist` with the paper's defaults (density,
-    /// pairwise interchange).
+    /// The problem over `netlist`.
     pub fn new(netlist: Netlist) -> Self {
-        LinearArrangementProblem {
-            netlist,
-            objective: Objective::Density,
-            neighborhood: Neighborhood::PairwiseInterchange,
-        }
-    }
-
-    /// Selects the objective.
-    pub fn with_objective(mut self, objective: Objective) -> Self {
-        self.objective = objective;
-        self
-    }
-
-    /// Selects the perturbation neighborhood.
-    pub fn with_neighborhood(mut self, neighborhood: Neighborhood) -> Self {
-        self.neighborhood = neighborhood;
-        self
+        LinearArrangementProblem { netlist }
     }
 
     /// The underlying netlist.
     pub fn netlist(&self) -> &Netlist {
         &self.netlist
-    }
-
-    /// The configured objective.
-    pub fn objective(&self) -> Objective {
-        self.objective
-    }
-
-    /// The configured neighborhood.
-    pub fn neighborhood(&self) -> Neighborhood {
-        self.neighborhood
     }
 
     /// Whether this instance is a GOLA instance (every net two-pin).
@@ -123,34 +59,17 @@ impl LinearArrangementProblem {
         ArrangedState::new(&self.netlist, arrangement)
     }
 
-    fn objective_value(&self, state: &ArrangedState) -> f64 {
-        match self.objective {
-            Objective::Density => state.density() as f64,
-            Objective::TotalSpan => state.total_span() as f64,
-        }
-    }
-
-    /// The whole neighbourhood of an `n`-element arrangement, in the order
-    /// [`Problem::all_moves_into`] lists it and
-    /// [`Problem::improving_move`] scans it.
-    fn neighbourhood(&self, n: usize) -> impl Iterator<Item = ArrMove> {
-        let swaps = self.neighborhood == Neighborhood::PairwiseInterchange;
-        (0..n).flat_map(move |p| {
-            let first = if swaps { p + 1 } else { 0 };
-            (first..n).filter(move |&q| q != p).map(move |q| {
-                if swaps {
-                    ArrMove::Swap(p, q)
-                } else {
-                    ArrMove::Relocate { from: p, to: q }
-                }
-            })
-        })
+    /// Every swap of an `n`-element arrangement, in the `(p, q)` order
+    /// [`Problem::all_moves_into`] lists them and
+    /// [`Problem::improving_move`] scans them.
+    fn swaps(n: usize) -> impl Iterator<Item = Swap> {
+        (0..n).flat_map(move |p| (p + 1..n).map(move |q| Swap(p, q)))
     }
 }
 
 impl Problem for LinearArrangementProblem {
     type State = ArrangedState;
-    type Move = ArrMove;
+    type Move = Swap;
 
     fn random_state(&self, rng: &mut dyn Rng) -> ArrangedState {
         let arr = Arrangement::random(self.netlist.n_elements(), rng);
@@ -158,10 +77,10 @@ impl Problem for LinearArrangementProblem {
     }
 
     fn cost(&self, state: &ArrangedState) -> f64 {
-        self.objective_value(state)
+        f64::from(state.density())
     }
 
-    fn propose(&self, state: &ArrangedState, rng: &mut dyn Rng) -> ArrMove {
+    fn propose(&self, state: &ArrangedState, rng: &mut dyn Rng) -> Swap {
         let n = state.arrangement().len();
         debug_assert!(n >= 2, "perturbation needs at least two positions");
         let p = rng.random_range(0..n);
@@ -169,49 +88,35 @@ impl Problem for LinearArrangementProblem {
         if q >= p {
             q += 1;
         }
-        match self.neighborhood {
-            Neighborhood::PairwiseInterchange => ArrMove::Swap(p, q),
-            Neighborhood::SingleExchange => ArrMove::Relocate { from: p, to: q },
-        }
+        Swap(p, q)
     }
 
-    fn apply(&self, state: &mut ArrangedState, mv: &ArrMove) {
-        match *mv {
-            ArrMove::Swap(p, q) => state.swap(&self.netlist, p, q),
-            ArrMove::Relocate { from, to } => state.relocate(&self.netlist, from, to),
-        }
-    }
-
-    fn undo(&self, state: &mut ArrangedState, mv: &ArrMove) {
-        match *mv {
-            ArrMove::Swap(p, q) => state.swap(&self.netlist, p, q),
-            ArrMove::Relocate { from, to } => state.relocate(&self.netlist, to, from),
-        }
+    fn apply(&self, state: &mut ArrangedState, &Swap(p, q): &Swap) {
+        state.swap(&self.netlist, p, q);
     }
 
     fn try_move(
         &self,
         state: &mut ArrangedState,
-        mv: &ArrMove,
+        mv: &Swap,
         accept: impl FnOnce(f64) -> bool,
     ) -> (f64, bool) {
-        state.try_move(&self.netlist, *mv, self.objective, accept)
+        state.try_move(&self.netlist, *mv, accept)
     }
 
-    fn all_moves_into(&self, state: &ArrangedState, buf: &mut Vec<ArrMove>) {
+    fn all_moves_into(&self, state: &ArrangedState, buf: &mut Vec<Swap>) {
         buf.clear();
-        buf.extend(self.neighbourhood(state.arrangement().len()));
+        buf.extend(Self::swaps(state.arrangement().len()));
     }
 
-    fn improving_move(&self, state: &ArrangedState, probes: &mut u64) -> Option<ArrMove> {
-        // First-improvement scan of the full neighbourhood, scoring each
-        // candidate without making it.
+    fn improving_move(&self, state: &ArrangedState, probes: &mut u64) -> Option<Swap> {
+        // First-improvement scan of every swap, scoring each without
+        // making it.
         let n = state.arrangement().len();
-        let here = self.objective_value(state);
-        let mut scratch = Scratch::new(n);
-        self.neighbourhood(n).find(|&mv| {
+        let mut diff = vec![0; n];
+        Self::swaps(n).find(|&mv| {
             *probes += 1;
-            state.cost_after(&self.netlist, mv, self.objective, &mut scratch) < here
+            state.density_after_swap(&self.netlist, mv, &mut diff) < state.density()
         })
     }
 }
@@ -232,20 +137,6 @@ mod tests {
     fn propose_apply_undo_round_trip() {
         let p = gola_instance(0);
         let mut rng = StdRng::seed_from_u64(1);
-        let mut s = p.random_state(&mut rng);
-        let before = s.clone();
-        for _ in 0..100 {
-            let mv = p.propose(&s, &mut rng);
-            p.apply(&mut s, &mv);
-            p.undo(&mut s, &mv);
-            assert_eq!(s, before);
-        }
-    }
-
-    #[test]
-    fn single_exchange_round_trip() {
-        let p = gola_instance(0).with_neighborhood(Neighborhood::SingleExchange);
-        let mut rng = StdRng::seed_from_u64(2);
         let mut s = p.random_state(&mut rng);
         let before = s.clone();
         for _ in 0..100 {
@@ -297,19 +188,6 @@ mod tests {
                 &mut GFunction::coho83a(p.netlist().n_nets()),
                 &mut NoopObserver,
             );
-        assert!(r.reduction() > 0.0);
-    }
-
-    #[test]
-    fn total_span_objective_works() {
-        let p = gola_instance(6).with_objective(Objective::TotalSpan);
-        let mut rng = StdRng::seed_from_u64(6);
-        let s = p.random_state(&mut rng);
-        assert_eq!(p.cost(&s), s.total_span() as f64);
-        let r = Annealer::new(&p)
-            .budget(Budget::evaluations(10_000))
-            .seed(14)
-            .run(&mut GFunction::unit(), &mut NoopObserver);
         assert!(r.reduction() > 0.0);
     }
 }

@@ -7,8 +7,7 @@ use std::collections::HashSet;
 
 use anneal_core::Problem;
 use anneal_linarr::{
-    goto_arrangement, ArrMove, ArrangedState, Arrangement, CutProfile, LinearArrangementProblem,
-    Neighborhood, Objective,
+    goto_arrangement, ArrangedState, Arrangement, CutProfile, LinearArrangementProblem, Swap,
 };
 use anneal_netlist::{generator, Netlist};
 use proptest::collection::vec;
@@ -38,30 +37,15 @@ fn arb_positions() -> impl Strategy<Value = Vec<(usize, usize)>> {
     vec((0usize..1 << 16, 0usize..1 << 16), 1..60)
 }
 
-/// The problem over `nl` under both neighbourhoods and both objectives.
-fn variants(nl: &Netlist) -> Vec<LinearArrangementProblem> {
-    let mut out = Vec::new();
-    for neighborhood in [
-        Neighborhood::PairwiseInterchange,
-        Neighborhood::SingleExchange,
-    ] {
-        for objective in [Objective::Density, Objective::TotalSpan] {
-            let p = LinearArrangementProblem::new(nl.clone())
-                .with_neighborhood(neighborhood)
-                .with_objective(objective);
-            out.push(p);
-        }
-    }
-    out
-}
-
-/// `s` after `mv`, built from scratch on the moved arrangement.
-fn rebuilt_after(p: &LinearArrangementProblem, s: &ArrangedState, mv: ArrMove) -> ArrangedState {
+/// `s` after swapping the elements at `a` and `b`, built from scratch on the
+/// moved arrangement.
+fn rebuilt_after(
+    p: &LinearArrangementProblem,
+    s: &ArrangedState,
+    Swap(a, b): Swap,
+) -> ArrangedState {
     let mut arr = s.arrangement().clone();
-    match mv {
-        ArrMove::Swap(a, b) => arr.swap_positions(a, b),
-        ArrMove::Relocate { from, to } => arr.relocate(from, to),
-    }
+    arr.swap_positions(a, b);
     p.state_from(arr)
 }
 
@@ -70,7 +54,6 @@ fn matches_a_rebuild(nl: &Netlist, s: &ArrangedState) -> Result<(), TestCaseErro
     let oracle = CutProfile::build(nl, s.arrangement());
     prop_assert_eq!(s.cuts(), oracle.cuts());
     prop_assert_eq!(s.density(), oracle.density());
-    prop_assert_eq!(s.total_span(), oracle.total_span());
     prop_assert!(s.verify(nl), "pin masks differ from a rebuild");
     Ok(())
 }
@@ -93,137 +76,102 @@ proptest! {
     }
 
     #[test]
-    fn incremental_density_matches_rebuild_under_relocates(
-        (nl, seed) in arb_instance(),
-        moves in arb_positions(),
-    ) {
-        let n = nl.n_elements();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut s = ArrangedState::new(&nl, Arrangement::random(n, &mut rng));
-        for (f, t) in moves {
-            s.relocate(&nl, f % n, t % n);
-            matches_a_rebuild(&nl, &s)?;
-        }
-    }
-
-    #[test]
     fn try_move_scores_the_move_and_makes_it_only_on_acceptance(
         (nl, seed) in arb_instance(),
         answers in vec(any::<bool>(), 1..40),
     ) {
-        for p in variants(&nl) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut s = p.random_state(&mut rng);
-            for &answer in &answers {
-                let mv = p.propose(&s, &mut rng);
-                let expected = rebuilt_after(&p, &s, mv);
-                let mut applied = s.clone();
-                p.apply(&mut applied, &mv);
-                prop_assert_eq!(&applied, &expected, "apply {:?}", mv);
-                let before = s.clone();
-                let mut asked = Vec::new();
-                let (cost, accepted) = p.try_move(&mut s, &mv, |c| {
-                    asked.push(c.to_bits());
-                    answer
-                });
-                prop_assert_eq!(cost.to_bits(), p.cost(&applied).to_bits(), "{:?}", mv);
-                prop_assert_eq!(asked, vec![cost.to_bits()]);
-                prop_assert_eq!(accepted, answer);
-                prop_assert_eq!(&s, if answer { &applied } else { &before });
-                matches_a_rebuild(&nl, &s)?;
-            }
+        let p = LinearArrangementProblem::new(nl.clone());
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut s = p.random_state(&mut rng);
+        for &answer in &answers {
+            let mv = p.propose(&s, &mut rng);
+            let expected = rebuilt_after(&p, &s, mv);
+            let mut applied = s.clone();
+            p.apply(&mut applied, &mv);
+            prop_assert_eq!(&applied, &expected, "apply {:?}", mv);
+            let before = s.clone();
+            let mut asked = Vec::new();
+            let (cost, accepted) = p.try_move(&mut s, &mv, |c| {
+                asked.push(c.to_bits());
+                answer
+            });
+            prop_assert_eq!(cost.to_bits(), p.cost(&applied).to_bits(), "{:?}", mv);
+            prop_assert_eq!(asked, vec![cost.to_bits()]);
+            prop_assert_eq!(accepted, answer);
+            prop_assert_eq!(&s, if answer { &applied } else { &before });
+            matches_a_rebuild(&nl, &s)?;
         }
     }
 
     #[test]
     fn improving_move_matches_a_brute_force_scan((nl, seed) in arb_instance()) {
         let n = nl.n_elements();
-        for p in variants(&nl) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let s = p.random_state(&mut rng);
-            let here = p.cost(&s);
-            // Every neighbour in (p, q) order, each probed by apply/undo.
-            let candidates: Vec<ArrMove> = match p.neighborhood() {
-                Neighborhood::PairwiseInterchange => (0..n)
-                    .flat_map(|a| (a + 1..n).map(move |b| ArrMove::Swap(a, b)))
-                    .collect(),
-                Neighborhood::SingleExchange => (0..n)
-                    .flat_map(|from| {
-                        (0..n)
-                            .filter(move |&to| to != from)
-                            .map(move |to| ArrMove::Relocate { from, to })
-                    })
-                    .collect(),
-            };
-            let mut probe = s.clone();
-            let mut expected = (None, 0u64);
-            for &mv in &candidates {
+        let p = LinearArrangementProblem::new(nl);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let s = p.random_state(&mut rng);
+        let here = p.cost(&s);
+        // Every swap in (p, q) order, each probed by apply/undo.
+        let mut probe = s.clone();
+        let mut expected = (None, 0u64);
+        'scan: for a in 0..n {
+            for b in a + 1..n {
+                let mv = Swap(a, b);
                 expected.1 += 1;
                 p.apply(&mut probe, &mv);
                 let cost = p.cost(&probe);
                 p.undo(&mut probe, &mv);
                 if cost < here {
                     expected.0 = Some(mv);
-                    break;
+                    break 'scan;
                 }
             }
-            prop_assert_eq!(&probe, &s);
-            let mut probes = 0;
-            let found = p.improving_move(&s, &mut probes);
-            prop_assert_eq!((found, probes), expected, "{:?}", p.objective());
         }
+        prop_assert_eq!(&probe, &s);
+        let mut probes = 0;
+        let found = p.improving_move(&s, &mut probes);
+        prop_assert_eq!((found, probes), expected);
     }
 
     #[test]
     fn undo_inverts_apply((nl, seed) in arb_instance(), n_moves in 1usize..40) {
-        for neighborhood in [Neighborhood::PairwiseInterchange, Neighborhood::SingleExchange] {
-            let p = LinearArrangementProblem::new(nl.clone()).with_neighborhood(neighborhood);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut s = p.random_state(&mut rng);
-            let before = s.clone();
-            let mut applied = Vec::new();
-            for _ in 0..n_moves {
-                let mv = p.propose(&s, &mut rng);
-                p.apply(&mut s, &mv);
-                applied.push(mv);
-            }
-            for mv in applied.iter().rev() {
-                p.undo(&mut s, mv);
-            }
-            prop_assert_eq!(&s, &before);
+        let p = LinearArrangementProblem::new(nl);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut s = p.random_state(&mut rng);
+        let before = s.clone();
+        let mut applied = Vec::new();
+        for _ in 0..n_moves {
+            let mv = p.propose(&s, &mut rng);
+            p.apply(&mut s, &mv);
+            applied.push(mv);
         }
+        for mv in applied.iter().rev() {
+            p.undo(&mut s, mv);
+        }
+        prop_assert_eq!(&s, &before);
     }
 
     #[test]
     fn all_moves_lists_every_neighbour_once((nl, seed) in arb_instance()) {
         let n = nl.n_elements();
+        let size = n * (n - 1) / 2;
         // Swaps as unordered pairs: `propose` may draw `Swap(q, p)`.
-        let key = |mv: &ArrMove| match *mv {
-            ArrMove::Swap(p, q) => (p.min(q), p.max(q), false),
-            ArrMove::Relocate { from, to } => (from, to, true),
-        };
-        // The buffer holds a stale entry and then the previous
-        // neighbourhood's moves: each call must clear it.
-        let mut buf = vec![ArrMove::Swap(0, 0)];
-        for (neighborhood, size) in [
-            (Neighborhood::PairwiseInterchange, n * (n - 1) / 2),
-            (Neighborhood::SingleExchange, n * (n - 1)),
-        ] {
-            let p = LinearArrangementProblem::new(nl.clone()).with_neighborhood(neighborhood);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let s = p.random_state(&mut rng);
-            p.all_moves_into(&s, &mut buf);
-            let listed: HashSet<_> = buf.iter().map(key).collect();
-            prop_assert_eq!(buf.len(), size, "{:?}", neighborhood);
-            prop_assert_eq!(listed.len(), size, "{:?} lists a move twice", neighborhood);
-            prop_assert!(listed.iter().all(|&(a, b, _)| a != b && a.max(b) < n));
-            for _ in 0..50 {
-                let mv = p.propose(&s, &mut rng);
-                prop_assert!(listed.contains(&key(&mv)), "{:?} not listed", mv);
-            }
-            if let Some(mv) = p.improving_move(&s, &mut 0) {
-                prop_assert!(listed.contains(&key(&mv)), "{:?} not listed", mv);
-            }
+        let key = |&Swap(p, q): &Swap| (p.min(q), p.max(q));
+        let p = LinearArrangementProblem::new(nl);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let s = p.random_state(&mut rng);
+        // The buffer holds a stale entry: the call must clear it.
+        let mut buf = vec![Swap(0, 0)];
+        p.all_moves_into(&s, &mut buf);
+        let listed: HashSet<_> = buf.iter().map(key).collect();
+        prop_assert_eq!(buf.len(), size);
+        prop_assert_eq!(listed.len(), size, "a swap is listed twice");
+        prop_assert!(listed.iter().all(|&(a, b)| a < b && b < n));
+        for _ in 0..50 {
+            let mv = p.propose(&s, &mut rng);
+            prop_assert!(listed.contains(&key(&mv)), "{:?} not listed", mv);
+        }
+        if let Some(mv) = p.improving_move(&s, &mut 0) {
+            prop_assert!(listed.contains(&key(&mv)), "{:?} not listed", mv);
         }
     }
 
@@ -236,9 +184,6 @@ proptest! {
         if nl.n_nets() > 0 && n >= 2 {
             prop_assert!(s.density() >= 1, "any net crosses at least one gap");
         }
-        // Total span is at least one per net and at most (n-1) per net.
-        prop_assert!(s.total_span() >= nl.n_nets() as u64);
-        prop_assert!(s.total_span() <= (nl.n_nets() * (n - 1)) as u64);
     }
 
     #[test]

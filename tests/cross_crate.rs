@@ -2,7 +2,6 @@
 //! end-to-end through the public API of the root crate.
 
 use annealbench::core::{local, Annealer, Budget, GFunction, NoopObserver, Strategy};
-use annealbench::linarr::{Neighborhood, Objective};
 use annealbench::netlist::generator::{random_multi_pin, random_two_pin};
 use annealbench::partition::{kernighan_lin, PartitionState};
 use annealbench::tsp::TspInstance;
@@ -104,25 +103,33 @@ fn kl_and_multistart_agree_with_sa_on_easy_instance() {
 }
 
 #[test]
-fn alternative_objectives_and_neighborhoods_compose() {
+fn best_arrangements_match_a_rebuild_under_every_strategy() {
+    // The incremental profile a chain hands back as its best state is the
+    // one a from-scratch rebuild gives, and its density is the best cost.
     let mut rng = StdRng::seed_from_u64(8);
-    let nl = random_two_pin(15, 150, &mut rng);
-    for objective in [Objective::Density, Objective::TotalSpan] {
-        for neighborhood in [
-            Neighborhood::PairwiseInterchange,
-            Neighborhood::SingleExchange,
-        ] {
-            let p = LinearArrangementProblem::new(nl.clone())
-                .with_objective(objective)
-                .with_neighborhood(neighborhood);
-            let r = Annealer::new(&p)
+    let gola = LinearArrangementProblem::new(random_two_pin(15, 150, &mut rng));
+    let nola = LinearArrangementProblem::new(random_multi_pin(15, 150, 2, 5, &mut rng));
+    let strategies = [
+        Strategy::Figure1,
+        Strategy::Figure2,
+        Strategy::Rejectionless,
+        Strategy::ReplicaExchange {
+            exchange_interval: 32,
+        },
+    ];
+    for (p, name) in [(&gola, "GOLA"), (&nola, "NOLA")] {
+        for strategy in strategies {
+            let r = Annealer::new(p)
+                .strategy(strategy)
                 .budget(Budget::evaluations(4_000))
                 .seed(10)
-                .run(&mut GFunction::two_level(), &mut NoopObserver);
+                .run(&mut GFunction::six_temp_annealing(2.0), &mut NoopObserver);
             assert!(
-                r.best_cost <= r.initial_cost,
-                "{objective:?} × {neighborhood:?}"
+                r.best_state.verify(p.netlist()),
+                "{name} under {strategy:?}"
             );
+            assert_eq!(f64::from(r.best_state.density()), r.best_cost);
+            assert!(r.best_cost <= r.initial_cost, "{name} under {strategy:?}");
         }
     }
 }
