@@ -14,7 +14,7 @@
 //!   count at a fixed budget to see how the Goto-vs-Monte-Carlo crossover
 //!   moves.
 
-use anneal_core::{derive_seed, GFunction, Gate, Schedule, Strategy};
+use anneal_core::{derive_seed, Budget, GFunction, Gate, Schedule, Strategy};
 use anneal_linarr::LinearArrangementProblem;
 use anneal_netlist::generator::{random_multi_pin, random_two_pin};
 use rand::{rngs::StdRng, SeedableRng};
@@ -23,8 +23,9 @@ use crate::budgetmap::{NOLA_EVAL_COST, PAPER_SECONDS};
 use crate::config::SuiteConfig;
 use crate::instances::gola_paper_set;
 use crate::roster::MethodSpec;
-use crate::runner::ArrangementSet;
+use crate::runner::{ArrangementSet, CellPolicy};
 use crate::table::Table;
+use crate::telemetry::{CellKey, TelemetryLog};
 
 /// Gate periods swept by [`gate_period`].
 pub const GATE_PERIODS: [u32; 6] = [2, 4, 8, 18, 32, 64];
@@ -40,6 +41,36 @@ pub const NOLA_MAX_PINS: [usize; 5] = [2, 4, 6, 8, 10];
 
 /// Element counts swept by [`instance_size`] (nets scale as 10× elements).
 pub const INSTANCE_SIZES: [usize; 4] = [10, 15, 25, 40];
+
+/// One cell's total reduction: `spec` under `strategy` at `budget` on every
+/// instance of `set`, over the suite's threads. Nothing is logged, retried
+/// or watched, and the cell runs in this process.
+fn cell(
+    set: &ArrangementSet,
+    spec: &MethodSpec,
+    strategy: Strategy,
+    budget: Budget,
+    config: &SuiteConfig,
+) -> f64 {
+    let key = CellKey::new("ablation", spec.name(), budget.to_string());
+    let policy = CellPolicy::with_threads(config.threads);
+    let log = TelemetryLog::disabled();
+    set.run_cell(key, spec, strategy, budget, &policy, &log)
+        .reduction
+}
+
+/// A row of `spec` under `strategy` at each of the paper's budgets.
+fn paper_row(
+    set: &ArrangementSet,
+    spec: &MethodSpec,
+    strategy: Strategy,
+    config: &SuiteConfig,
+) -> Vec<f64> {
+    PAPER_SECONDS
+        .iter()
+        .map(|&s| cell(set, spec, strategy, config.scale.vax_seconds(s), config))
+        .collect()
+}
 
 /// Sweeps the `g = 1` gate period on the GOLA set under Figure 1.
 pub fn gate_period(config: &SuiteConfig) -> Table {
@@ -57,10 +88,7 @@ pub fn gate_period(config: &SuiteConfig) -> Table {
         let spec = MethodSpec::new("g = 1", move || {
             GFunction::unit().with_gate(Some(Gate::new(period)))
         });
-        let values = PAPER_SECONDS
-            .iter()
-            .map(|&s| set.run_method(&spec, Strategy::Figure1, config.scale.vax_seconds(s)))
-            .collect();
+        let values = paper_row(&set, &spec, Strategy::Figure1, config);
         table.push_row(format!("period {period}"), values);
     }
     table
@@ -85,21 +113,17 @@ pub fn schedule_length(config: &SuiteConfig) -> Table {
         let spec = MethodSpec::new("annealing", move || {
             GFunction::annealing(Schedule::geometric(y1, 0.9, k))
         });
-        let values = PAPER_SECONDS
-            .iter()
-            .map(|&s| set.run_method(&spec, Strategy::Figure1, config.scale.vax_seconds(s)))
-            .collect();
+        let values = paper_row(&set, &spec, Strategy::Figure1, config);
         table.push_row(format!("geometric k={k}"), values);
     }
     // [GOLD84]: k evenly spaced temperatures in (0, τ).
     let spec = MethodSpec::new("annealing", move || {
         GFunction::annealing(Schedule::uniform(y1, 25))
     });
-    let values = PAPER_SECONDS
-        .iter()
-        .map(|&s| set.run_method(&spec, Strategy::Figure1, config.scale.vax_seconds(s)))
-        .collect();
-    table.push_row("uniform k=25 [GOLD84]", values);
+    table.push_row(
+        "uniform k=25 [GOLD84]",
+        paper_row(&set, &spec, Strategy::Figure1, config),
+    );
     table
 }
 
@@ -142,11 +166,7 @@ pub fn rejectionless(config: &SuiteConfig) -> Table {
         ),
     ];
     for (label, strategy, spec) in methods {
-        let values = PAPER_SECONDS
-            .iter()
-            .map(|&s| set.run_method(&spec, strategy, config.scale.vax_seconds(s)))
-            .collect();
-        table.push_row(label, values);
+        table.push_row(label, paper_row(&set, &spec, strategy, config));
     }
     table
 }
@@ -168,10 +188,7 @@ pub fn equilibrium_limit(config: &SuiteConfig) -> Table {
         let mut set = ArrangementSet::with_random_starts(problems.clone(), config.seed);
         set.equilibrium = n;
         let spec = MethodSpec::new("annealing", move || GFunction::six_temp_annealing(y1));
-        let values = PAPER_SECONDS
-            .iter()
-            .map(|&s| set.run_method(&spec, Strategy::Figure1, config.scale.vax_seconds(s)))
-            .collect();
+        let values = paper_row(&set, &spec, Strategy::Figure1, config);
         table.push_row(format!("n = {n}"), values);
     }
     table
@@ -215,8 +232,8 @@ pub fn nola_net_size(config: &SuiteConfig) -> Table {
             vec![
                 set.start_density_sum(),
                 set.goto_reduction(),
-                set.run_method(&sta, Strategy::Figure1, budget),
-                set.run_method(&unit, Strategy::Figure1, budget),
+                cell(&set, &sta, Strategy::Figure1, budget, config),
+                cell(&set, &unit, Strategy::Figure1, budget, config),
             ],
         );
     }
@@ -257,8 +274,8 @@ pub fn instance_size(config: &SuiteConfig) -> Table {
             vec![
                 set.start_density_sum(),
                 set.goto_reduction(),
-                set.run_method(&sta, Strategy::Figure1, budget),
-                set.run_method(&unit, Strategy::Figure1, budget),
+                cell(&set, &sta, Strategy::Figure1, budget, config),
+                cell(&set, &unit, Strategy::Figure1, budget, config),
             ],
         );
     }
@@ -294,7 +311,7 @@ mod tests {
     }
 
     #[test]
-    fn rejectionless_sweep_shape() {
+    fn rejectionless_sweep_shape_is_the_same_on_two_threads() {
         let t = rejectionless(&SuiteConfig::scaled(2));
         assert_eq!(t.rows.len(), 4);
         for (label, values) in &t.rows {
@@ -302,6 +319,17 @@ mod tests {
                 assert!(*v >= 0.0, "{label}");
             }
         }
+        let on_two = rejectionless(&SuiteConfig::scaled(2).with_threads(2));
+        assert_eq!(bits(&on_two), bits(&t));
+    }
+
+    /// Every label and value of `t`, the values as bits.
+    fn bits(t: &Table) -> Vec<(String, Vec<u64>)> {
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect();
+        t.rows
+            .iter()
+            .map(|(label, values)| (label.clone(), bits(values)))
+            .collect()
     }
 
     #[test]

@@ -412,10 +412,7 @@ fn run_worker(parsed: &cli::Cli, faults: Option<FaultPlan>) -> Result<ExitCode, 
             .with_trace(trace);
 
         // A key its table does not list runs nothing and records nothing.
-        let record = tables
-            .run_cell(&key, &log)
-            .and_then(|_| log.records().pop());
-        let Some(record) = record else {
+        let Some(record) = tables.run_cell(&key, &log) else {
             return Ok(ExitCode::from(exit_codes::WORKER_NO_RECORD));
         };
         // With `--faults io=…` the record write can fail like a WAL append.

@@ -5,14 +5,18 @@
 //! method's temperature control actually advanced — for the full Table-4.1
 //! roster on the GOLA set at the 12-second budget.
 
-use anneal_core::{derive_seed, Annealer, NoopObserver};
+use anneal_core::Strategy;
 
 use crate::budgetmap::PAPER_SECONDS;
 use crate::config::SuiteConfig;
 use crate::instances::gola_paper_set;
-use crate::roster::{full_roster, MethodCtx};
-use crate::runner::ArrangementSet;
+use crate::roster::full_roster;
+use crate::runner::{ArrangementSet, CellPolicy};
 use crate::table::Table;
+use crate::telemetry::{CellKey, TelemetryLog};
+
+/// Salt of the diagnostics chains' seed stream, apart from the tables'.
+const DIAGNOSTICS_SALT: u64 = 0x444941;
 
 /// Regenerates the diagnostics table. Columns:
 ///
@@ -21,10 +25,13 @@ use crate::table::Table;
 ///   thousand proposals;
 /// * `eq adv` — equilibrium-triggered temperature advances (total over 30
 ///   instances);
-/// * `reduction` — the Table-4.1 12-second cell, for cross-reference.
+/// * `reduction` — the total reduction of the same 30 starts. The chains
+///   draw from their own seed stream, so this is a second sample of
+///   Table 4.1's 12-second column, not a copy of it.
 pub fn run(config: &SuiteConfig) -> Table {
     let problems = gola_paper_set(config.seed);
-    let set = ArrangementSet::with_random_starts(problems, config.seed);
+    let mut set = ArrangementSet::with_random_starts(problems, config.seed);
+    set.salt = DIAGNOSTICS_SALT;
     let budget = config.scale.vax_seconds(PAPER_SECONDS[2]);
 
     let mut table = Table::new(
@@ -38,35 +45,24 @@ pub fn run(config: &SuiteConfig) -> Table {
         ],
     );
 
+    let policy = CellPolicy::with_threads(config.threads);
+    let log = TelemetryLog::disabled();
     for spec in full_roster(config.tuned) {
-        let mut proposals = 0u64;
-        let mut accepted = 0u64;
-        let mut uphill = 0u64;
-        let mut eq_adv = 0u64;
-        let mut reduction = 0.0;
-        for (idx, (problem, start)) in set.problems().iter().zip(set.starts()).enumerate() {
-            let ctx = MethodCtx {
-                n_nets: problem.netlist().n_nets(),
-            };
-            let r = Annealer::new(problem)
-                .budget(budget)
-                .seed(derive_seed(config.seed ^ 0x444941, idx as u64))
-                .start_from(start.clone())
-                .run(&mut spec.g(&ctx), &mut NoopObserver);
-            proposals += r.stats.proposals;
-            accepted += r.stats.accepted_downhill + r.stats.accepted_uphill;
-            uphill += r.stats.accepted_uphill;
-            eq_adv += r.stats.equilibrium_advances;
-            reduction += r.reduction();
-        }
+        let key = CellKey::new("diagnostics", spec.name(), budget.to_string());
+        let r = set.run_cell(key, &spec, Strategy::Figure1, budget, &policy, &log);
+        let proposals: u64 = r.per_temp.iter().map(|t| t.proposals).sum();
         let p = proposals.max(1) as f64;
+        // Every stage that ended at equilibrium advanced the temperature,
+        // except a run's last stage, which ended the run.
+        let ended: u64 = r.per_temp.iter().map(|t| t.ended_equilibrium).sum();
+        let advances = ended - r.stops_equilibrium as u64;
         table.push_row(
             spec.name(),
             vec![
-                100.0 * accepted as f64 / p,
-                1000.0 * uphill as f64 / p,
-                eq_adv as f64,
-                reduction,
+                100.0 * (r.accepted_downhill + r.accepted_uphill) as f64 / p,
+                1000.0 * r.accepted_uphill as f64 / p,
+                advances as f64,
+                r.reduction,
             ],
         );
     }
@@ -81,6 +77,14 @@ mod tests {
     fn diagnostics_are_coherent() {
         let t = run(&SuiteConfig::scaled(4));
         assert_eq!(t.rows.len(), 21);
+        // The threads a run fans out over change no bit of any column.
+        let on_two = run(&SuiteConfig::scaled(4).with_threads(2));
+        assert_eq!(on_two.rows.len(), 21);
+        for ((label, a), (other, b)) in t.rows.iter().zip(&on_two.rows) {
+            assert_eq!(label, other);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(a), bits(b), "{label}");
+        }
         for (label, v) in &t.rows {
             let (accept_pct, uphill_per_k) = (v[0], v[1]);
             assert!((0.0..=100.0).contains(&accept_pct), "{label}: {accept_pct}");

@@ -173,26 +173,6 @@ pub fn reduced_roster(t: TunedY) -> Vec<MethodSpec> {
     roster
 }
 
-/// The subset of [`full_roster`] with a multi-rung temperature ladder —
-/// the methods replica exchange (`--strategy replica-exchange`) can temper
-/// over. A single-rung method has no swap partner; it still *runs* under
-/// the strategy (degenerating to a plain Metropolis chain), but these are
-/// the rows where tempering does anything, so the replica-exchange smoke
-/// cells and bench kernels draw from here.
-pub fn replica_exchange_roster(t: TunedY) -> Vec<MethodSpec> {
-    const LADDERED: [&str; 5] = [
-        "Six Temperature Annealing",
-        "6 Linear",
-        "6 Quadratic",
-        "6 Cubic",
-        "6 Exponential",
-    ];
-    full_roster(t)
-        .into_iter()
-        .filter(|spec| LADDERED.contains(&spec.name()))
-        .collect()
-}
-
 fn diff_classes(t: TunedY) -> Vec<MethodSpec> {
     vec![
         MethodSpec::new("Linear Diff", move || {
@@ -240,21 +220,6 @@ mod tests {
         uniq.sort_unstable();
         uniq.dedup();
         assert_eq!(uniq.len(), names.len());
-    }
-
-    #[test]
-    fn replica_exchange_roster_is_entirely_multi_rung() {
-        let r = replica_exchange_roster(TunedY::default());
-        assert_eq!(r.len(), 5);
-        let ctx = MethodCtx { n_nets: 150 };
-        for spec in &r {
-            let g = spec.g(&ctx);
-            assert!(
-                g.temperatures() > 1,
-                "{}: needs at least two rungs to swap",
-                spec.name()
-            );
-        }
     }
 
     #[test]

@@ -526,8 +526,9 @@ impl Supervisor {
     }
 
     /// Runs one table cell in a worker process, recording the outcome
-    /// into `log` exactly as the in-process runner would. Returns the
-    /// cell's total reduction (0.0 for a failed or skipped cell).
+    /// into `log` exactly as the in-process runner would, and returns the
+    /// record. A cell that a drain skips records nothing and returns an
+    /// empty record.
     pub fn run_cell(
         &self,
         key: &CellKey,
@@ -536,10 +537,10 @@ impl Supervisor {
         policy: &CellPolicy,
         n_instances: usize,
         log: &TelemetryLog,
-    ) -> f64 {
+    ) -> CellRecord {
+        let empty = || CellRecord::empty(key.clone(), strategy_name.to_string(), budget, self.seed);
         if self.lock().live.breakers.contains(&key.table) {
-            let mut record =
-                CellRecord::empty(key.clone(), strategy_name.to_string(), budget, self.seed);
+            let mut record = empty();
             record.instances = n_instances;
             record.failures.push(CellFailure {
                 instance: 0,
@@ -550,8 +551,8 @@ impl Supervisor {
                     key.table, self.breaker_threshold
                 ),
             });
-            log.record(record);
-            return 0.0;
+            log.record(record.clone());
+            return record;
         }
 
         let attempts = policy.retry.attempts.max(1);
@@ -579,9 +580,8 @@ impl Supervisor {
             ) {
                 Ok(record) => {
                     self.lock().consecutive.remove(&key.table);
-                    let total = record.reduction;
-                    log.record(record);
-                    return total;
+                    log.record(record.clone());
+                    return record;
                 }
                 Err(e) => last_err = e,
             }
@@ -589,7 +589,7 @@ impl Supervisor {
                 // A drain mid-retry: leave the cell unrecorded (it will
                 // simply re-run on --resume) instead of burning the
                 // remaining attempts against the shutdown.
-                return 0.0;
+                return empty();
             }
         }
 
@@ -604,8 +604,7 @@ impl Supervisor {
                 ),
             ));
         }
-        let mut record =
-            CellRecord::empty(key.clone(), strategy_name.to_string(), budget, self.seed);
+        let mut record = empty();
         record.instances = n_instances;
         record.attempts = attempts;
         record.failures.push(CellFailure {
@@ -613,8 +612,8 @@ impl Supervisor {
             seed: self.seed,
             message: format!("process worker failed after {attempts} attempts: {last_err}"),
         });
-        log.record(record);
-        0.0
+        log.record(record.clone());
+        record
     }
 
     /// Sends `key` to the worker (spawning one if none is alive),
@@ -911,7 +910,7 @@ mod tests {
         assert_eq!(trips, [false, false, true]);
         let log = TelemetryLog::in_memory();
         let key = CellKey::new("table4.1", "g = 1", "6 sec");
-        let total = sup.run_cell(
+        let returned = sup.run_cell(
             &key,
             "Figure1",
             Budget::evaluations(100),
@@ -919,8 +918,9 @@ mod tests {
             4,
             &log,
         );
-        assert_eq!(total, 0.0);
+        assert_eq!(returned.reduction, 0.0);
         let record = log.records().remove(0);
+        assert_eq!(returned, record);
         assert!(!record.ok());
         assert!(
             record.failures[0].message.contains("circuit breaker open"),

@@ -15,7 +15,7 @@ use crate::instances::{gola_paper_set, nola_paper_set};
 use crate::roster::{full_roster, reduced_roster, MethodSpec};
 use crate::runner::ArrangementSet;
 use crate::table::Table;
-use crate::telemetry::{CellKey, TelemetryLog};
+use crate::telemetry::{CellKey, CellRecord, TelemetryLog};
 
 pub mod adaptive;
 pub mod table4_1;
@@ -182,9 +182,9 @@ impl TableCache {
 
     /// Runs the one cell `key` names: finds its row and column in its
     /// table's definition, builds that table's instance set unless it is
-    /// the one held, and records the cell into `log`. Returns its total
-    /// reduction, or `None` (nothing run) when no table lists `key`.
-    pub fn run_cell(&mut self, key: &CellKey, log: &TelemetryLog) -> Option<f64> {
+    /// the one held, and records the cell into `log`. Returns its record,
+    /// or `None` (nothing run) when no table lists `key`.
+    pub fn run_cell(&mut self, key: &CellKey, log: &TelemetryLog) -> Option<CellRecord> {
         if self
             .table
             .as_ref()
@@ -222,6 +222,7 @@ fn run_table(name: &str, config: &SuiteConfig, log: &TelemetryLog) -> Table {
         let values = spec.columns.iter().map(|(column, strategy, budget)| {
             let key = CellKey::new(name, *row, column.as_str());
             set.run_cell(key, method, *strategy, *budget, &policy, log)
+                .reduction
         });
         table.push_row(*row, values.collect());
     }
@@ -302,7 +303,7 @@ mod tests {
     }
 
     /// `log`'s records with their wall-clock fields zeroed.
-    fn records_without_wall(log: &TelemetryLog) -> Vec<crate::CellRecord> {
+    fn records_without_wall(log: &TelemetryLog) -> Vec<CellRecord> {
         let mut records = log.records();
         for record in &mut records {
             record.wall_ms = 0.0;
