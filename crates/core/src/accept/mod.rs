@@ -350,17 +350,29 @@ impl GFunction {
     /// counter untouched. This matters for objectives like the arrangement
     /// density, where most perturbations do not change the maximum.
     pub fn decide_figure1(&mut self, t: usize, h_i: f64, h_j: f64, rng: &mut dyn Rng) -> bool {
+        self.decide::<true>(t, h_i, h_j, rng)
+    }
+
+    /// Figure-2 uphill decision: plain `r < g_t(h(i), h(j))`; the gate is
+    /// never consulted ("no special considerations are needed", §3).
+    pub fn decide_figure2(&mut self, t: usize, h_i: f64, h_j: f64, rng: &mut dyn Rng) -> bool {
+        self.decide::<false>(t, h_i, h_j, rng)
+    }
+
+    /// The decision of both strategies, compiled once for each: `GATED`
+    /// routes a certain uphill acceptance through the gate (Figure 1).
+    #[inline]
+    fn decide<const GATED: bool>(
+        &mut self,
+        t: usize,
+        h_i: f64,
+        h_j: f64,
+        rng: &mut dyn Rng,
+    ) -> bool {
         // Every fast-path branch reproduces the general path bit for bit:
         // the same decision from the same number of random draws.
         let p = match self.fast[t] {
-            FastDecision::AlwaysOne => {
-                if h_j > h_i {
-                    if let Some(g) = &mut self.gate {
-                        return g.on_uphill();
-                    }
-                }
-                return true;
-            }
+            FastDecision::AlwaysOne => 1.0,
             FastDecision::Coin(p) => {
                 if h_j < h_i {
                     return true;
@@ -374,63 +386,18 @@ impl GFunction {
                 if dh < 0.0 || (dh == 0.0 && y != 0.0) {
                     return true;
                 }
-                let p = (-dh / y).exp();
-                if p >= 1.0 {
-                    if h_j > h_i {
-                        if let Some(g) = &mut self.gate {
-                            return g.on_uphill();
-                        }
-                    }
-                    return true;
-                }
-                p
+                (-dh / y).exp()
             }
-            FastDecision::General => {
-                let p = self.probability(t, h_i, h_j);
-                if p >= 1.0 {
-                    if h_j > h_i {
-                        if let Some(g) = &mut self.gate {
-                            return g.on_uphill();
-                        }
-                    }
-                    return true;
-                }
-                p
-            }
+            FastDecision::General => self.probability(t, h_i, h_j),
         };
-        rng.random_range(0.0..1.0) < p
-    }
-
-    /// Figure-2 uphill decision: plain `r < g_t(h(i), h(j))`; the gate is
-    /// never consulted ("no special considerations are needed", §3).
-    pub fn decide_figure2(&mut self, t: usize, h_i: f64, h_j: f64, rng: &mut dyn Rng) -> bool {
-        let p = match self.fast[t] {
-            FastDecision::AlwaysOne => return true,
-            FastDecision::Coin(p) => {
-                if h_j < h_i {
-                    return true;
+        if p >= 1.0 {
+            if GATED && h_j > h_i {
+                if let Some(g) = &mut self.gate {
+                    return g.on_uphill();
                 }
-                p
             }
-            FastDecision::Boltzmann(y) => {
-                let dh = h_j - h_i;
-                if dh < 0.0 || (dh == 0.0 && y != 0.0) {
-                    return true;
-                }
-                let p = (-dh / y).exp();
-                if p >= 1.0 {
-                    return true;
-                }
-                p
-            }
-            FastDecision::General => {
-                let p = self.probability(t, h_i, h_j);
-                if p >= 1.0 {
-                    return true;
-                }
-                p
-            }
-        };
+            return true;
+        }
         rng.random_range(0.0..1.0) < p
     }
 }

@@ -105,7 +105,6 @@ pub struct Annealer<'a, P: Problem> {
     pub(crate) budget: Budget,
     pub(crate) seed: u64,
     pub(crate) start: Option<P::State>,
-    pub(crate) trajectory_every: u64,
     pub(crate) controller: Option<AcceptanceController>,
     pub(crate) replicas: Option<usize>,
 }
@@ -121,7 +120,6 @@ impl<'a, P: Problem> Annealer<'a, P> {
             budget: Budget::evaluations(10_000),
             seed: 0,
             start: None,
-            trajectory_every: 0,
             controller: None,
             replicas: None,
         }
@@ -158,12 +156,6 @@ impl<'a, P: Problem> Annealer<'a, P> {
     /// arrangement, as in Table 4.2(a)).
     pub fn start_from(&mut self, state: P::State) -> &mut Self {
         self.start = Some(state);
-        self
-    }
-
-    /// Enables best-cost trajectory sampling every `every` evaluations.
-    pub fn trajectory(&mut self, every: u64) -> &mut Self {
-        self.trajectory_every = every;
         self
     }
 
@@ -378,6 +370,13 @@ mod tests {
                 Some(traced.best_cost),
                 "{what}: last best event is the final best"
             );
+            // Figure 2's first descent reaches the optimum: one best event.
+            let improvements = if strategy == Strategy::Figure2 { 1 } else { 2 };
+            assert!(t.bests.len() >= improvements, "{what}: improvements");
+            for w in t.bests.windows(2) {
+                assert!(w[0].0 < w[1].0, "{what}: eval counts increase");
+                assert!(w[0].1 >= w[1].1, "{what}: best cost never worsens");
+            }
             if let Some(reasons) = expected_reasons {
                 assert_eq!(t.stage_reasons(), reasons, "{what}");
                 assert_eq!(stop.reason, StopReason::Budget, "{what}");

@@ -178,9 +178,6 @@ pub struct RunStats {
     pub budget_advances: u64,
     /// Local-optimum descents completed (Figure-2 strategy only).
     pub descents: u64,
-    /// Best-cost trajectory samples `(evals, best_cost)`, if sampling was
-    /// enabled on the strategy.
-    pub trajectory: Vec<(u64, f64)>,
     /// Per-temperature breakdown of the counters above, one entry per
     /// temperature stage actually entered (at most the schedule length `k`).
     pub per_temp: Vec<TempStats>,

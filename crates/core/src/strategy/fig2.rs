@@ -51,7 +51,7 @@ pub(crate) fn run<P: Problem, O: ChainObserver>(
     let mut state = start;
     let mut cost = problem.cost(&state);
     let initial_cost = cost;
-    let mut run = Run::<P>::new(a.budget, k, a.trajectory_every, &state, cost, O::ENABLED);
+    let mut run = Run::<P>::new(a.budget, k, &state, cost, O::ENABLED);
     run.enter_stage(g, controller);
     if O::ENABLED {
         obs.on_run_start(initial_cost, k);
@@ -76,7 +76,7 @@ pub(crate) fn run<P: Problem, O: ChainObserver>(
                     run.charge(1);
                     run.stats.accepted_downhill += 1;
                     if O::ENABLED {
-                        obs.on_energy(run.total_evals, cost);
+                        obs.on_energy(run.stats.evals, cost);
                     }
                 }
                 None => break,
@@ -120,13 +120,13 @@ pub(crate) fn run<P: Problem, O: ChainObserver>(
                 }
                 cost = new_cost;
                 if O::ENABLED {
-                    obs.on_energy(run.total_evals, cost);
+                    obs.on_energy(run.stats.evals, cost);
                 }
                 continue 'run; // back to Step 2
             }
             run.stats.rejected_uphill += 1;
             if O::ENABLED {
-                obs.on_energy(run.total_evals, cost);
+                obs.on_energy(run.stats.evals, cost);
             }
         }
     };

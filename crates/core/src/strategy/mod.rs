@@ -39,7 +39,7 @@ use crate::trace::ChainObserver;
 pub const DEFAULT_EQUILIBRIUM: u64 = 250;
 
 /// Shared bookkeeping for a strategy run: per-temperature metering, best-state
-/// tracking, statistics and optional trajectory sampling.
+/// tracking and statistics.
 pub(crate) struct Run<P: Problem> {
     pub stats: RunStats,
     pub meter: Meter,
@@ -47,9 +47,6 @@ pub(crate) struct Run<P: Problem> {
     pub temp: usize,
     k: usize,
     pub counter: u64,
-    pub total_evals: u64,
-    trajectory_every: u64,
-    last_sample: u64,
     pub best_state: P::State,
     pub best_cost: f64,
     /// Cumulative-counter snapshot at the start of the current temperature
@@ -80,14 +77,7 @@ struct StageMark {
 impl<P: Problem> Run<P> {
     /// `traced` is the caller's `O::ENABLED`: it decides whether stage wall
     /// times are measured at all.
-    pub fn new(
-        budget: Budget,
-        k: usize,
-        trajectory_every: u64,
-        start: &P::State,
-        cost: f64,
-        traced: bool,
-    ) -> Self {
+    pub fn new(budget: Budget, k: usize, start: &P::State, cost: f64, traced: bool) -> Self {
         let per_temp = budget.split(k);
         Run {
             stats: RunStats::default(),
@@ -96,9 +86,6 @@ impl<P: Problem> Run<P> {
             temp: 0,
             k,
             counter: 0,
-            total_evals: 0,
-            trajectory_every,
-            last_sample: 0,
             best_state: start.clone(),
             best_cost: cost,
             stage_mark: StageMark::default(),
@@ -127,18 +114,10 @@ impl<P: Problem> Run<P> {
         self.stage_temperature = g.schedule().value(self.temp);
     }
 
-    /// Charges `n` evaluations and samples the trajectory if due.
+    /// Charges `n` evaluations.
     pub fn charge(&mut self, n: u64) {
         self.meter.charge(n);
-        self.total_evals += n;
         self.stats.evals += n;
-        if self.trajectory_every > 0 && self.total_evals - self.last_sample >= self.trajectory_every
-        {
-            self.last_sample = self.total_evals;
-            self.stats
-                .trajectory
-                .push((self.total_evals, self.best_cost));
-        }
     }
 
     /// Records a new best state if `cost` improves on the incumbent.
@@ -147,7 +126,7 @@ impl<P: Problem> Run<P> {
             self.best_cost = cost;
             self.best_state.clone_from(state);
             if O::ENABLED {
-                obs.on_best(self.total_evals, cost);
+                obs.on_best(self.stats.evals, cost);
             }
         }
     }
@@ -225,7 +204,7 @@ impl<P: Problem> Run<P> {
         };
         self.close_stage(ended_by, obs);
         if O::ENABLED {
-            obs.on_stop(stop, self.total_evals, final_cost, self.best_cost);
+            obs.on_stop(stop, self.stats.evals, final_cost, self.best_cost);
         }
         RunResult {
             best_state: self.best_state,

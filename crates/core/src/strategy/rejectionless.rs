@@ -46,7 +46,7 @@ pub(crate) fn run<P: Problem, O: ChainObserver>(
     let mut state = start;
     let mut cost = problem.cost(&state);
     let initial_cost = cost;
-    let mut run = Run::<P>::new(a.budget, k, a.trajectory_every, &state, cost, O::ENABLED);
+    let mut run = Run::<P>::new(a.budget, k, &state, cost, O::ENABLED);
     run.stage_temperature = g.schedule().value(0);
     if O::ENABLED {
         obs.on_run_start(initial_cost, k);
@@ -114,7 +114,7 @@ pub(crate) fn run<P: Problem, O: ChainObserver>(
         }
         cost = new_cost;
         if O::ENABLED {
-            obs.on_energy(run.total_evals, cost);
+            obs.on_energy(run.stats.evals, cost);
         }
         run.observe(&state, cost, obs);
     };

@@ -145,7 +145,6 @@ pub(crate) fn run<P: Problem, O: ChainObserver>(
 
     let mut meter = Meter::new(a.budget);
     let mut total_evals = 0u64;
-    let mut last_sample = 0u64;
     let mut best_state = start;
     let mut best_cost = initial_cost;
     let mut stats = RunStats::default();
@@ -196,10 +195,6 @@ pub(crate) fn run<P: Problem, O: ChainObserver>(
                     if O::ENABLED {
                         obs.on_best(total_evals, best_cost);
                     }
-                }
-                if a.trajectory_every > 0 && total_evals - last_sample >= a.trajectory_every {
-                    last_sample = total_evals;
-                    stats.trajectory.push((total_evals, best_cost));
                 }
             }
             if O::ENABLED {
@@ -369,18 +364,6 @@ mod tests {
         assert_eq!(r.stats.per_temp.len(), 1);
         assert_eq!(r.stats.per_temp[0].swap_attempts, 0);
         assert_eq!(r.best_cost, 0.0);
-    }
-
-    #[test]
-    fn trajectory_sampling_records_monotone_best() {
-        let r = ladder(16, 10_000, 17)
-            .trajectory(500)
-            .run(&mut GFunction::six_temp_annealing(2.0), &mut NoopObserver);
-        assert!(!r.stats.trajectory.is_empty());
-        for w in r.stats.trajectory.windows(2) {
-            assert!(w[0].0 < w[1].0, "eval counts increase");
-            assert!(w[0].1 >= w[1].1, "best cost never worsens");
-        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use rand::{rngs::StdRng, SeedableRng};
 use crate::budgetmap::{NOLA_EVAL_COST, PAPER_SECONDS};
 use crate::config::SuiteConfig;
 use crate::instances::gola_paper_set;
-use crate::roster::MethodSpec;
+use crate::roster::{MethodSpec, G_CLASSES};
 use crate::runner::{ArrangementSet, CellPolicy};
 use crate::table::Table;
 use crate::telemetry::{CellKey, TelemetryLog};
@@ -41,6 +41,11 @@ pub const NOLA_MAX_PINS: [usize; 5] = [2, 4, 6, 8, 10];
 
 /// Element counts swept by [`instance_size`] (nets scale as 10× elements).
 pub const INSTANCE_SIZES: [usize; 4] = [10, 15, 25, 40];
+
+/// Tuned `Y₁` of Metropolis and of six-temperature annealing, classes 1
+/// and 2 of the paper (the first two rows of [`G_CLASSES`]).
+const Y_METROPOLIS: f64 = G_CLASSES[0].tuned;
+const Y_SIX: f64 = G_CLASSES[1].tuned;
 
 /// One cell's total reduction: `spec` under `strategy` at `budget` on every
 /// instance of `set`, over the suite's threads. Nothing is logged, retried
@@ -99,7 +104,6 @@ pub fn gate_period(config: &SuiteConfig) -> Table {
 /// uniform shape at `k = 25`.
 pub fn schedule_length(config: &SuiteConfig) -> Table {
     let set = ArrangementSet::with_random_starts(gola_paper_set(config.seed), config.seed);
-    let y1 = config.tuned.annealing6;
     let columns = PAPER_SECONDS
         .iter()
         .map(|s| format!("{s:.0} sec"))
@@ -111,14 +115,14 @@ pub fn schedule_length(config: &SuiteConfig) -> Table {
     );
     for k in SCHEDULE_LENGTHS {
         let spec = MethodSpec::new("annealing", move || {
-            GFunction::annealing(Schedule::geometric(y1, 0.9, k))
+            GFunction::annealing(Schedule::geometric(Y_SIX, 0.9, k))
         });
         let values = paper_row(&set, &spec, Strategy::Figure1, config);
         table.push_row(format!("geometric k={k}"), values);
     }
     // [GOLD84]: k evenly spaced temperatures in (0, τ).
     let spec = MethodSpec::new("annealing", move || {
-        GFunction::annealing(Schedule::uniform(y1, 25))
+        GFunction::annealing(Schedule::uniform(Y_SIX, 25))
     });
     table.push_row(
         "uniform k=25 [GOLD84]",
@@ -141,28 +145,26 @@ pub fn rejectionless(config: &SuiteConfig) -> Table {
         "strategy / g",
         columns,
     );
-    let y_metro = config.tuned.metropolis;
-    let y_six = config.tuned.annealing6;
     let methods: Vec<(&str, Strategy, MethodSpec)> = vec![
         (
             "Figure 1 / Metropolis",
             Strategy::Figure1,
-            MethodSpec::new("Metropolis", move || GFunction::metropolis(y_metro)),
+            MethodSpec::new("Metropolis", move || GFunction::metropolis(Y_METROPOLIS)),
         ),
         (
             "Rejectionless / Metropolis",
             Strategy::Rejectionless,
-            MethodSpec::new("Metropolis", move || GFunction::metropolis(y_metro)),
+            MethodSpec::new("Metropolis", move || GFunction::metropolis(Y_METROPOLIS)),
         ),
         (
             "Figure 1 / Six Temp Annealing",
             Strategy::Figure1,
-            MethodSpec::new("STA", move || GFunction::six_temp_annealing(y_six)),
+            MethodSpec::new("STA", move || GFunction::six_temp_annealing(Y_SIX)),
         ),
         (
             "Rejectionless / Six Temp Annealing",
             Strategy::Rejectionless,
-            MethodSpec::new("STA", move || GFunction::six_temp_annealing(y_six)),
+            MethodSpec::new("STA", move || GFunction::six_temp_annealing(Y_SIX)),
         ),
     ];
     for (label, strategy, spec) in methods {
@@ -183,11 +185,10 @@ pub fn equilibrium_limit(config: &SuiteConfig) -> Table {
         "n",
         columns,
     );
-    let y1 = config.tuned.annealing6;
     for n in EQUILIBRIUM_LIMITS {
         let mut set = ArrangementSet::with_random_starts(problems.clone(), config.seed);
         set.equilibrium = n;
-        let spec = MethodSpec::new("annealing", move || GFunction::six_temp_annealing(y1));
+        let spec = MethodSpec::new("annealing", move || GFunction::six_temp_annealing(Y_SIX));
         let values = paper_row(&set, &spec, Strategy::Figure1, config);
         table.push_row(format!("n = {n}"), values);
     }
@@ -213,7 +214,6 @@ pub fn nola_net_size(config: &SuiteConfig) -> Table {
         .scale
         .vax_seconds(PAPER_SECONDS[2])
         .scale_div(NOLA_EVAL_COST);
-    let y_six = config.tuned.annealing6;
     for max_pins in NOLA_MAX_PINS {
         let problems: Vec<LinearArrangementProblem> = (0..30)
             .map(|i| {
@@ -225,7 +225,7 @@ pub fn nola_net_size(config: &SuiteConfig) -> Table {
             })
             .collect();
         let set = ArrangementSet::with_random_starts(problems, config.seed);
-        let sta = MethodSpec::new("STA", move || GFunction::six_temp_annealing(y_six));
+        let sta = MethodSpec::new("STA", move || GFunction::six_temp_annealing(Y_SIX));
         let unit = MethodSpec::new("g = 1", GFunction::unit);
         table.push_row(
             format!("2..={max_pins}"),
@@ -257,7 +257,6 @@ pub fn instance_size(config: &SuiteConfig) -> Table {
         ],
     );
     let budget = config.scale.vax_seconds(PAPER_SECONDS[2]);
-    let y_six = config.tuned.annealing6;
     for n in INSTANCE_SIZES {
         let problems: Vec<LinearArrangementProblem> = (0..30)
             .map(|i| {
@@ -267,7 +266,7 @@ pub fn instance_size(config: &SuiteConfig) -> Table {
             })
             .collect();
         let set = ArrangementSet::with_random_starts(problems, config.seed);
-        let sta = MethodSpec::new("STA", move || GFunction::six_temp_annealing(y_six));
+        let sta = MethodSpec::new("STA", move || GFunction::six_temp_annealing(Y_SIX));
         let unit = MethodSpec::new("g = 1", GFunction::unit);
         table.push_row(
             format!("{n}"),

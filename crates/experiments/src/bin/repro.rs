@@ -439,7 +439,7 @@ fn dispatch(exp: &str, config: &SuiteConfig, log: &TelemetryLog) -> Result<Vec<T
     Ok(match exp {
         "tuning" => {
             let out = tuning::run(config);
-            eprintln!("tuned: {:?}", out.tuned);
+            eprintln!("tuned: {}", out.tuned);
             for class in &out.boundary {
                 eprintln!(
                     "warning: {class}: winner sits on the edge of the \

@@ -6,7 +6,6 @@ use anneal_core::{AdaptiveMode, Strategy};
 
 use crate::budgetmap::Scale;
 use crate::instances::DEFAULT_SEED;
-use crate::roster::TunedY;
 use crate::runner::{CellPolicy, RetryPolicy};
 
 /// Configuration shared by every table runner.
@@ -17,8 +16,6 @@ pub struct SuiteConfig {
     pub seed: u64,
     /// Budget scale (divide paper budgets for faster approximate runs).
     pub scale: Scale,
-    /// Tuned temperatures for the g classes.
-    pub tuned: TunedY,
     /// OS threads per table cell (instances fan out; totals are identical
     /// for any thread count).
     pub threads: usize,
@@ -46,7 +43,6 @@ impl SuiteConfig {
         SuiteConfig {
             seed: DEFAULT_SEED,
             scale: Scale::FULL,
-            tuned: TunedY::gola_defaults(),
             threads: 1,
             retry: RetryPolicy::none(),
             watchdog: None,

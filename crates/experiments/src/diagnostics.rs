@@ -10,7 +10,7 @@ use anneal_core::Strategy;
 use crate::budgetmap::PAPER_SECONDS;
 use crate::config::SuiteConfig;
 use crate::instances::gola_paper_set;
-use crate::roster::full_roster;
+use crate::roster::{full_roster, TunedY};
 use crate::runner::{ArrangementSet, CellPolicy};
 use crate::table::Table;
 use crate::telemetry::{CellKey, TelemetryLog};
@@ -47,7 +47,7 @@ pub fn run(config: &SuiteConfig) -> Table {
 
     let policy = CellPolicy::with_threads(config.threads);
     let log = TelemetryLog::disabled();
-    for spec in full_roster(config.tuned) {
+    for spec in full_roster(TunedY::default()) {
         let key = CellKey::new("diagnostics", spec.name(), budget.to_string());
         let r = set.run_cell(key, &spec, Strategy::Figure1, budget, &policy, &log);
         let proposals: u64 = r.per_temp.iter().map(|t| t.proposals).sum();

@@ -70,7 +70,7 @@ pub use faults::{ChaosWriter, FaultPlan};
 pub use instances::{gola_paper_set, nola_paper_set, DEFAULT_SEED, NOLA_PIN_RANGE};
 pub use jobs::{JobOutcome, JobServer, JobSpec, JobState};
 pub use ops::OpsServer;
-pub use roster::{full_roster, reduced_roster, MethodCtx, MethodSpec, TunedY};
+pub use roster::{full_roster, reduced_roster, GClass, MethodCtx, MethodSpec, TunedY, G_CLASSES};
 pub use runner::{ArrangementSet, CellPolicy, RetryPolicy};
 pub use supervisor::Supervisor;
 pub use table::Table;

@@ -209,20 +209,22 @@ fn overview(out: &mut String, cp: &Checkpoint) {
     );
 }
 
-/// Acceptance rate vs temperature, one row per method, aggregated over the
-/// table's budget columns.
-fn acceptance_section(out: &mut String, cells: &[&CellRecord]) {
-    let methods = group_by(cells.iter().copied(), |c| c.key.method.clone());
+/// A method × temperature-index table under `heading`: one row per method,
+/// its per-temperature aggregates merged over the table's budget columns,
+/// and one `cell` per temperature index (`—` where `cell` gives none).
+/// Omitted when no cell records a stage.
+fn per_temp_table(
+    out: &mut String,
+    cells: &[&CellRecord],
+    heading: &str,
+    intro: &str,
+    cell: impl Fn(&TempAggregate) -> Option<String>,
+) {
     let k = cells.iter().map(|c| c.per_temp.len()).max().unwrap_or(0);
     if k == 0 {
         return;
     }
-    out.push_str("### Acceptance rate vs temperature\n\n");
-    out.push_str(
-        "Accepted moves as a percentage of proposals, per temperature index, \
-         aggregated over the table's budget columns.\n\n",
-    );
-    out.push_str("| Method |");
+    let _ = write!(out, "### {heading}\n\n{intro}\n\n| Method |");
     for t in 0..k {
         let _ = write!(out, " t{t} |");
     }
@@ -230,16 +232,16 @@ fn acceptance_section(out: &mut String, cells: &[&CellRecord]) {
     out.push_str("|---|");
     out.push_str(&"---:|".repeat(k));
     out.push('\n');
-    for (method, cells) in &methods {
+    for (method, cells) in group_by(cells.iter().copied(), |c| c.key.method.clone()) {
         let mut merged: Vec<TempAggregate> = Vec::new();
         for c in cells {
             merge_per_temp(&mut merged, &c.per_temp);
         }
         let _ = write!(out, "| {method} |");
         for t in 0..k {
-            match merged.get(t).and_then(acceptance_rate) {
-                Some(rate) => {
-                    let _ = write!(out, " {rate:.1}% |");
+            match merged.get(t).and_then(&cell) {
+                Some(text) => {
+                    let _ = write!(out, " {text} |");
                 }
                 None => out.push_str(" — |"),
             }
@@ -247,6 +249,19 @@ fn acceptance_section(out: &mut String, cells: &[&CellRecord]) {
         out.push('\n');
     }
     out.push('\n');
+}
+
+/// Acceptance rate vs temperature, one row per method, aggregated over the
+/// table's budget columns.
+fn acceptance_section(out: &mut String, cells: &[&CellRecord]) {
+    per_temp_table(
+        out,
+        cells,
+        "Acceptance rate vs temperature",
+        "Accepted moves as a percentage of proposals, per temperature index, \
+         aggregated over the table's budget columns.",
+        |agg| acceptance_rate(agg).map(|rate| format!("{rate:.1}%")),
+    );
 }
 
 /// Controlled stage temperature vs stage index, with the adaptive
@@ -259,48 +274,24 @@ fn temperature_section(out: &mut String, cells: &[&CellRecord]) {
     {
         return;
     }
-    let methods = group_by(cells.iter().copied(), |c| c.key.method.clone());
-    let k = cells.iter().map(|c| c.per_temp.len()).max().unwrap_or(0);
-    out.push_str("### Stage temperature and controller targets\n\n");
-    out.push_str(
+    per_temp_table(
+        out,
+        cells,
+        "Stage temperature and controller targets",
         "Mean controlled temperature per stage, aggregated over the table's \
          budget columns. Where the adaptive controller ran, the cell also \
          shows observed acceptance against the controller's target \
-         (`obs%→tgt%`).\n\n",
-    );
-    out.push_str("| Method |");
-    for t in 0..k {
-        let _ = write!(out, " t{t} |");
-    }
-    out.push('\n');
-    out.push_str("|---|");
-    out.push_str(&"---:|".repeat(k));
-    out.push('\n');
-    for (method, cells) in &methods {
-        let mut merged: Vec<TempAggregate> = Vec::new();
-        for c in cells {
-            merge_per_temp(&mut merged, &c.per_temp);
-        }
-        let _ = write!(out, "| {method} |");
-        for t in 0..k {
-            match merged.get(t).and_then(mean_temperature) {
-                Some(temp) => {
-                    let _ = write!(out, " {}", fin(temp, 3));
-                    if let Some(target) = merged.get(t).and_then(mean_target_acceptance) {
-                        let observed = merged
-                            .get(t)
-                            .and_then(acceptance_rate)
-                            .map_or("n/a".to_string(), |r| format!("{r:.0}%"));
-                        let _ = write!(out, " ({observed}→{target:.0}%)");
-                    }
-                    out.push_str(" |");
-                }
-                None => out.push_str(" — |"),
+         (`obs%→tgt%`).",
+        |agg| {
+            let mut text = fin(mean_temperature(agg)?, 3);
+            if let Some(target) = mean_target_acceptance(agg) {
+                let observed =
+                    acceptance_rate(agg).map_or("n/a".to_string(), |r| format!("{r:.0}%"));
+                let _ = write!(text, " ({observed}→{target:.0}%)");
             }
-        }
-        out.push('\n');
-    }
-    out.push('\n');
+            Some(text)
+        },
+    );
 }
 
 /// Replica-exchange swap acceptance vs temperature: swaps accepted over
@@ -314,44 +305,20 @@ fn swap_section(out: &mut String, cells: &[&CellRecord]) {
     {
         return;
     }
-    let methods = group_by(cells.iter().copied(), |c| c.key.method.clone());
-    let k = cells.iter().map(|c| c.per_temp.len()).max().unwrap_or(0);
-    out.push_str("### Replica-exchange swap acceptance vs temperature\n\n");
-    out.push_str(
+    per_temp_table(
+        out,
+        cells,
+        "Replica-exchange swap acceptance vs temperature",
         "Accepted swaps as a percentage of attempts at each rung (attempts \
          are counted on the colder member of the pair, so the hottest rung \
-         shows no attempts).\n\n",
+         shows no attempts).",
+        |agg| {
+            (agg.swap_attempts > 0).then(|| {
+                let rate = 100.0 * agg.swap_accepts as f64 / agg.swap_attempts as f64;
+                format!("{rate:.1}% ({}/{})", agg.swap_accepts, agg.swap_attempts)
+            })
+        },
     );
-    out.push_str("| Method |");
-    for t in 0..k {
-        let _ = write!(out, " t{t} |");
-    }
-    out.push('\n');
-    out.push_str("|---|");
-    out.push_str(&"---:|".repeat(k));
-    out.push('\n');
-    for (method, cells) in &methods {
-        let mut merged: Vec<TempAggregate> = Vec::new();
-        for c in cells {
-            merge_per_temp(&mut merged, &c.per_temp);
-        }
-        let _ = write!(out, "| {method} |");
-        for t in 0..k {
-            match merged.get(t) {
-                Some(agg) if agg.swap_attempts > 0 => {
-                    let rate = 100.0 * agg.swap_accepts as f64 / agg.swap_attempts as f64;
-                    let _ = write!(
-                        out,
-                        " {rate:.1}% ({}/{}) |",
-                        agg.swap_accepts, agg.swap_attempts
-                    );
-                }
-                _ => out.push_str(" — |"),
-            }
-        }
-        out.push('\n');
-    }
-    out.push('\n');
 }
 
 /// The paper's headline comparison: how the trivial `g = 1` acceptance

@@ -1,5 +1,7 @@
 //! The method roster: the paper's 20 g-function classes (plus \[COHO83a\])
-//! with their tuned temperatures, in the paper's table order.
+//! in the paper's table order. The 18 classes that take a temperature, with
+//! their tuned temperatures, are one table, [`G_CLASSES`]; the rosters, the
+//! tuning sweep and the ablations all read it.
 
 use std::sync::Arc;
 
@@ -59,61 +61,75 @@ impl std::fmt::Debug for MethodSpec {
     }
 }
 
-/// Tuned temperature parameters per g class, found with the §4.2.1 procedure
-/// (`repro tuning` re-derives them; see EXPERIMENTS.md).
-///
-/// The paper's GOLA instances have random-arrangement densities around
-/// 80–90 and uphill deltas concentrated on {0, 1, 2}, which sets the scale
-/// of each class's usable temperature.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TunedY {
-    /// Class 1 (Metropolis) `Y₁`.
-    pub metropolis: f64,
-    /// Class 2 (six-temperature annealing) starting `Y₁` (ratio 0.9).
-    pub annealing6: f64,
-    /// Classes 5–7 (`Y·h(i)^d`) `Y₁` by degree.
-    pub poly_current: [f64; 3],
-    /// Class 8 (`(e^{h/Y}-1)/(e-1)`) `Y₁`.
-    pub exp_current: f64,
-    /// Classes 9–11 starting `Y₁` by degree.
-    pub poly_current6: [f64; 3],
-    /// Class 12 starting `Y₁`.
-    pub exp_current6: f64,
-    /// Classes 13–15 (`Y/Δ^d`) `Y₁` by degree.
-    pub poly_diff: [f64; 3],
-    /// Class 16 (`(e^{Y/Δ}-1)/(e-1)`) `Y₁`.
-    pub exp_diff: f64,
-    /// Classes 17–19 starting `Y₁` by degree.
-    pub poly_diff6: [f64; 3],
-    /// Class 20 starting `Y₁`.
-    pub exp_diff6: f64,
+/// One of the 18 g classes of §3 that take a temperature.
+#[derive(Debug, Clone, Copy)]
+pub struct GClass {
+    /// The table row name, which is also the g function's own name.
+    pub name: &'static str,
+    /// The class's g function at starting temperature `Y₁`.
+    pub make: fn(f64) -> GFunction,
+    /// The tuned `Y₁` (see [`TunedY`]).
+    pub tuned: f64,
 }
 
-impl TunedY {
-    /// Temperatures tuned on the paper's 30-instance GOLA training set
-    /// (15 elements, 150 two-pin nets) with the Figure-1 strategy, as in
-    /// §4.2.1 — the winners of two full-scale `repro tuning` sweeps
-    /// (5 paper-seconds per instance, ×⅛…×8 multiplicative grid, recentered
-    /// between sweeps).
-    pub fn gola_defaults() -> Self {
-        TunedY {
-            metropolis: 0.75,
-            annealing6: 1.0,
-            poly_current: [3.125e-4, 3.75e-6, 5e-8],
-            exp_current: 2400.0,
-            poly_current6: [3.125e-4, 7.5e-6, 5e-8],
-            exp_current6: 2400.0,
-            poly_diff: [0.05, 0.1, 0.2],
-            exp_diff: 0.175,
-            poly_diff6: [0.125, 0.25, 0.25],
-            exp_diff6: 0.225,
-        }
+/// The g classes that take a temperature, in the paper's row order:
+/// classes 1–2 and 5–20. Classes 3 (`g = 1`) and 4 (two-level g) have
+/// none.
+///
+/// The tuned `Y₁` come from the paper's 30-instance GOLA training set
+/// (15 elements, 150 two-pin nets) under the Figure-1 strategy, as in
+/// §4.2.1: the winners of two full-scale `repro tuning` sweeps (5
+/// paper-seconds per instance, ×⅛…×8 multiplicative grid, recentered
+/// between sweeps). Those instances have random-arrangement densities
+/// around 80–90 and uphill deltas concentrated on {0, 1, 2}, which sets the
+/// scale of each class's usable temperature.
+pub const G_CLASSES: [GClass; 18] = {
+    use GFunction as G;
+    const fn class(name: &'static str, make: fn(f64) -> GFunction, tuned: f64) -> GClass {
+        GClass { name, make, tuned }
     }
-}
+    [
+        class("Metropolis", G::metropolis, 0.75),
+        class("Six Temperature Annealing", G::six_temp_annealing, 1.0),
+        class("Linear", |y| G::poly_current(1, y), 3.125e-4),
+        class("Quadratic", |y| G::poly_current(2, y), 3.75e-6),
+        class("Cubic", |y| G::poly_current(3, y), 5e-8),
+        class("Exponential", G::exp_current, 2400.0),
+        class("6 Linear", |y| G::poly_current_six(1, y), 3.125e-4),
+        class("6 Quadratic", |y| G::poly_current_six(2, y), 7.5e-6),
+        class("6 Cubic", |y| G::poly_current_six(3, y), 5e-8),
+        class("6 Exponential", G::exp_current_six, 2400.0),
+        class("Linear Diff", |y| G::poly_difference(1, y), 0.05),
+        class("Quadratic Diff", |y| G::poly_difference(2, y), 0.1),
+        class("Cubic Diff", |y| G::poly_difference(3, y), 0.2),
+        class("Exponential Diff", G::exp_difference, 0.175),
+        class("6 Linear Diff", |y| G::poly_difference_six(1, y), 0.125),
+        class("6 Quadratic Diff", |y| G::poly_difference_six(2, y), 0.25),
+        class("6 Cubic Diff", |y| G::poly_difference_six(3, y), 0.25),
+        class("6 Exponential Diff", G::exp_difference_six, 0.225),
+    ]
+};
+
+/// A `Y₁` per class of [`G_CLASSES`], in its order. The default is the
+/// table's tuned values; `repro tuning` re-derives them (see
+/// EXPERIMENTS.md).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TunedY(pub [f64; G_CLASSES.len()]);
 
 impl Default for TunedY {
     fn default() -> Self {
-        Self::gola_defaults()
+        TunedY(G_CLASSES.map(|class| class.tuned))
+    }
+}
+
+/// `name=Y₁` pairs in table order.
+impl std::fmt::Display for TunedY {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for (i, (class, y1)) in G_CLASSES.iter().zip(self.0).enumerate() {
+            let sep = if i == 0 { "" } else { ", " };
+            write!(f, "{sep}{}={y1:?}", class.name)?;
+        }
+        Ok(())
     }
 }
 
@@ -121,85 +137,31 @@ impl Default for TunedY {
 /// paper's row order. (The Goto constructive is not a g class and is handled
 /// by the table runners directly.)
 pub fn full_roster(t: TunedY) -> Vec<MethodSpec> {
-    let mut roster = vec![
-        MethodSpec::with_ctx("[COHO83a]", |ctx| GFunction::coho83a(ctx.n_nets)),
-        MethodSpec::new("Metropolis", move || GFunction::metropolis(t.metropolis)),
-        MethodSpec::new("Six Temperature Annealing", move || {
-            GFunction::six_temp_annealing(t.annealing6)
-        }),
-        MethodSpec::new("g = 1", GFunction::unit),
-        MethodSpec::new("Two level g", GFunction::two_level),
-        MethodSpec::new("Linear", move || {
-            GFunction::poly_current(1, t.poly_current[0])
-        }),
-        MethodSpec::new("Quadratic", move || {
-            GFunction::poly_current(2, t.poly_current[1])
-        }),
-        MethodSpec::new("Cubic", move || {
-            GFunction::poly_current(3, t.poly_current[2])
-        }),
-        MethodSpec::new("Exponential", move || GFunction::exp_current(t.exp_current)),
-        MethodSpec::new("6 Linear", move || {
-            GFunction::poly_current_six(1, t.poly_current6[0])
-        }),
-        MethodSpec::new("6 Quadratic", move || {
-            GFunction::poly_current_six(2, t.poly_current6[1])
-        }),
-        MethodSpec::new("6 Cubic", move || {
-            GFunction::poly_current_six(3, t.poly_current6[2])
-        }),
-        MethodSpec::new("6 Exponential", move || {
-            GFunction::exp_current_six(t.exp_current6)
-        }),
-    ];
-    roster.extend(diff_classes(t));
-    roster
+    roster(t, 0)
 }
 
 /// The reduced roster used by Tables 4.2(a)–(d): the paper drops classes
 /// 5–12 "because of their poor performance on the GOLA instances" (§4.3.1),
 /// leaving 13 methods.
 pub fn reduced_roster(t: TunedY) -> Vec<MethodSpec> {
-    let mut roster = vec![
-        MethodSpec::with_ctx("[COHO83a]", |ctx| GFunction::coho83a(ctx.n_nets)),
-        MethodSpec::new("Metropolis", move || GFunction::metropolis(t.metropolis)),
-        MethodSpec::new("Six Temperature Annealing", move || {
-            GFunction::six_temp_annealing(t.annealing6)
-        }),
-        MethodSpec::new("g = 1", GFunction::unit),
-        MethodSpec::new("Two level g", GFunction::two_level),
-    ];
-    roster.extend(diff_classes(t));
-    roster
+    roster(t, 8)
 }
 
-fn diff_classes(t: TunedY) -> Vec<MethodSpec> {
-    vec![
-        MethodSpec::new("Linear Diff", move || {
-            GFunction::poly_difference(1, t.poly_diff[0])
-        }),
-        MethodSpec::new("Quadratic Diff", move || {
-            GFunction::poly_difference(2, t.poly_diff[1])
-        }),
-        MethodSpec::new("Cubic Diff", move || {
-            GFunction::poly_difference(3, t.poly_diff[2])
-        }),
-        MethodSpec::new("Exponential Diff", move || {
-            GFunction::exp_difference(t.exp_diff)
-        }),
-        MethodSpec::new("6 Linear Diff", move || {
-            GFunction::poly_difference_six(1, t.poly_diff6[0])
-        }),
-        MethodSpec::new("6 Quadratic Diff", move || {
-            GFunction::poly_difference_six(2, t.poly_diff6[1])
-        }),
-        MethodSpec::new("6 Cubic Diff", move || {
-            GFunction::poly_difference_six(3, t.poly_diff6[2])
-        }),
-        MethodSpec::new("6 Exponential Diff", move || {
-            GFunction::exp_difference_six(t.exp_diff6)
-        }),
-    ]
+/// \[COHO83a\], classes 1–2, `g = 1`, two-level g, then the classes of
+/// [`G_CLASSES`] after its first `2 + skip`.
+fn roster(t: TunedY, skip: usize) -> Vec<MethodSpec> {
+    let mut tempered = G_CLASSES.iter().zip(t.0).map(|(class, y1)| {
+        let make = class.make;
+        MethodSpec::new(class.name, move || make(y1))
+    });
+    let mut roster = vec![MethodSpec::with_ctx("[COHO83a]", |ctx| {
+        GFunction::coho83a(ctx.n_nets)
+    })];
+    roster.extend(tempered.by_ref().take(2));
+    roster.push(MethodSpec::new("g = 1", GFunction::unit));
+    roster.push(MethodSpec::new("Two level g", GFunction::two_level));
+    roster.extend(tempered.skip(skip));
+    roster
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@ use anneal_core::{AdaptiveMode, Budget, Strategy};
 use crate::budgetmap::{NOLA_EVAL_COST, PAPER_SECONDS, PAPER_SECONDS_42B};
 use crate::config::SuiteConfig;
 use crate::instances::{gola_paper_set, nola_paper_set};
-use crate::roster::{full_roster, reduced_roster, MethodSpec};
+use crate::roster::{full_roster, reduced_roster, MethodSpec, TunedY};
 use crate::runner::ArrangementSet;
 use crate::table::Table;
 use crate::telemetry::{CellKey, CellRecord, TelemetryLog};
@@ -84,25 +84,25 @@ pub(crate) fn spec(table: &str, config: &SuiteConfig) -> Option<TableSpec> {
         "table4.1" => grid(
             Gola,
             Random,
-            full_roster(config.tuned),
+            full_roster(TunedY::default()),
             "Table 4.1 — GOLA: total density reduction, 30 instances, 15 elements, 150 nets",
         ),
         "table4.2a" => grid(
             Gola,
             Goto,
-            reduced_roster(config.tuned),
+            reduced_roster(TunedY::default()),
             "Table 4.2(a) — GOLA from Goto arrangements: total improvement",
         ),
         "table4.2c" => grid(
             Nola,
             Random,
-            reduced_roster(config.tuned),
+            reduced_roster(TunedY::default()),
             "Table 4.2(c) — NOLA: total density reduction, 30 instances, 15 elements, 150 nets",
         ),
         "table4.2d" => grid(
             Nola,
             Goto,
-            reduced_roster(config.tuned),
+            reduced_roster(TunedY::default()),
             "Table 4.2(d) — NOLA from Goto arrangements: total improvement",
         ),
         // Figure 1 against Figure 2, so `--strategy` and `--replicas` do
@@ -116,7 +116,7 @@ pub(crate) fn spec(table: &str, config: &SuiteConfig) -> Option<TableSpec> {
                 title: "Table 4.2(b) — GOLA, 180 sec/instance: Figure 1 vs Figure 2",
                 row_header: "g function",
                 goto_row: false,
-                rows: rows(reduced_roster(config.tuned)),
+                rows: rows(reduced_roster(TunedY::default())),
                 columns: vec![
                     ("Figure 1".into(), Strategy::Figure1, budget),
                     ("Figure 2".into(), Strategy::Figure2, budget),
@@ -127,7 +127,7 @@ pub(crate) fn spec(table: &str, config: &SuiteConfig) -> Option<TableSpec> {
         // replaces `--schedule`; `--replicas` does not apply, so each
         // method keeps its own ladder.
         "adaptive" => {
-            let six_temp = full_roster(config.tuned)
+            let six_temp = full_roster(TunedY::default())
                 .into_iter()
                 .find(|s| s.name() == "Six Temperature Annealing")
                 .expect("the roster always carries class 2");

@@ -4,32 +4,35 @@
 //! asymptotic-convergence discussion it cites from \[ROME84a/b\], \[LUND83\]
 //! and \[GEM83\]).
 
-use anneal_core::{derive_seed, Annealer, NoopObserver};
+use anneal_core::{derive_seed, Annealer, ChainObserver};
 
 use crate::budgetmap::PAPER_SECONDS;
 use crate::config::SuiteConfig;
 use crate::instances::gola_paper_set;
-use crate::roster::{MethodCtx, MethodSpec, TunedY};
+use crate::roster::{full_roster, MethodCtx, TunedY};
 use crate::runner::ArrangementSet;
 use crate::table::Table;
 
 /// Number of trajectory samples per run.
 pub const SAMPLES: u64 = 24;
 
-/// Methods shown in the trajectory table: the paper's headline trio plus
-/// Metropolis.
-pub fn trajectory_roster(t: TunedY) -> Vec<MethodSpec> {
-    use anneal_core::GFunction;
-    vec![
-        MethodSpec::new("Metropolis", move || GFunction::metropolis(t.metropolis)),
-        MethodSpec::new("Six Temperature Annealing", move || {
-            GFunction::six_temp_annealing(t.annealing6)
-        }),
-        MethodSpec::new("g = 1", GFunction::unit),
-        MethodSpec::new("Cubic Diff", move || {
-            GFunction::poly_difference(3, t.poly_diff[2])
-        }),
-    ]
+/// Methods shown in the trajectory table, in roster order: the paper's
+/// headline trio plus Metropolis.
+const METHODS: [&str; 4] = [
+    "Metropolis",
+    "Six Temperature Annealing",
+    "g = 1",
+    "Cubic Diff",
+];
+
+/// The `(evals, best)` of every best-so-far improvement of a chain.
+#[derive(Default)]
+struct Bests(Vec<(u64, f64)>);
+
+impl ChainObserver for Bests {
+    fn on_best(&mut self, evals: u64, cost: f64) {
+        self.0.push((evals, cost));
+    }
 }
 
 /// Runs the headline methods on instance 0 of the GOLA set and returns the
@@ -55,31 +58,31 @@ pub fn run(config: &SuiteConfig) -> Table {
         (1..=SAMPLES).map(|i| format!("{}", i * every)).collect(),
     );
 
-    for spec in trajectory_roster(config.tuned) {
-        let ctx = MethodCtx {
-            n_nets: problem.netlist().n_nets(),
-        };
+    let ctx = MethodCtx {
+        n_nets: problem.netlist().n_nets(),
+    };
+    let roster = full_roster(TunedY::default());
+    for spec in roster.iter().filter(|s| METHODS.contains(&s.name())) {
+        let mut bests = Bests::default();
         let result = Annealer::new(problem)
             .budget(budget)
             .seed(derive_seed(config.seed ^ 0x54524A, 0))
             .start_from(start.clone())
-            .trajectory(every)
-            .run(&mut spec.g(&ctx), &mut NoopObserver);
+            .run(&mut spec.g(&ctx), &mut bests);
 
-        // Resample the recorded trajectory onto the fixed grid (runs may
-        // stop early on equilibrium; extend with the final best).
-        let mut series = Vec::with_capacity(SAMPLES as usize);
-        let mut ti = 0;
-        let mut last = start.density() as f64;
-        for i in 1..=SAMPLES {
-            let at = i * every;
-            while ti < result.stats.trajectory.len() && result.stats.trajectory[ti].0 <= at {
-                last = result.stats.trajectory[ti].1;
-                ti += 1;
-            }
-            series.push(last);
-        }
-        // The final sample reflects the run's overall best.
+        // Sample i is the best found before i·every evaluations; a run that
+        // stopped early on equilibrium repeats its last full sample, and
+        // the final sample is the run's overall best.
+        let sampled = result.stats.evals / every;
+        let mut series: Vec<f64> = (1..=SAMPLES)
+            .map(|i| {
+                let at = i.min(sampled) * every;
+                let before = bests.0.iter().take_while(|&&(evals, _)| evals < at);
+                before
+                    .last()
+                    .map_or(start.density() as f64, |&(_, best)| best)
+            })
+            .collect();
         if let Some(v) = series.last_mut() {
             *v = result.best_cost;
         }

@@ -4,11 +4,12 @@
 //!
 //! The paper allots 5 seconds per instance, `⌈5/k⌉` per temperature.
 
-use anneal_core::{GFunction, Tuner};
+use anneal_core::Tuner;
 
 use crate::config::SuiteConfig;
 use crate::instances::gola_paper_set;
-use crate::roster::TunedY;
+use crate::roster::{TunedY, G_CLASSES};
+use crate::scheduler;
 use crate::table::Table;
 
 /// Seconds per instance in the paper's tuning runs.
@@ -32,146 +33,33 @@ pub struct TuningOutcome {
     pub boundary: Vec<String>,
 }
 
-/// Runs the tuning sweep.
+/// Runs the tuning sweep: one sweep per class of [`G_CLASSES`] around its
+/// tuned `Y₁`, the classes spread over `config.threads` threads.
 pub fn run(config: &SuiteConfig) -> TuningOutcome {
     let problems = gola_paper_set(config.seed);
     let budget = config.scale.vax_seconds(TUNING_SECONDS);
     let tuner = Tuner::new(&problems, budget, config.seed);
+    let reports = scheduler::run_indexed(G_CLASSES.len(), config.threads, |i| {
+        let class = &G_CLASSES[i];
+        tuner.tune(class.make, &GRID.map(|m| class.tuned * m))
+    });
 
-    let base = config.tuned;
-    let mut tuned = base;
+    let mut tuned = TunedY::default();
     let mut table = Table::new(
         "Tuning (§4.2.1) — total reduction per Y₁ multiplier, GOLA training set",
         "g function",
         GRID.iter().map(|m| format!("×{m}")).collect(),
     );
-
-    // Each entry: (name, base Y₁, factory, setter writing the winner back).
-    type Setter = fn(&mut TunedY, f64);
-    type Factory = fn(f64) -> GFunction;
-    let classes: Vec<(&str, f64, Factory, Setter)> = vec![
-        (
-            "Metropolis",
-            base.metropolis,
-            GFunction::metropolis,
-            |t, y| t.metropolis = y,
-        ),
-        (
-            "Six Temperature Annealing",
-            base.annealing6,
-            GFunction::six_temp_annealing,
-            |t, y| t.annealing6 = y,
-        ),
-        (
-            "Linear",
-            base.poly_current[0],
-            |y| GFunction::poly_current(1, y),
-            |t, y| t.poly_current[0] = y,
-        ),
-        (
-            "Quadratic",
-            base.poly_current[1],
-            |y| GFunction::poly_current(2, y),
-            |t, y| t.poly_current[1] = y,
-        ),
-        (
-            "Cubic",
-            base.poly_current[2],
-            |y| GFunction::poly_current(3, y),
-            |t, y| t.poly_current[2] = y,
-        ),
-        (
-            "Exponential",
-            base.exp_current,
-            GFunction::exp_current,
-            |t, y| t.exp_current = y,
-        ),
-        (
-            "6 Linear",
-            base.poly_current6[0],
-            |y| GFunction::poly_current_six(1, y),
-            |t, y| t.poly_current6[0] = y,
-        ),
-        (
-            "6 Quadratic",
-            base.poly_current6[1],
-            |y| GFunction::poly_current_six(2, y),
-            |t, y| t.poly_current6[1] = y,
-        ),
-        (
-            "6 Cubic",
-            base.poly_current6[2],
-            |y| GFunction::poly_current_six(3, y),
-            |t, y| t.poly_current6[2] = y,
-        ),
-        (
-            "6 Exponential",
-            base.exp_current6,
-            GFunction::exp_current_six,
-            |t, y| t.exp_current6 = y,
-        ),
-        (
-            "Linear Diff",
-            base.poly_diff[0],
-            |y| GFunction::poly_difference(1, y),
-            |t, y| t.poly_diff[0] = y,
-        ),
-        (
-            "Quadratic Diff",
-            base.poly_diff[1],
-            |y| GFunction::poly_difference(2, y),
-            |t, y| t.poly_diff[1] = y,
-        ),
-        (
-            "Cubic Diff",
-            base.poly_diff[2],
-            |y| GFunction::poly_difference(3, y),
-            |t, y| t.poly_diff[2] = y,
-        ),
-        (
-            "Exponential Diff",
-            base.exp_diff,
-            GFunction::exp_difference,
-            |t, y| t.exp_diff = y,
-        ),
-        (
-            "6 Linear Diff",
-            base.poly_diff6[0],
-            |y| GFunction::poly_difference_six(1, y),
-            |t, y| t.poly_diff6[0] = y,
-        ),
-        (
-            "6 Quadratic Diff",
-            base.poly_diff6[1],
-            |y| GFunction::poly_difference_six(2, y),
-            |t, y| t.poly_diff6[1] = y,
-        ),
-        (
-            "6 Cubic Diff",
-            base.poly_diff6[2],
-            |y| GFunction::poly_difference_six(3, y),
-            |t, y| t.poly_diff6[2] = y,
-        ),
-        (
-            "6 Exponential Diff",
-            base.exp_diff6,
-            GFunction::exp_difference_six,
-            |t, y| t.exp_diff6 = y,
-        ),
-    ];
-
     let mut boundary = Vec::new();
-    for (name, base_y, factory, setter) in classes {
-        let candidates: Vec<f64> = GRID.iter().map(|m| base_y * m).collect();
-        let report = tuner.tune(factory, &candidates);
+    for (i, (class, report)) in G_CLASSES.iter().zip(reports).enumerate() {
         table.push_row(
-            name,
+            class.name,
             report.outcomes.iter().map(|o| o.total_reduction).collect(),
         );
         if report.best_on_boundary() {
-            boundary.push(name.to_string());
+            boundary.push(class.name.to_string());
         }
-        setter(&mut tuned, report.best.value);
+        tuned.0[i] = report.best.value;
     }
 
     TuningOutcome {
@@ -187,15 +75,37 @@ mod tests {
 
     #[test]
     fn sweeps_all_18_temperature_classes() {
-        // g = 1 and two-level need no tuning: 20 - 2 = 18 rows.
+        // g = 1 and two-level need no tuning: 20 - 2 = 18 rows, one per
+        // class of the table, in its order.
         let out = run(&SuiteConfig::scaled(2));
         assert_eq!(out.table.rows.len(), 18);
         assert_eq!(out.table.columns.len(), GRID.len());
-        // Winners are grid members.
-        let grid_of = |base: f64| GRID.map(|m| base * m);
-        assert!(grid_of(SuiteConfig::paper().tuned.metropolis)
-            .iter()
-            .any(|&c| (c - out.tuned.metropolis).abs() < 1e-12));
+        for ((name, _), class) in out.table.rows.iter().zip(&G_CLASSES) {
+            assert_eq!(name, class.name);
+        }
+        // Every winner is a member of its own class's grid.
+        for (class, y1) in G_CLASSES.iter().zip(out.tuned.0) {
+            assert!(
+                GRID.iter().any(|m| class.tuned * m == y1),
+                "{}: {y1} is off its grid",
+                class.name
+            );
+        }
+    }
+
+    #[test]
+    fn the_sweep_is_the_same_on_two_threads() {
+        let one = run(&SuiteConfig::scaled(8));
+        let two = run(&SuiteConfig::scaled(8).with_threads(2));
+        let bits = |out: &TuningOutcome| -> Vec<(String, Vec<u64>)> {
+            let row = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect();
+            (out.table.rows.iter())
+                .map(|(name, values)| (name.clone(), row(values)))
+                .collect()
+        };
+        assert_eq!(bits(&two), bits(&one));
+        assert_eq!(two.tuned.0.map(f64::to_bits), one.tuned.0.map(f64::to_bits));
+        assert_eq!(two.boundary, one.boundary);
     }
 
     #[test]

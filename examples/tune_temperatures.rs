@@ -5,7 +5,7 @@
 //! cargo run --release --example tune_temperatures
 //! ```
 
-use annealbench::experiments::{tuning, SuiteConfig};
+use annealbench::experiments::{tuning, SuiteConfig, G_CLASSES};
 
 fn main() {
     // Paper-faithful sweep (fast at the calibrated 250 evals/VAX-second).
@@ -14,15 +14,7 @@ fn main() {
 
     println!("{}", outcome.table);
     println!("winning temperatures:");
-    let t = outcome.tuned;
-    println!("  Metropolis                 Y₁ = {}", t.metropolis);
-    println!("  Six Temperature Annealing  Y₁ = {}", t.annealing6);
-    println!("  Linear/Quadratic/Cubic     Y₁ = {:?}", t.poly_current);
-    println!("  Exponential                Y₁ = {}", t.exp_current);
-    println!("  6 Linear/Quadratic/Cubic   Y₁ = {:?}", t.poly_current6);
-    println!("  6 Exponential              Y₁ = {}", t.exp_current6);
-    println!("  Diff (lin/quad/cubic)      Y₁ = {:?}", t.poly_diff);
-    println!("  Exponential Diff           Y₁ = {}", t.exp_diff);
-    println!("  6 Diff (lin/quad/cubic)    Y₁ = {:?}", t.poly_diff6);
-    println!("  6 Exponential Diff         Y₁ = {}", t.exp_diff6);
+    for (class, y1) in G_CLASSES.iter().zip(outcome.tuned.0) {
+        println!("  {:<26} Y₁ = {y1}", class.name);
+    }
 }
