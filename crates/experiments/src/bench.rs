@@ -6,9 +6,11 @@
 //! criterion substitute's [`criterion::measure`] API and renders the results
 //! with [`render_report`]. The kernel set covers the hot paths the paper's
 //! equal-budget comparisons spend their time in: the linarr swap score and
-//! commit on the position-mask profile, the NOLA multi-pin cost,
-//! the TSP 2-opt delta, the partition gain update, the Figure-1/Figure-2
-//! decision path, and full chains at a fixed seed and budget.
+//! commit (`linarr/gola_swap_cycle` on per-net position masks,
+//! `linarr/nola_swap_cycle` on per-position net rows, the layouts the
+//! paper's GOLA and NOLA instances pick), the TSP 2-opt delta, the
+//! partition gain update, the Figure-1/Figure-2 decision path, and full
+//! chains at a fixed seed and budget.
 //!
 //! Methodology, schema, and cross-commit comparison workflow are documented
 //! in `BENCHMARKS.md` at the repository root.

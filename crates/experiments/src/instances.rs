@@ -83,6 +83,7 @@ pub fn nola_paper_set(seed: u64) -> Vec<LinearArrangementProblem> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anneal_linarr::{Arrangement, Layout};
 
     #[test]
     fn gola_set_shape() {
@@ -119,5 +120,27 @@ mod tests {
         // GOLA and NOLA sets differ even at the same seed.
         let n = nola_paper_set(7);
         assert_ne!(a[0].netlist(), n[0].netlist());
+    }
+
+    #[test]
+    fn only_the_paper_nola_instances_score_on_rows() {
+        let layout = |p: &LinearArrangementProblem| {
+            p.state_from(Arrangement::identity(p.netlist().n_elements()))
+                .layout()
+        };
+        assert!(nola_paper_set(DEFAULT_SEED)
+            .iter()
+            .all(|p| layout(p) == Layout::Rows));
+        assert!(gola_paper_set(DEFAULT_SEED)
+            .iter()
+            .all(|p| layout(p) == Layout::Masks));
+        // The shapes of the large jobs: a row sweep would cost time in
+        // proportion to elements × nets.
+        for (elements, nets) in [(200, 2_000), (1024, 10_240)] {
+            for generate in [gola_netlist, nola_netlist] {
+                let p = LinearArrangementProblem::new(generate(DEFAULT_SEED, 0, elements, nets));
+                assert_eq!(layout(&p), Layout::Masks, "{elements} × {nets}");
+            }
+        }
     }
 }

@@ -11,10 +11,11 @@
 //!   elements (§4.2).
 //!
 //! The crate provides the permutation state with **incremental** cut-density
-//! evaluation ([`ArrangedState`]), the [`anneal_core::Problem`]
-//! implementation with the paper's pairwise-interchange neighborhood
-//! ([`LinearArrangementProblem`]), and the constructive baseline of
-//! \[GOTO77\] ([`goto_arrangement`]).
+//! evaluation ([`ArrangedState`]), which scores a swap on per-net position
+//! masks or, for a few elements with many pins, on per-position net rows
+//! ([`Layout`]), the [`anneal_core::Problem`] implementation with the
+//! paper's pairwise-interchange neighborhood ([`LinearArrangementProblem`]),
+//! and the constructive baseline of \[GOTO77\] ([`goto_arrangement`]).
 //!
 //! # Examples
 //!
@@ -48,4 +49,4 @@ pub use arrangement::Arrangement;
 pub use density::CutProfile;
 pub use goto::goto_arrangement;
 pub use problem::{LinearArrangementProblem, Swap};
-pub use state::ArrangedState;
+pub use state::{ArrangedState, Layout};

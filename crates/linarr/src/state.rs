@@ -1,22 +1,33 @@
-//! The search state: an arrangement plus a position-mask cut profile that
-//! scores a move before it is made.
+//! The search state: an arrangement plus a cut profile over its pin
+//! incidence, which scores a move before it is made.
 //!
-//! Each net keeps a bitmask of its pins' positions, `⌈n/64⌉` words wide, and
-//! each gap its crossing count. A net spans from its mask's lowest set bit
-//! `lo` to its highest `hi`, and crosses gaps `lo..hi`. Scoring a move takes
-//! two steps:
+//! Each gap keeps its crossing count, and the state keeps which nets have a
+//! pin at which position as a bit matrix in one of two [`Layout`]s:
 //!
-//! 1. Every net whose pin positions change adds its old and new span ends,
-//!    ±1, to a difference array over the gaps. These are the nets incident
-//!    to exactly one of the two swapped elements, and each reads its ends
-//!    off its mask in a few word operations. Every change lies between the
-//!    two positions the swap touches.
-//! 2. One sweep of that range adds the running sum to the crossing counts
-//!    and takes the maximum. The gaps outside the range keep their counts,
-//!    so the density after the move is the larger of the two maxima.
+//! - **Masks:** per net, a mask of its pins' positions, `⌈n/64⌉` words. A
+//!   net spans from its mask's lowest set bit `lo` to its highest `hi`, and
+//!   crosses gaps `lo..hi`. A swap visits the nets incident to exactly one
+//!   of the two swapped elements; each reads its span ends off its mask in a
+//!   few word operations and adds its old and new ends, ±1, to a difference
+//!   array over the gaps.
+//! - **Rows:** per position, a row of the nets with a pin there, `⌈m/64⌉`
+//!   words. A swap is scored with no loop over nets: a backward and a
+//!   forward pass OR the rows right and left of each gap between the two
+//!   positions, and popcounts of the nets whose pin moves against them give
+//!   each gap's change, which goes into the same difference array.
 //!
-//! Nothing is written until the move is committed, and the commit reuses
-//! the difference array its score built. [`CutProfile::build`] is the
+//! A row sweep costs time in proportion to `n·m/64`, a mask visit in
+//! proportion to the degree of the two swapped elements.
+//! [`ArrangedState::new`] picks the layout once, from the netlist alone:
+//! rows for a few elements with many pins each, such as the paper's NOLA
+//! instances, masks for everything else.
+//!
+//! Every change lies between the two positions the swap touches. One sweep
+//! of that range adds the difference array's running sum to the crossing
+//! counts and takes the maximum; the gaps outside it keep their counts, so
+//! the density after the move is the larger of the two maxima. Nothing is
+//! written until the move is committed, and the commit reuses the
+//! difference array its score built. [`CutProfile::build`] is the
 //! from-scratch oracle that a state is built from and
 //! [`ArrangedState::verify`] checks against.
 
@@ -26,8 +37,34 @@ use crate::arrangement::Arrangement;
 use crate::density::CutProfile;
 use crate::problem::Swap;
 
-/// An arrangement with its position-mask cut profile: the density reads in
-/// O(1), and a swap is scored without making it.
+/// How an [`ArrangedState`] lays out its pin-incidence bit matrix.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    /// Per net, the positions of its pins: a swap visits the nets of the two
+    /// swapped elements.
+    Masks,
+    /// Per position, the nets with a pin there: a swap sweeps every row once.
+    Rows,
+}
+
+impl Layout {
+    /// The layout a state under `netlist` scores on: rows when one sweep of
+    /// the `n` rows, `⌈m/64⌉` words each, reads fewer words than the masks of
+    /// an average swap, `2·pins/n` nets of `⌈n/64⌉` words (both sides times
+    /// `n` below).
+    fn of(netlist: &Netlist) -> Self {
+        let n = netlist.n_elements();
+        let sweep = n * n * netlist.n_nets().div_ceil(64);
+        if sweep < 2 * netlist.total_pins() * n.div_ceil(64) {
+            Layout::Rows
+        } else {
+            Layout::Masks
+        }
+    }
+}
+
+/// An arrangement with its cut profile: the density reads in O(1), and a
+/// swap is scored without making it.
 ///
 /// `ArrangedState` deliberately does not borrow the netlist (the
 /// [`Problem`](anneal_core::Problem) owner holds it); every method that
@@ -36,11 +73,15 @@ use crate::problem::Swap;
 #[derive(Debug)]
 pub struct ArrangedState {
     arrangement: Arrangement,
-    /// Mask words per net: `⌈n / 64⌉`.
+    layout: Layout,
+    /// Words per line of `bits`: `⌈n/64⌉` per net under [`Layout::Masks`],
+    /// `⌈m/64⌉` per position under [`Layout::Rows`].
     words: usize,
-    /// Net `i`'s pin positions: position `x` is bit `x % 64` of word
-    /// `i * words + x / 64`.
-    masks: Vec<u64>,
+    /// The pin incidence, one line of `words` words per net (masks) or per
+    /// position (rows). Net `i` has a pin at position `x` when bit `x % 64`
+    /// of word `i * words + x / 64` is set (masks), or bit `i % 64` of word
+    /// `x * words + i / 64` (rows).
+    bits: Vec<u64>,
     /// Per gap `g` in `0..n-1`: the number of nets crossing it.
     cut: Vec<u32>,
     /// `max(cut)`, or 0 without gaps.
@@ -54,7 +95,8 @@ pub struct ArrangedState {
 impl PartialEq for ArrangedState {
     fn eq(&self, other: &Self) -> bool {
         self.arrangement == other.arrangement
-            && self.masks == other.masks
+            && self.layout == other.layout
+            && self.bits == other.bits
             && self.cut == other.cut
             && self.density == other.density
     }
@@ -66,8 +108,9 @@ impl Clone for ArrangedState {
     fn clone(&self) -> Self {
         ArrangedState {
             arrangement: self.arrangement.clone(),
+            layout: self.layout,
             words: self.words,
-            masks: self.masks.clone(),
+            bits: self.bits.clone(),
             cut: self.cut.clone(),
             density: self.density,
             diff: vec![0; self.diff.len()],
@@ -78,8 +121,9 @@ impl Clone for ArrangedState {
     /// records its best state this way at every improvement.
     fn clone_from(&mut self, source: &Self) {
         self.arrangement.clone_from(&source.arrangement);
+        self.layout = source.layout;
         self.words = source.words;
-        self.masks.clone_from(&source.masks);
+        self.bits.clone_from(&source.bits);
         self.cut.clone_from(&source.cut);
         self.density = source.density;
         if self.diff.len() != source.diff.len() {
@@ -107,24 +151,40 @@ impl Scored {
 }
 
 impl ArrangedState {
-    /// Builds the state for `arrangement` under `netlist`.
+    /// Builds the state for `arrangement` under `netlist`, in the layout
+    /// `Layout::of` picks for the netlist.
     ///
     /// # Panics
     ///
     /// Panics if sizes disagree.
     pub fn new(netlist: &Netlist, arrangement: Arrangement) -> Self {
+        Self::with_layout(netlist, arrangement, Layout::of(netlist))
+    }
+
+    /// Builds the state for `arrangement` under `netlist` in `layout`.
+    pub(crate) fn with_layout(netlist: &Netlist, arrangement: Arrangement, layout: Layout) -> Self {
         let profile = CutProfile::build(netlist, &arrangement);
         let n = arrangement.len();
-        let words = n.div_ceil(64);
-        let mut masks = vec![0; netlist.n_nets() * words];
-        for (mask, pins) in masks.chunks_exact_mut(words).zip(netlist.nets()) {
+        let (lines, width) = match layout {
+            Layout::Masks => (netlist.n_nets(), n),
+            Layout::Rows => (n, netlist.n_nets()),
+        };
+        let words = width.div_ceil(64);
+        let mut bits = vec![0; lines * words];
+        for (net, pins) in netlist.nets().enumerate() {
             for &pin in pins {
-                flip(mask, arrangement.position_of(pin) as usize);
+                let x = arrangement.position_of(pin) as usize;
+                let (line, index) = match layout {
+                    Layout::Masks => (net, x),
+                    Layout::Rows => (x, net),
+                };
+                flip(&mut bits[line * words..][..words], index);
             }
         }
         ArrangedState {
+            layout,
             words,
-            masks,
+            bits,
             cut: profile.cuts().to_vec(),
             density: profile.density(),
             diff: vec![0; n],
@@ -147,16 +207,21 @@ impl ArrangedState {
         &self.cut
     }
 
+    /// The layout the state scores its moves on.
+    pub fn layout(&self) -> Layout {
+        self.layout
+    }
+
     /// Swaps the elements at positions `p` and `q`.
     pub fn swap(&mut self, netlist: &Netlist, p: usize, q: usize) {
         self.try_move(netlist, Swap(p, q), |_| true);
     }
 
-    /// Whether the state equals one built from scratch for its arrangement:
-    /// the same pin masks, and [`CutProfile::build`]'s crossing counts and
-    /// density (test support).
+    /// Whether the state equals one built from scratch for its arrangement
+    /// in its layout: the same pin incidence, and [`CutProfile::build`]'s
+    /// crossing counts and density (test support).
     pub fn verify(&self, netlist: &Netlist) -> bool {
-        *self == Self::new(netlist, self.arrangement.clone())
+        *self == Self::with_layout(netlist, self.arrangement.clone(), self.layout)
     }
 
     /// Scores `mv`, passes the density it leads to to `accept`, and makes
@@ -190,39 +255,78 @@ impl ArrangedState {
         density
     }
 
-    /// Net `net`'s position mask.
-    fn mask(&self, net: u32) -> &[u64] {
-        &self.masks[net as usize * self.words..][..self.words]
+    /// Line `i` of the pin incidence: net `i`'s mask or position `i`'s row.
+    fn line(&self, i: usize) -> &[u64] {
+        &self.bits[i * self.words..][..self.words]
     }
 
     /// Adds the gap changes of swapping the elements at `p` and `q` to
     /// `diff`, and returns the range they lie in.
     fn score(&self, netlist: &Netlist, Swap(p, q): Swap, diff: &mut [i32]) -> Scored {
-        let a = self.arrangement.element_at(p) as usize;
-        let b = self.arrangement.element_at(q) as usize;
-        for &net in netlist.nets_of(a) {
-            self.move_pin(net, p, q, diff);
+        let (lo, hi) = (p.min(q), p.max(q));
+        match self.layout {
+            Layout::Masks => {
+                let a = self.arrangement.element_at(p) as usize;
+                let b = self.arrangement.element_at(q) as usize;
+                for &net in netlist.nets_of(a) {
+                    self.move_pin(net, p, q, diff);
+                }
+                for &net in netlist.nets_of(b) {
+                    self.move_pin(net, q, p, diff);
+                }
+            }
+            Layout::Rows => self.score_rows(lo, hi, diff),
         }
-        for &net in netlist.nets_of(b) {
-            self.move_pin(net, q, p, diff);
-        }
-        Scored {
-            lo: p.min(q),
-            hi: p.max(q),
-        }
+        Scored { lo, hi }
     }
 
-    /// Scores net `net`'s pin moving from position `x` to position `y`,
-    /// adding its span change to `diff`. A net with a pin at `y` as well
-    /// keeps its positions under a swap, so it changes nothing.
+    /// Scores net `net`'s pin moving from position `x` to position `y` on
+    /// its mask, adding its span change to `diff`. A net with a pin at `y`
+    /// as well keeps its positions under a swap, so it changes nothing.
     #[inline]
     fn move_pin(&self, net: u32, x: usize, y: usize, diff: &mut [i32]) {
-        let mask = self.mask(net);
+        let mask = self.line(net as usize);
         if mask[y / 64] & bit(y) != 0 {
             return;
         }
         let (lo, hi) = ends_without(mask, x);
         shift_span(diff, (lo.min(x), hi.max(x)), (lo.min(y), hi.max(y)));
+    }
+
+    /// Scores the swap of positions `lo <= hi` on the rows, adding its gap
+    /// changes to `diff`.
+    ///
+    /// A net in `u`, with a pin at `lo` and none at `hi`, moves that pin to
+    /// `hi`. Over a gap `g` in `lo..hi` it comes to cross when it has
+    /// another pin at or left of `g`, and stops crossing when it has one
+    /// right of `g`. A net in `v` moves its pin from `hi` to `lo`, the other
+    /// way round. So gap `g` changes by `|u ∩ left| − |v ∩ left| + |v ∩
+    /// right| − |u ∩ right|`, where `left` holds the nets with a pin at or
+    /// left of `g` other than at `lo`, and `right` those with a pin right
+    /// of `g` other than at `hi`.
+    fn score_rows(&self, lo: usize, hi: usize, diff: &mut [i32]) {
+        let words = self.words;
+        let n = self.arrangement.len();
+        for k in 0..words {
+            let at = |x: usize| self.bits[x * words + k];
+            let (u, v) = (at(lo) & !at(hi), at(hi) & !at(lo));
+            let gain = |nets: u64| (u & nets).count_ones() as i32 - (v & nets).count_ones() as i32;
+            let mut right = (hi + 1..n).fold(0, |nets, x| nets | at(x));
+            for (d, g) in diff[lo..hi].iter_mut().zip(lo..hi).rev() {
+                *d -= gain(right);
+                right |= at(g);
+            }
+            let mut left = (0..lo).fold(0, |nets, x| nets | at(x));
+            for (d, g) in diff[lo..hi].iter_mut().zip(lo..hi) {
+                *d += gain(left);
+                left |= at(g + 1);
+            }
+        }
+        // `diff` holds each gap's change; leave the differences between
+        // neighbouring gaps instead.
+        for g in (lo + 1..hi).rev() {
+            diff[g] -= diff[g - 1];
+        }
     }
 
     /// The density after the scored move: one sweep of its gap range, plus
@@ -254,14 +358,23 @@ impl ArrangedState {
         diff: &mut [i32],
     ) {
         let words = self.words;
-        let a = self.arrangement.element_at(p) as usize;
-        let b = self.arrangement.element_at(q) as usize;
-        // A net incident to both elements is flipped twice and keeps its
-        // positions.
-        for &net in netlist.nets_of(a).iter().chain(netlist.nets_of(b)) {
-            let mask = &mut self.masks[net as usize * words..][..words];
-            flip(mask, p);
-            flip(mask, q);
+        match self.layout {
+            Layout::Masks => {
+                let a = self.arrangement.element_at(p) as usize;
+                let b = self.arrangement.element_at(q) as usize;
+                // A net incident to both elements is flipped twice and keeps
+                // its positions.
+                for &net in netlist.nets_of(a).iter().chain(netlist.nets_of(b)) {
+                    let mask = &mut self.bits[net as usize * words..][..words];
+                    flip(mask, p);
+                    flip(mask, q);
+                }
+            }
+            Layout::Rows => {
+                for k in 0..words {
+                    self.bits.swap(p * words + k, q * words + k);
+                }
+            }
         }
         self.arrangement.swap_positions(p, q);
         let Scored { lo, hi } = *scored;
@@ -275,14 +388,14 @@ impl ArrangedState {
     }
 }
 
-/// The bit of position `x` within its mask word.
+/// The bit of index `x` within its word.
 fn bit(x: usize) -> u64 {
     1 << (x % 64)
 }
 
-/// Toggles position `x` in `mask`.
-fn flip(mask: &mut [u64], x: usize) {
-    mask[x / 64] ^= bit(x);
+/// Toggles index `x` in `line`.
+fn flip(line: &mut [u64], x: usize) {
+    line[x / 64] ^= bit(x);
 }
 
 /// The lowest and highest positions set in `mask` other than `x`. A net has
@@ -325,7 +438,56 @@ fn shift_span(diff: &mut [i32], old: (usize, usize), new: (usize, usize)) {
 mod tests {
     use super::*;
     use anneal_netlist::generator::{random_multi_pin, random_two_pin};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use rand::{rngs::StdRng, RngExt, SeedableRng};
+
+    /// An arbitrary netlist plus a seed, in the three size bands of the
+    /// property tests' `arb_instance`: element counts within one 64-bit
+    /// word, across the first word boundary, or across the second.
+    fn arb_instance() -> impl Strategy<Value = (Netlist, u64)> {
+        let n = prop_oneof![2usize..16, 60usize..70, 124usize..136];
+        (n, 0usize..480, any::<u64>(), any::<bool>()).prop_map(|(n, m, seed, multi)| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let m = 1 + m % (4 * n);
+            let nl = if multi && n >= 4 {
+                random_multi_pin(n, m, 2, (n / 12).clamp(4, 10), &mut rng)
+            } else {
+                random_two_pin(n, m, &mut rng)
+            };
+            (nl, seed)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn both_layouts_score_and_make_every_move_alike(
+            (nl, seed) in arb_instance(),
+            answers in vec(any::<bool>(), 1..60),
+        ) {
+            let n = nl.n_elements();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let start = Arrangement::random(n, &mut rng);
+            let mut masks = ArrangedState::with_layout(&nl, start.clone(), Layout::Masks);
+            let mut rows = ArrangedState::with_layout(&nl, start, Layout::Rows);
+            for answer in answers {
+                let mv = Swap(rng.random_range(0..n), rng.random_range(0..n));
+                let on_masks = masks.try_move(&nl, mv, |_| answer);
+                let on_rows = rows.try_move(&nl, mv, |_| answer);
+                prop_assert_eq!(on_rows, on_masks, "{:?}", mv);
+                prop_assert_eq!(rows.arrangement(), masks.arrangement());
+                prop_assert_eq!(rows.cuts(), masks.cuts());
+                prop_assert_eq!(rows.density(), masks.density());
+                let oracle = CutProfile::build(&nl, rows.arrangement());
+                prop_assert_eq!(rows.cuts(), oracle.cuts());
+                prop_assert_eq!(rows.density(), oracle.density());
+                prop_assert!(rows.verify(&nl) && masks.verify(&nl), "{:?}", mv);
+                prop_assert!(rows.diff.iter().chain(&masks.diff).all(|&d| d == 0));
+            }
+        }
+    }
 
     #[test]
     fn swap_updates_incrementally() {
