@@ -6,7 +6,7 @@
 //! criterion substitute's [`criterion::measure`] API and renders the results
 //! with [`render_report`]. The kernel set covers the hot paths the paper's
 //! equal-budget comparisons spend their time in: the linarr swap score and
-//! commit (`linarr/gola_swap_cycle` on per-net position masks,
+//! commit (`linarr/gola_swap_cycle` on per-pair net counts,
 //! `linarr/nola_swap_cycle` on per-position net rows, the layouts the
 //! paper's GOLA and NOLA instances pick), the TSP 2-opt delta, the
 //! partition gain update, the Figure-1/Figure-2 decision path, and full

@@ -123,24 +123,25 @@ mod tests {
     }
 
     #[test]
-    fn only_the_paper_nola_instances_score_on_rows() {
+    fn gola_scores_on_pairs_and_only_the_paper_nola_instances_on_rows() {
         let layout = |p: &LinearArrangementProblem| {
             p.state_from(Arrangement::identity(p.netlist().n_elements()))
                 .layout()
         };
+        assert!(gola_paper_set(DEFAULT_SEED)
+            .iter()
+            .all(|p| layout(p) == Layout::Pairs));
         assert!(nola_paper_set(DEFAULT_SEED)
             .iter()
             .all(|p| layout(p) == Layout::Rows));
-        assert!(gola_paper_set(DEFAULT_SEED)
-            .iter()
-            .all(|p| layout(p) == Layout::Masks));
-        // The shapes of the large jobs: a row sweep would cost time in
-        // proportion to elements × nets.
+        // The shapes of the large jobs: every two-pin netlist scores on
+        // pairs, and a row sweep would cost time in proportion to elements
+        // × nets.
         for (elements, nets) in [(200, 2_000), (1024, 10_240)] {
-            for generate in [gola_netlist, nola_netlist] {
-                let p = LinearArrangementProblem::new(generate(DEFAULT_SEED, 0, elements, nets));
-                assert_eq!(layout(&p), Layout::Masks, "{elements} × {nets}");
-            }
+            let gola = LinearArrangementProblem::new(gola_netlist(DEFAULT_SEED, 0, elements, nets));
+            assert_eq!(layout(&gola), Layout::Pairs, "{elements} × {nets}");
+            let nola = LinearArrangementProblem::new(nola_netlist(DEFAULT_SEED, 0, elements, nets));
+            assert_eq!(layout(&nola), Layout::Masks, "{elements} × {nets}");
         }
     }
 }

@@ -330,8 +330,9 @@ fn served_record_is_byte_identical_to_offline_repro_job() {
 
 #[test]
 fn two_hundred_element_job_records_are_pinned() {
-    // 200 positions take four mask words per net. The bytes were produced
-    // by the apply/cost/undo chains that evaluate-first scoring replaced.
+    // 200 positions take four mask words per net of the NOLA job; the GOLA
+    // job scores on pair counts. The bytes were produced by the
+    // apply/cost/undo chains on masks that evaluate-first scoring replaced.
     let jobs = [
         (
             "{\"problem\":\"gola\",\"instances\":1,\"elements\":200,\"nets\":2000,\

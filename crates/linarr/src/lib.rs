@@ -11,11 +11,13 @@
 //!   elements (§4.2).
 //!
 //! The crate provides the permutation state with **incremental** cut-density
-//! evaluation ([`ArrangedState`]), which scores a swap on per-net position
-//! masks or, for a few elements with many pins, on per-position net rows
-//! ([`Layout`]), the [`anneal_core::Problem`] implementation with the
-//! paper's pairwise-interchange neighborhood ([`LinearArrangementProblem`]),
-//! and the constructive baseline of \[GOTO77\] ([`goto_arrangement`]).
+//! evaluation ([`ArrangedState`]), which scores a swap on the count of nets
+//! between each pair of elements for a two-pin netlist, and otherwise on
+//! per-net position masks or, for a few elements with many pins, on
+//! per-position net rows ([`Layout`]), the [`anneal_core::Problem`]
+//! implementation with the paper's pairwise-interchange neighborhood
+//! ([`LinearArrangementProblem`]), and the constructive baseline of
+//! \[GOTO77\] ([`goto_arrangement`]).
 //!
 //! # Examples
 //!

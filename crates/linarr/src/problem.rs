@@ -1,10 +1,12 @@
 //! The GOLA/NOLA optimization problem as an [`anneal_core::Problem`].
 
+use std::sync::Arc;
+
 use anneal_core::{Problem, Rng, RngExt};
 use anneal_netlist::Netlist;
 
 use crate::arrangement::Arrangement;
-use crate::state::ArrangedState;
+use crate::state::{pair_counts, ArrangedState, Layout};
 
 /// A pairwise interchange: swap the elements at two positions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,12 +37,15 @@ pub struct Swap(pub usize, pub usize);
 #[derive(Debug, Clone)]
 pub struct LinearArrangementProblem {
     netlist: Netlist,
+    /// The netlist's pair counts, built once and shared by every state.
+    pairs: Arc<[i32]>,
 }
 
 impl LinearArrangementProblem {
     /// The problem over `netlist`.
     pub fn new(netlist: Netlist) -> Self {
-        LinearArrangementProblem { netlist }
+        let pairs = pair_counts(&netlist);
+        LinearArrangementProblem { netlist, pairs }
     }
 
     /// The underlying netlist.
@@ -56,7 +61,8 @@ impl LinearArrangementProblem {
     /// Builds the search state for an explicit arrangement (e.g. one
     /// produced by the Goto heuristic).
     pub fn state_from(&self, arrangement: Arrangement) -> ArrangedState {
-        ArrangedState::new(&self.netlist, arrangement)
+        let layout = Layout::of(&self.netlist);
+        ArrangedState::with_layout(&self.netlist, arrangement, layout, Arc::clone(&self.pairs))
     }
 
     /// Every swap of an `n`-element arrangement, in the `(p, q)` order
@@ -72,8 +78,7 @@ impl Problem for LinearArrangementProblem {
     type Move = Swap;
 
     fn random_state(&self, rng: &mut dyn Rng) -> ArrangedState {
-        let arr = Arrangement::random(self.netlist.n_elements(), rng);
-        ArrangedState::new(&self.netlist, arr)
+        self.state_from(Arrangement::random(self.netlist.n_elements(), rng))
     }
 
     fn cost(&self, state: &ArrangedState) -> f64 {

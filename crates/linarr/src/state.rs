@@ -1,9 +1,18 @@
 //! The search state: an arrangement plus a cut profile over its pin
 //! incidence, which scores a move before it is made.
 //!
-//! Each gap keeps its crossing count, and the state keeps which nets have a
-//! pin at which position as a bit matrix in one of two [`Layout`]s:
+//! Each gap keeps its crossing count, and the state scores a swap on one of
+//! three [`Layout`]s of the netlist's incidence:
 //!
+//! - **Pairs:** W, the number of nets between each two elements, `n × n`
+//!   counts in element order, built once per two-pin netlist and shared by
+//!   every state under it. A two-pin net's crossings depend only on its two
+//!   ends. Swap element `a` at position `lo` with `b` at `hi`, and let `D[k]
+//!   = W[a][c] − W[b][c]` for the element `c` at each other position `k`.
+//!   Gap `lo` changes by `Σ_{k<lo} D − Σ_{k>lo, k≠hi} D`, each later gap in
+//!   `lo..hi` by `2·D[k]` more than the one before it, and no gap outside
+//!   `lo..hi` changes; nets between `a` and `b` keep their span. One pass
+//!   over the positions, with no loop over nets and no pin bits.
 //! - **Masks:** per net, a mask of its pins' positions, `⌈n/64⌉` words. A
 //!   net spans from its mask's lowest set bit `lo` to its highest `hi`, and
 //!   crosses gaps `lo..hi`. A swap visits the nets incident to exactly one
@@ -16,11 +25,11 @@
 //!   positions, and popcounts of the nets whose pin moves against them give
 //!   each gap's change, which goes into the same difference array.
 //!
-//! A row sweep costs time in proportion to `n·m/64`, a mask visit in
-//! proportion to the degree of the two swapped elements.
 //! [`ArrangedState::new`] picks the layout once, from the netlist alone:
-//! rows for a few elements with many pins each, such as the paper's NOLA
-//! instances, masks for everything else.
+//! pairs for every two-pin netlist (GOLA). For multi-pin nets a row sweep
+//! costs time in proportion to `n·m/64`, a mask visit in proportion to the
+//! degree of the two swapped elements: rows for a few elements with many
+//! pins each, such as the paper's NOLA instances, masks for everything else.
 //!
 //! Every change lies between the two positions the swap touches. One sweep
 //! of that range adds the difference array's running sum to the crossing
@@ -31,15 +40,21 @@
 //! from-scratch oracle that a state is built from and
 //! [`ArrangedState::verify`] checks against.
 
+use std::sync::Arc;
+
 use anneal_netlist::Netlist;
 
 use crate::arrangement::Arrangement;
 use crate::density::CutProfile;
 use crate::problem::Swap;
 
-/// How an [`ArrangedState`] lays out its pin-incidence bit matrix.
+/// How an [`ArrangedState`] holds the incidence it scores swaps on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Layout {
+    /// Per pair of elements, the nets between them, shared by every state of
+    /// a two-pin netlist: a swap reads two rows of counts. The `n²` counts
+    /// take 4 MB at 1,024 elements.
+    Pairs,
     /// Per net, the positions of its pins: a swap visits the nets of the two
     /// swapped elements.
     Masks,
@@ -48,11 +63,14 @@ pub enum Layout {
 }
 
 impl Layout {
-    /// The layout a state under `netlist` scores on: rows when one sweep of
-    /// the `n` rows, `⌈m/64⌉` words each, reads fewer words than the masks of
-    /// an average swap, `2·pins/n` nets of `⌈n/64⌉` words (both sides times
-    /// `n` below).
-    fn of(netlist: &Netlist) -> Self {
+    /// The layout a state under `netlist` scores on: pairs for a two-pin
+    /// netlist; otherwise rows when one sweep of the `n` rows, `⌈m/64⌉`
+    /// words each, reads fewer words than the masks of an average swap,
+    /// `2·pins/n` nets of `⌈n/64⌉` words (both sides times `n` below).
+    pub(crate) fn of(netlist: &Netlist) -> Self {
+        if netlist.is_two_pin() {
+            return Layout::Pairs;
+        }
         let n = netlist.n_elements();
         let sweep = n * n * netlist.n_nets().div_ceil(64);
         if sweep < 2 * netlist.total_pins() * n.div_ceil(64) {
@@ -61,6 +79,23 @@ impl Layout {
             Layout::Masks
         }
     }
+}
+
+/// W for `netlist`: the number of nets between elements `a` and `c` at
+/// `a * n + c`, allocated once in place. Empty unless every net is two-pin.
+pub(crate) fn pair_counts(netlist: &Netlist) -> Arc<[i32]> {
+    if !netlist.is_two_pin() {
+        return Arc::default();
+    }
+    let n = netlist.n_elements();
+    let mut pairs: Arc<[i32]> = std::iter::repeat_n(0, n * n).collect();
+    let w = Arc::get_mut(&mut pairs).expect("a new allocation is unshared");
+    for pins in netlist.nets() {
+        let (a, c) = (pins[0] as usize, pins[1] as usize);
+        w[a * n + c] += 1;
+        w[c * n + a] += 1;
+    }
+    pairs
 }
 
 /// An arrangement with its cut profile: the density reads in O(1), and a
@@ -74,13 +109,17 @@ impl Layout {
 pub struct ArrangedState {
     arrangement: Arrangement,
     layout: Layout,
+    /// The netlist's [`pair_counts`], which every state of the instance
+    /// shares and none copies: W for a two-pin netlist, empty otherwise.
+    pairs: Arc<[i32]>,
     /// Words per line of `bits`: `⌈n/64⌉` per net under [`Layout::Masks`],
-    /// `⌈m/64⌉` per position under [`Layout::Rows`].
+    /// `⌈m/64⌉` per position under [`Layout::Rows`], none under
+    /// [`Layout::Pairs`].
     words: usize,
     /// The pin incidence, one line of `words` words per net (masks) or per
     /// position (rows). Net `i` has a pin at position `x` when bit `x % 64`
     /// of word `i * words + x / 64` is set (masks), or bit `i % 64` of word
-    /// `x * words + i / 64` (rows).
+    /// `x * words + i / 64` (rows). Empty under [`Layout::Pairs`].
     bits: Vec<u64>,
     /// Per gap `g` in `0..n-1`: the number of nets crossing it.
     cut: Vec<u32>,
@@ -96,6 +135,7 @@ impl PartialEq for ArrangedState {
     fn eq(&self, other: &Self) -> bool {
         self.arrangement == other.arrangement
             && self.layout == other.layout
+            && self.pairs == other.pairs
             && self.bits == other.bits
             && self.cut == other.cut
             && self.density == other.density
@@ -109,6 +149,7 @@ impl Clone for ArrangedState {
         ArrangedState {
             arrangement: self.arrangement.clone(),
             layout: self.layout,
+            pairs: Arc::clone(&self.pairs),
             words: self.words,
             bits: self.bits.clone(),
             cut: self.cut.clone(),
@@ -122,6 +163,7 @@ impl Clone for ArrangedState {
     fn clone_from(&mut self, source: &Self) {
         self.arrangement.clone_from(&source.arrangement);
         self.layout = source.layout;
+        self.pairs.clone_from(&source.pairs);
         self.words = source.words;
         self.bits.clone_from(&source.bits);
         self.cut.clone_from(&source.cut);
@@ -152,20 +194,31 @@ impl Scored {
 
 impl ArrangedState {
     /// Builds the state for `arrangement` under `netlist`, in the layout
-    /// `Layout::of` picks for the netlist.
+    /// `Layout::of` picks for the netlist, with pair counts of its own;
+    /// [`LinearArrangementProblem::state_from`] shares the instance's.
+    ///
+    /// [`LinearArrangementProblem::state_from`]: crate::LinearArrangementProblem::state_from
     ///
     /// # Panics
     ///
     /// Panics if sizes disagree.
     pub fn new(netlist: &Netlist, arrangement: Arrangement) -> Self {
-        Self::with_layout(netlist, arrangement, Layout::of(netlist))
+        let pairs = pair_counts(netlist);
+        Self::with_layout(netlist, arrangement, Layout::of(netlist), pairs)
     }
 
-    /// Builds the state for `arrangement` under `netlist` in `layout`.
-    pub(crate) fn with_layout(netlist: &Netlist, arrangement: Arrangement, layout: Layout) -> Self {
+    /// Builds the state for `arrangement` under `netlist` in `layout`, on
+    /// `pairs`, the netlist's [`pair_counts`].
+    pub(crate) fn with_layout(
+        netlist: &Netlist,
+        arrangement: Arrangement,
+        layout: Layout,
+        pairs: Arc<[i32]>,
+    ) -> Self {
         let profile = CutProfile::build(netlist, &arrangement);
         let n = arrangement.len();
         let (lines, width) = match layout {
+            Layout::Pairs => (0, 0),
             Layout::Masks => (netlist.n_nets(), n),
             Layout::Rows => (n, netlist.n_nets()),
         };
@@ -175,6 +228,7 @@ impl ArrangedState {
             for &pin in pins {
                 let x = arrangement.position_of(pin) as usize;
                 let (line, index) = match layout {
+                    Layout::Pairs => continue,
                     Layout::Masks => (net, x),
                     Layout::Rows => (x, net),
                 };
@@ -183,6 +237,7 @@ impl ArrangedState {
         }
         ArrangedState {
             layout,
+            pairs,
             words,
             bits,
             cut: profile.cuts().to_vec(),
@@ -218,10 +273,11 @@ impl ArrangedState {
     }
 
     /// Whether the state equals one built from scratch for its arrangement
-    /// in its layout: the same pin incidence, and [`CutProfile::build`]'s
-    /// crossing counts and density (test support).
+    /// in its layout: the same pair counts and pin incidence, and
+    /// [`CutProfile::build`]'s crossing counts and density (test support).
     pub fn verify(&self, netlist: &Netlist) -> bool {
-        *self == Self::with_layout(netlist, self.arrangement.clone(), self.layout)
+        let pairs = pair_counts(netlist);
+        *self == Self::with_layout(netlist, self.arrangement.clone(), self.layout, pairs)
     }
 
     /// Scores `mv`, passes the density it leads to to `accept`, and makes
@@ -265,6 +321,7 @@ impl ArrangedState {
     fn score(&self, netlist: &Netlist, Swap(p, q): Swap, diff: &mut [i32]) -> Scored {
         let (lo, hi) = (p.min(q), p.max(q));
         match self.layout {
+            Layout::Pairs => self.score_pairs(lo, hi, diff),
             Layout::Masks => {
                 let a = self.arrangement.element_at(p) as usize;
                 let b = self.arrangement.element_at(q) as usize;
@@ -291,6 +348,24 @@ impl ArrangedState {
         }
         let (lo, hi) = ends_without(mask, x);
         shift_span(diff, (lo.min(x), hi.max(x)), (lo.min(y), hi.max(y)));
+    }
+
+    /// Scores the swap of positions `lo <= hi` on the pair counts, writing
+    /// its gap changes to `diff` as the module doc derives them.
+    fn score_pairs(&self, lo: usize, hi: usize, diff: &mut [i32]) {
+        let order = self.arrangement.order();
+        let n = order.len();
+        let row = |x: usize| &self.pairs[order[x] as usize * n..][..n];
+        let (a, b) = (row(lo), row(hi));
+        let d = |&c: &u32| a[c as usize] - b[c as usize];
+        let mut sum: i32 = order[..lo].iter().map(d).sum();
+        sum -= order[hi + 1..].iter().map(d).sum::<i32>();
+        for k in lo + 1..hi {
+            let dk = d(&order[k]);
+            diff[k] = 2 * dk;
+            sum -= dk;
+        }
+        diff[lo] = sum;
     }
 
     /// Scores the swap of positions `lo <= hi` on the rows, adding its gap
@@ -359,6 +434,7 @@ impl ArrangedState {
     ) {
         let words = self.words;
         match self.layout {
+            Layout::Pairs => {}
             Layout::Masks => {
                 let a = self.arrangement.element_at(p) as usize;
                 let b = self.arrangement.element_at(q) as usize;
@@ -463,29 +539,52 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
-        fn both_layouts_score_and_make_every_move_alike(
+        fn every_layout_scores_and_makes_every_move_alike(
             (nl, seed) in arb_instance(),
             answers in vec(any::<bool>(), 1..60),
         ) {
             let n = nl.n_elements();
             let mut rng = StdRng::seed_from_u64(seed);
             let start = Arrangement::random(n, &mut rng);
-            let mut masks = ArrangedState::with_layout(&nl, start.clone(), Layout::Masks);
-            let mut rows = ArrangedState::with_layout(&nl, start, Layout::Rows);
+            let pairs = pair_counts(&nl);
+            let mut layouts = vec![Layout::Masks, Layout::Rows];
+            if nl.is_two_pin() {
+                layouts.push(Layout::Pairs);
+            }
+            let mut states: Vec<_> = layouts
+                .into_iter()
+                .map(|layout| ArrangedState::with_layout(&nl, start.clone(), layout, pairs.clone()))
+                .collect();
             for answer in answers {
                 let mv = Swap(rng.random_range(0..n), rng.random_range(0..n));
-                let on_masks = masks.try_move(&nl, mv, |_| answer);
-                let on_rows = rows.try_move(&nl, mv, |_| answer);
-                prop_assert_eq!(on_rows, on_masks, "{:?}", mv);
-                prop_assert_eq!(rows.arrangement(), masks.arrangement());
-                prop_assert_eq!(rows.cuts(), masks.cuts());
-                prop_assert_eq!(rows.density(), masks.density());
-                let oracle = CutProfile::build(&nl, rows.arrangement());
-                prop_assert_eq!(rows.cuts(), oracle.cuts());
-                prop_assert_eq!(rows.density(), oracle.density());
-                prop_assert!(rows.verify(&nl) && masks.verify(&nl), "{:?}", mv);
-                prop_assert!(rows.diff.iter().chain(&masks.diff).all(|&d| d == 0));
+                let scores: Vec<_> = states
+                    .iter_mut()
+                    .map(|s| s.try_move(&nl, mv, |_| answer))
+                    .collect();
+                let oracle = CutProfile::build(&nl, states[0].arrangement());
+                for (s, &score) in states.iter().zip(&scores) {
+                    let layout = s.layout();
+                    prop_assert_eq!(score, scores[0], "{:?} {:?}", layout, mv);
+                    prop_assert_eq!(s.arrangement(), states[0].arrangement());
+                    prop_assert_eq!(s.cuts(), oracle.cuts(), "{:?} {:?}", layout, mv);
+                    prop_assert_eq!(s.density(), oracle.density(), "{:?} {:?}", layout, mv);
+                    prop_assert!(s.verify(&nl), "{:?} {:?}", layout, mv);
+                    prop_assert!(s.diff.iter().all(|&d| d == 0), "{:?} {:?}", layout, mv);
+                }
             }
+        }
+    }
+
+    #[test]
+    fn the_states_of_one_problem_share_its_pair_counts() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let p = crate::LinearArrangementProblem::new(random_two_pin(15, 150, &mut rng));
+        let a = p.state_from(Arrangement::random(15, &mut rng));
+        let b = p.state_from(Arrangement::random(15, &mut rng));
+        let mut c = ArrangedState::new(p.netlist(), Arrangement::identity(15));
+        c.clone_from(&a);
+        for s in [&b, &a.clone(), &c] {
+            assert!(Arc::ptr_eq(&a.pairs, &s.pairs));
         }
     }
 

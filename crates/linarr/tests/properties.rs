@@ -54,7 +54,7 @@ fn matches_a_rebuild(nl: &Netlist, s: &ArrangedState) -> Result<(), TestCaseErro
     let oracle = CutProfile::build(nl, s.arrangement());
     prop_assert_eq!(s.cuts(), oracle.cuts());
     prop_assert_eq!(s.density(), oracle.density());
-    prop_assert!(s.verify(nl), "pin masks differ from a rebuild");
+    prop_assert!(s.verify(nl), "state differs from a rebuild in its layout");
     Ok(())
 }
 
